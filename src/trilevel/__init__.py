@@ -40,7 +40,6 @@ from .linalg import (
     SingularMatrixError,
     cg_solve,
     solve_dense,
-    tensor_contract_mat,
     tensor_contract_vec,
 )
 from .oracle import (

@@ -85,15 +85,32 @@ class AdjointConfig:
             raise ValueError("AD engine requires a positive c1")
 
 
+# A Neumann iterate larger than this multiple of |b| counts as divergence.
+NEUMANN_GROWTH_CAP = 10.0
+
+
 def neumann_inverse_apply(
-    hvp: Callable[[Array], Array], b, Q: int, scale: float
+    hvp: Callable[[Array], Array],
+    b,
+    Q: int,
+    scale: float,
+    events: Optional[list] = None,
+    label: str = "neumann",
 ) -> Array:
-    """Truncated-Neumann approximation of A^{-1} b.
+    """Truncated-Neumann approximation of A^{-1} b with a divergence guard.
 
     Runs the recurrence r_0 = b, r_{h+1} = r_h - scale * hvp(r_h) and
     returns scale * sum_{h=0..Q} r_h. Converges geometrically when
     |I - scale*A| < 1 (not enforced; the caller picks scale = 1/C with C
     an upper bound on |A|).
+
+    Guard: if an iterate is non-finite or its norm exceeds
+    NEUMANN_GROWTH_CAP * |b| (the scaled operator has left the contractive
+    regime, e.g. a stale scale constant or a locally indefinite Hessian),
+    accumulation stops at the last sane term, so the truncated sum is a
+    bounded, regularized inverse. The stop is appended to ``events``, when
+    a list is given, as ``neumann_truncated:<label>@<h>`` with h the
+    1-based index of the rejected term.
     """
     if Q < 0:
         raise ValueError("Q must be nonnegative")
@@ -101,11 +118,17 @@ def neumann_inverse_apply(
         raise ValueError("scale must be positive")
     r = np.asarray(b, dtype=float)
     total = r.copy()
-    for _ in range(Q):
+    cap = NEUMANN_GROWTH_CAP * max(float(np.linalg.norm(b)), 1e-300)
+    for h in range(Q):
         hv = np.asarray(hvp(r), dtype=float)
         if hv.shape != r.shape:
             raise ValueError("hvp output dimension mismatch")
         r = r - scale * hv
+        norm = float(np.linalg.norm(r))
+        if not np.isfinite(norm) or norm > cap:
+            if events is not None:
+                events.append(f"neumann_truncated:{label}@{h + 1}")
+            break
         total += r
     return scale * total
 
@@ -137,8 +160,15 @@ def _fd_dir(method, point: Point, sample, axis: str, v: Array, eps: float) -> Ar
     return (np.asarray(method(pp, sample), float) - np.asarray(method(pm, sample), float)) / (2.0 * eps)
 
 
-class _Ops:
-    """Matrix-free primitives bound to (oracle, sample, cfg) for one engine."""
+class _NfdOps:
+    """Matrix-free primitives bound to (oracle, sample, cfg) for one engine.
+
+    As defined here they are the NFD engine's: every Hessian-vector product
+    is a central difference of an oracle gradient and Hzz systems are
+    solved by CG. The AD engine overrides the inverse and the products the
+    oracle provides analytically. ``block`` names the x or y variable block
+    of a cross term.
+    """
 
     def __init__(self, oracle, sample, cfg, events):
         self.oracle = oracle
@@ -147,28 +177,28 @@ class _Ops:
         self.events = events
 
     def inv_zz(self, point, b, label) -> Array:
-        raise NotImplementedError
+        return _cg(self._hvp_zz(point), b, self.cfg, self.events, label)
 
-    def hvp_yz(self, point, v) -> Array:
-        raise NotImplementedError
+    def _hvp_zz(self, point):
+        o, s, eps = self.oracle, self.sample, self.cfg.fd_eps
+        return lambda v: _fd_dir(o.grad_z_f3, point, s, "z", v, eps)
 
-    def hvp_xz(self, point, v) -> Array:
-        raise NotImplementedError
+    def hvp_z(self, point, block, v) -> Array:
+        """H_{block,z}(f3) v."""
+        method = getattr(self.oracle, f"grad_{block}_f3")
+        return _fd_dir(method, point, self.sample, "z", v, self.cfg.fd_eps)
 
     def hvp_zy(self, point, v) -> Array:
         # transposed cross product H_zy(f3) v; no oracle surface for it,
         # so both matrix-free engines difference grad_z f3 in y
         return _fd_dir(self.oracle.grad_z_f3, point, self.sample, "y", v, self.cfg.fd_eps)
 
-    def ml_gradient(self, point) -> Array:
+    def fbar_gradient(self, point, block) -> Array:
+        """grad_block fbar = grad_block f2 - H_{block,z}(f3) Hzz(f3)^{-1} grad_z f2."""
         o, s = self.oracle, self.sample
-        w = self.inv_zz(point, np.asarray(o.grad_z_f2(point, s), float), "ml_w")
-        return np.asarray(o.grad_y_f2(point, s), float) - self.hvp_yz(point, w)
-
-    def x_gradient(self, point) -> Array:
-        o, s = self.oracle, self.sample
-        w = self.inv_zz(point, np.asarray(o.grad_z_f2(point, s), float), "gx_w")
-        return np.asarray(o.grad_x_f2(point, s), float) - self.hvp_xz(point, w)
+        label = "ml_w" if block == "y" else "gx_w"
+        w = self.inv_zz(point, np.asarray(o.grad_z_f2(point, s), float), label)
+        return np.asarray(getattr(o, f"grad_{block}_f2")(point, s), float) - self.hvp_z(point, block, w)
 
     def track_z(self, point, v) -> Array:
         """First-order motion of the lower-level solution under a
@@ -176,92 +206,38 @@ class _Ops:
         rhs = self.hvp_zy(point, v)
         return -self.inv_zz(point, rhs, "track")
 
-    def reduced_yy_apply(self, point, v) -> Array:
-        """Hbar_yy v as a central difference of the middle-level adjoint
-        gradient along (v, track_z(v))."""
+    def reduced_apply(self, point, block, v) -> Array:
+        """Hbar_{block,y} v as a central difference of grad_block fbar along
+        (v, track_z(v)): Hbar_yy v for block y, and for block x Hbar_xy v
+        in the two-evaluation form of the mixed partial."""
         eps = self.cfg.fd_eps
         s_dir = self.track_z(point, v)
         pp = point.replace(y=point.y + eps * v, z=point.z + eps * s_dir)
         pm = point.replace(y=point.y - eps * v, z=point.z - eps * s_dir)
-        return (self.ml_gradient(pp) - self.ml_gradient(pm)) / (2.0 * eps)
-
-    def reduced_xy_apply(self, point, v) -> Array:
-        """Hbar_xy v as a central difference of grad_x fbar along
-        (v, track_z(v)); the two-evaluation form of the mixed partial."""
-        eps = self.cfg.fd_eps
-        s_dir = self.track_z(point, v)
-        pp = point.replace(y=point.y + eps * v, z=point.z + eps * s_dir)
-        pm = point.replace(y=point.y - eps * v, z=point.z - eps * s_dir)
-        return (self.x_gradient(pp) - self.x_gradient(pm)) / (2.0 * eps)
+        return (self.fbar_gradient(pp, block) - self.fbar_gradient(pm, block)) / (2.0 * eps)
 
 
-class _NfdOps(_Ops):
-    def _hvp_zz(self, point):
-        o, s, eps = self.oracle, self.sample, self.cfg.fd_eps
-        return lambda v: _fd_dir(o.grad_z_f3, point, s, "z", v, eps)
-
-    def inv_zz(self, point, b, label):
-        return _cg(self._hvp_zz(point), b, self.cfg, self.events, label)
-
-    def hvp_yz(self, point, v):
-        return _fd_dir(self.oracle.grad_y_f3, point, self.sample, "z", v, self.cfg.fd_eps)
-
-    def hvp_xz(self, point, v):
-        return _fd_dir(self.oracle.grad_x_f3, point, self.sample, "z", v, self.cfg.fd_eps)
-
-
-def _guarded_neumann(hvp, b, Q, scale, events, label, growth_cap=10.0):
-    """Neumann series with a divergence guard for the AD engine.
-
-    Identical to :func:`neumann_inverse_apply` while the recursion
-    contracts. If an iterate norm exceeds ``growth_cap`` times |b| (the
-    scaled operator has left the contractive regime, e.g. a stale scale
-    constant or a locally indefinite Hessian), accumulation stops at the
-    last sane term; the truncated sum is a bounded, regularized inverse.
-    """
-    r = np.asarray(b, dtype=float)
-    total = r.copy()
-    cap = growth_cap * max(float(np.linalg.norm(b)), 1e-300)
-    for h in range(Q):
-        hv = np.asarray(hvp(r), dtype=float)
-        r = r - scale * hv
-        norm = float(np.linalg.norm(r))
-        if not np.isfinite(norm) or norm > cap:
-            if events is not None:
-                events.append(f"neumann_truncated:{label}@{h + 1}")
-            break
-        total += r
-    return scale * total
-
-
-class _AdOps(_Ops):
+class _AdOps(_NfdOps):
     def _hvp_zz(self, point):
         o, s = self.oracle, self.sample
         if o.capabilities.has_hvp:
             return lambda v: np.asarray(o.hvp_zz_f3(point, s, v), float)
-        eps = self.cfg.fd_eps
-        return lambda v: _fd_dir(o.grad_z_f3, point, s, "z", v, eps)
+        return super()._hvp_zz(point)
 
     def inv_zz(self, point, b, label):
-        return _guarded_neumann(
+        return neumann_inverse_apply(
             self._hvp_zz(point), b, self.cfg.neumann_q, 1.0 / self.cfg.c0,
             self.events, label,
         )
 
-    def hvp_yz(self, point, v):
-        o = self.oracle
-        if o.capabilities.has_hvp:
-            return np.asarray(o.hvp_yz_f3(point, self.sample, v), float)
-        return _fd_dir(o.grad_y_f3, point, self.sample, "z", v, self.cfg.fd_eps)
-
-    def hvp_xz(self, point, v):
-        o = self.oracle
-        if o.capabilities.has_hvp:
-            return np.asarray(o.hvp_xz_f3(point, self.sample, v), float)
-        return _fd_dir(o.grad_x_f3, point, self.sample, "z", v, self.cfg.fd_eps)
+    def hvp_z(self, point, block, v):
+        if self.oracle.capabilities.has_hvp:
+            method = getattr(self.oracle, f"hvp_{block}z_f3")
+            return np.asarray(method(point, self.sample, v), float)
+        return super().hvp_z(point, block, v)
 
 
-def _make_ops(oracle, sample, cfg, events) -> _Ops:
+def _make_ops(oracle, sample, cfg, events) -> _NfdOps:
     if cfg.engine == ENGINE_NFD:
         return _NfdOps(oracle, sample, cfg, events)
     if cfg.engine == ENGINE_AD:
@@ -281,17 +257,9 @@ def ml_adjoint_gradient(
     events: Optional[list] = None,
 ) -> Array:
     """Adjoint gradient of the reduced middle-level objective in y,
-    evaluated with point.z standing in for the exact lower-level solution."""
-    cfg = cfg or AdjointConfig()
-    if cfg.engine == ENGINE_H:
-        if not oracle.capabilities.has_hessians:
-            raise ValueError("H engine requires an oracle with Hessian blocks")
-        lu = lu_factor_cached(oracle.hess_zz_f3(point, sample))
-        w = lu_solve(*lu, np.asarray(oracle.grad_z_f2(point, sample), float))
-        return np.asarray(oracle.grad_y_f2(point, sample), float) - oracle.hess_yz_f3(point, sample) @ w
-    if cfg.engine == ENGINE_AD:
-        cfg._require_ad(need_c1=False)
-    return _make_ops(oracle, sample, cfg, events).ml_gradient(point)
+    grad_y f2 - H_yz(f3) Hzz(f3)^{-1} grad_z f2, evaluated with point.z
+    standing in for the exact lower-level solution."""
+    return _fbar_gradient("y", oracle, point, sample, cfg, events)
 
 
 def grad_x_fbar(
@@ -303,16 +271,22 @@ def grad_x_fbar(
 ) -> Array:
     """x-gradient of the reduced middle-level objective:
     grad_x f2 - H_xz(f3) Hzz(f3)^{-1} grad_z f2."""
+    return _fbar_gradient("x", oracle, point, sample, cfg, events)
+
+
+def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
+    """Gradient of the reduced middle-level objective in the x or y block."""
     cfg = cfg or AdjointConfig()
     if cfg.engine == ENGINE_H:
         if not oracle.capabilities.has_hessians:
             raise ValueError("H engine requires an oracle with Hessian blocks")
         lu = lu_factor_cached(oracle.hess_zz_f3(point, sample))
         w = lu_solve(*lu, np.asarray(oracle.grad_z_f2(point, sample), float))
-        return np.asarray(oracle.grad_x_f2(point, sample), float) - oracle.hess_xz_f3(point, sample) @ w
+        return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
+                - getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w)
     if cfg.engine == ENGINE_AD:
         cfg._require_ad(need_c1=False)
-    return _make_ops(oracle, sample, cfg, events).x_gradient(point)
+    return _make_ops(oracle, sample, cfg, events).fbar_gradient(point, block)
 
 
 def ul_adjoint_gradient(
@@ -337,18 +311,18 @@ def ul_adjoint_gradient(
     o, s = oracle, sample
 
     lam_z = ops.inv_zz(point, np.asarray(o.grad_z_f1(point, s), float), "lam_z")
-    b = np.asarray(o.grad_y_f1(point, s), float) - ops.hvp_yz(point, lam_z)
+    b = np.asarray(o.grad_y_f1(point, s), float) - ops.hvp_z(point, "y", lam_z)
+
+    def hbar_yy(v):
+        return ops.reduced_apply(point, "y", v)
 
     if cfg.engine == ENGINE_NFD:
-        lam_y = _cg(lambda v: ops.reduced_yy_apply(point, v), b, cfg, events, "lam_y")
+        lam_y = _cg(hbar_yy, b, cfg, events, "lam_y")
     else:
-        lam_y = _guarded_neumann(
-            lambda v: ops.reduced_yy_apply(point, v), b, cfg.neumann_q, 1.0 / cfg.c1,
-            events, "lam_y",
-        )
+        lam_y = neumann_inverse_apply(hbar_yy, b, cfg.neumann_q, 1.0 / cfg.c1, events, "lam_y")
 
-    cross = ops.reduced_xy_apply(point, lam_y)
-    return np.asarray(o.grad_x_f1(point, s), float) - ops.hvp_xz(point, lam_z) - cross
+    cross = ops.reduced_apply(point, "x", lam_y)
+    return np.asarray(o.grad_x_f1(point, s), float) - ops.hvp_z(point, "x", lam_z) - cross
 
 
 def _ul_dense(oracle, point, sample, cfg) -> Array:
@@ -417,7 +391,7 @@ def bilevel_adjoint_gradient(
         lam = _cg(hvp_yy, gy1, cfg, events, "bilevel_lam")
     else:
         cfg._require_ad(need_c1=True)
-        lam = _guarded_neumann(hvp_yy, gy1, cfg.neumann_q, 1.0 / cfg.c1, events, "bilevel_lam")
+        lam = neumann_inverse_apply(hvp_yy, gy1, cfg.neumann_q, 1.0 / cfg.c1, events, "bilevel_lam")
     cross = _fd_dir(o.grad_x_f2, p, s, "y", lam, cfg.fd_eps)
     return np.asarray(o.grad_x_f1(p, s), float) - cross
 
@@ -465,7 +439,7 @@ def auto_scales(
     )
     ops = _AdOps(oracle, sample, cfg, None)
     c1 = 2.0 * _power_norm(
-        lambda v: ops.reduced_yy_apply(point, v), point.y.size, power_iters, seed
+        lambda v: ops.reduced_apply(point, "y", v), point.y.size, power_iters, seed
     )
     return c0, c1
 

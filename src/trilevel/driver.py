@@ -6,10 +6,13 @@ pass at the updated middle-level variables, computes the trilevel adjoint
 gradient, and steps the upper-level variables. Iterates thread across
 cycles: each new cycle starts from the last iterate of the previous one.
 
-Bilevel reductions of the same problem run through :func:`run_bsg`:
-``without-ul`` freezes x and optimizes the middle level as the outer
-problem; ``without-ll`` freezes z at zero and tunes x against the middle
-level only.
+The trilevel method (:func:`run_tsg`) and its bilevel reductions
+(:func:`run_bsg`) run one outer loop, ``_outer_loop``: it evaluates and
+records the objectives, aborts on non-finite values, feeds the trace
+sink and applies the adaptive budget rule. Each reduction supplies only a
+step function for one outer iteration. ``without-ul`` freezes x and runs
+one middle-level iteration per outer step; ``without-ll`` freezes z at
+zero and tunes x against the middle level only.
 """
 
 import math
@@ -351,13 +354,84 @@ def ml_bsg(
     y = np.asarray(y0, dtype=float).copy()
     z = np.asarray(z0, dtype=float).copy()
     for j in range(J):
-        ll_j = None if ll_sampler is None else (lambda k, _j=j: ll_sampler(_j, k))
-        z = ll_sg(oracle, x, y, z, gamma, K, sampler=ll_j)
-        ml_spec = DETERMINISTIC if ml_sampler is None else ml_sampler(j)
-        g = ml_adjoint_gradient(oracle, Point(x, y, z), ml_spec, cfg, events)
-        _finite_or_raise(g, f"middle-level adjoint gradient at step {j}")
-        y = y - beta_fn(j + 1) * g
+        y, z, _ = _ml_iteration(oracle, x, y, z, beta_fn(j + 1), gamma, K, cfg, j,
+                                ml_sampler, ll_sampler, events)
     return y, z
+
+
+def _ml_iteration(oracle, x, y, z, beta, gamma, K, cfg, j, ml_sampler, ll_sampler, events):
+    """Iteration j of a middle-level cycle: a lower-level cycle from z, the
+    middle-level adjoint gradient g there and a step of size beta on y.
+    Returns (y, z, g)."""
+    ll_j = None if ll_sampler is None else (lambda k: ll_sampler(j, k))
+    z = ll_sg(oracle, x, y, z, gamma, K, sampler=ll_j)
+    ml_spec = DETERMINISTIC if ml_sampler is None else ml_sampler(j)
+    g = ml_adjoint_gradient(oracle, Point(x, y, z), ml_spec, cfg, events)
+    _finite_or_raise(g, f"middle-level adjoint gradient at step {j}")
+    return y - beta * g, z, g
+
+
+def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget,
+                sink, keep_iterates: bool) -> RunTrace:
+    """The outer loop every reduction runs.
+
+    ``step(i, x, y, z, state, events)`` runs outer iteration i from the
+    iterates and the budgets ``state``, appending solver flags to
+    ``events``. It returns (point, g, x_next, (ml_iters, ll_steps), fields):
+    the point to record, the outer gradient, the next x, the middle- and
+    lower-level work done, and the record's J, K, alpha, beta and gamma.
+    The loop evaluates the objectives deterministically at the point and
+    records them; a NonFiniteError or a non-finite f1 or f2 ends the run
+    with ``trace.aborted`` set. With an adaptive budget, the
+    increasing-accuracy rule grows the budgets flagged in ``grows`` = (J, K).
+    """
+    trace = RunTrace(iterates=[] if keep_iterates else None)
+    x, y, z = init.x.copy(), init.y.copy(), init.z.copy()
+    state = BudgetState(budget.j0, budget.k0)
+    cum_ml = cum_ll = 0
+    prev_f1 = prev_f2 = None
+    t0 = time.perf_counter()
+
+    for i in range(1, budget.ul_iters + 1):
+        events: list = []
+        try:
+            point, g, x_next, (ml_iters, ll_steps), fields = step(i, x, y, z, state, events)
+        except NonFiniteError as err:
+            trace.aborted = str(err)
+            return trace
+
+        f1 = float(oracle.f1(point, DETERMINISTIC))
+        f2 = float(oracle.f2(point, DETERMINISTIC))
+        f3 = float(oracle.f3(point, DETERMINISTIC))
+        if not (math.isfinite(f1) and math.isfinite(f2)):
+            trace.aborted = f"non-finite objective at iteration {i}"
+            return trace
+
+        cum_ml += ml_iters
+        cum_ll += ll_steps
+        record = TraceRecord(
+            i=i, cum_ml=cum_ml, cum_ll=cum_ll,
+            wall_s=time.perf_counter() - t0,
+            f1=f1, f2=f2, f3=f3, gnorm=float(np.linalg.norm(g)),
+            flags=";".join(events), **fields,
+        )
+        trace.records.append(record)
+        if keep_iterates:
+            trace.iterates.append(point)
+        if sink is not None:
+            sink(record)
+
+        x, y, z = x_next, point.y, point.z
+        if budget.adaptive and prev_f1 is not None:
+            grown = adaptive_update(
+                state, prev_f1, f1, prev_f2, f2,
+                budget.ul_threshold, budget.ml_threshold,
+            )
+            state = BudgetState(grown.J if grows[0] else state.J,
+                                grown.K if grows[1] else state.K)
+        prev_f1, prev_f2 = f1, f2
+
+    return trace
 
 
 def run_tsg(
@@ -375,79 +449,38 @@ def run_tsg(
 
     Emits one trace record per upper-level iteration (objective values are
     deterministic evaluations at the current iterate). When the budget is
-    adaptive, the increasing-accuracy rule is applied between iterations.
-    ``exact_inner`` is a test hook mapping x to exact (y, z) inner
-    solutions, bypassing the inner loops.
+    adaptive, the increasing-accuracy rule grows J and K between
+    iterations. ``exact_inner`` is a test hook mapping x to exact (y, z)
+    inner solutions, bypassing the inner loops.
     """
     samples = samples or DeterministicSamples()
+    # deterministic runs pass no samplers, which spares a call per inner step
     deterministic = isinstance(samples, DeterministicSamples)
-    trace = RunTrace(iterates=[] if keep_iterates else None)
-    x = init.x.copy()
-    y = init.y.copy()
-    z = init.z.copy()
-    state = BudgetState(budget.j0, budget.k0)
-    cum_ml = cum_ll = 0
-    prev_f1 = prev_f2 = None
-    t0 = time.perf_counter()
 
-    for i in range(1, budget.ul_iters + 1):
-        events: list = []
-        try:
-            if exact_inner is not None:
-                y, z = (np.asarray(v, float) for v in exact_inner(x))
-            else:
-                y, z = ml_bsg(
-                    oracle, x, y, z,
-                    schedule.beta, schedule.gamma, state.J, state.K, cfg,
-                    ml_sampler=None if deterministic else (lambda j: samples.ml(i, j)),
-                    ll_sampler=None if deterministic else (lambda j, k: samples.ll(i, j, k)),
-                    events=events,
-                )
-                # extra lower-level pass at the updated middle iterate
-                z = ll_sg(
-                    oracle, x, y, z, schedule.gamma, state.K,
-                    sampler=None if deterministic else (lambda k: samples.ll(i, state.J, k)),
-                )
-                cum_ml += state.J
-                cum_ll += state.K * (state.J + 1)
-            point = Point(x, y, z)
-            g = ul_adjoint_gradient(oracle, point, samples.ul(i), cfg, events)
-            _finite_or_raise(g, "upper-level adjoint gradient")
-        except NonFiniteError as err:
-            trace.aborted = str(err)
-            return trace
-
-        f1 = float(oracle.f1(point, DETERMINISTIC))
-        f2 = float(oracle.f2(point, DETERMINISTIC))
-        f3 = float(oracle.f3(point, DETERMINISTIC))
-        if not math.isfinite(f1):
-            trace.aborted = f"non-finite f1 at iteration {i}"
-            return trace
-
-        record = TraceRecord(
-            i=i, cum_ml=cum_ml, cum_ll=cum_ll,
-            wall_s=time.perf_counter() - t0,
-            f1=f1, f2=f2, f3=f3, gnorm=float(np.linalg.norm(g)),
-            J=state.J, K=state.K,
-            alpha=schedule.alpha(i), beta=schedule.beta(1), gamma=schedule.gamma(1),
-            flags=";".join(events),
-        )
-        trace.records.append(record)
-        if keep_iterates:
-            trace.iterates.append(point)
-        if sink is not None:
-            sink(record)
-
-        x = x - schedule.alpha(i) * g
-
-        if budget.adaptive and prev_f1 is not None:
-            state = adaptive_update(
-                state, prev_f1, f1, prev_f2, f2,
-                budget.ul_threshold, budget.ml_threshold,
+    def step(i, x, y, z, state, events):
+        J, K = state.J, state.K
+        if exact_inner is not None:
+            y, z = (np.asarray(v, float) for v in exact_inner(x))
+            work = (0, 0)
+        else:
+            y, z = ml_bsg(
+                oracle, x, y, z, schedule.beta, schedule.gamma, J, K, cfg,
+                ml_sampler=None if deterministic else (lambda j: samples.ml(i, j)),
+                ll_sampler=None if deterministic else (lambda j, k: samples.ll(i, j, k)),
+                events=events,
             )
-        prev_f1, prev_f2 = f1, f2
+            # extra lower-level pass at the updated middle iterate
+            z = ll_sg(oracle, x, y, z, schedule.gamma, K,
+                      sampler=None if deterministic else (lambda k: samples.ll(i, J, k)))
+            work = (J, K * (J + 1))
+        point = Point(x, y, z)
+        g = ul_adjoint_gradient(oracle, point, samples.ul(i), cfg, events)
+        _finite_or_raise(g, "upper-level adjoint gradient")
+        alpha = schedule.alpha(i)
+        return point, g, x - alpha * g, work, dict(
+            J=J, K=K, alpha=alpha, beta=schedule.beta(1), gamma=schedule.gamma(1))
 
-    return trace
+    return _outer_loop(step, (True, True), oracle, init, budget, sink, keep_iterates)
 
 
 def run_bsg(
@@ -464,92 +497,41 @@ def run_bsg(
     """Run a bilevel reduction of the trilevel problem (same trace schema).
 
     ``without-ul`` holds x at its initial value and runs the middle-level
-    bilevel cycle as the outer loop (f1 is evaluated, never optimized).
-    ``without-ll`` holds z at zero and alternates middle-level SG on f2
-    with upper-level steps along the bilevel adjoint gradient.
+    bilevel cycle as the outer loop (f1 is evaluated, never optimized);
+    the adaptive rule grows K only. ``without-ll`` holds z at zero and
+    alternates middle-level SG on f2 with upper-level steps along the
+    bilevel adjoint gradient; the adaptive rule grows J only.
     """
     if reduction == REDUCTION_TRILEVEL:
         return run_tsg(oracle, init, schedule, budget, cfg, samples, sink,
                        keep_iterates=keep_iterates)
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"unknown reduction {reduction!r}")
-
     samples = samples or DeterministicSamples()
-    trace = RunTrace(iterates=[] if keep_iterates else None)
-    x = init.x.copy()
-    y = init.y.copy()
-    z = init.z.copy() if reduction == REDUCTION_WITHOUT_UL else np.zeros_like(init.z)
-    state = BudgetState(budget.j0, budget.k0)
-    cum_ml = cum_ll = 0
-    prev_f1 = prev_f2 = None
-    t0 = time.perf_counter()
 
-    for i in range(1, budget.ul_iters + 1):
-        events: list = []
-        try:
-            if reduction == REDUCTION_WITHOUT_UL:
-                # outer iteration i is middle-level iteration j = i-1
-                j = i - 1
-                z = ll_sg(
-                    oracle, x, y, z, schedule.gamma, state.K,
-                    sampler=lambda k: samples.ll(0, j, k),
-                )
-                cum_ll += state.K
-                g = ml_adjoint_gradient(oracle, Point(x, y, z), samples.ml(0, j), cfg, events)
-                _finite_or_raise(g, "middle-level adjoint gradient")
-                step = schedule.beta(i)
-                y = y - step * g
-                cum_ml += 1
-            else:  # without-ll
-                for j in range(state.J):
-                    g2 = np.asarray(
-                        oracle.grad_y_f2(Point(x, y, z), samples.ml(i, j)), float
-                    )
-                    _finite_or_raise(g2, "middle-level gradient")
-                    y = y - schedule.beta(j + 1) * g2
-                cum_ml += state.J
-                g = bilevel_adjoint_gradient(oracle, Point(x, y, z), samples.ul(i), cfg, events)
-                _finite_or_raise(g, "bilevel adjoint gradient")
-        except NonFiniteError as err:
-            trace.aborted = str(err)
-            return trace
-
-        point = Point(x, y, z)
-        f1 = float(oracle.f1(point, DETERMINISTIC))
-        f2 = float(oracle.f2(point, DETERMINISTIC))
-        f3 = float(oracle.f3(point, DETERMINISTIC))
-        if not (math.isfinite(f1) and math.isfinite(f2)):
-            trace.aborted = f"non-finite objective at iteration {i}"
-            return trace
-
-        record = TraceRecord(
-            i=i, cum_ml=cum_ml, cum_ll=cum_ll,
-            wall_s=time.perf_counter() - t0,
-            f1=f1, f2=f2, f3=f3, gnorm=float(np.linalg.norm(g)),
-            J=1 if reduction == REDUCTION_WITHOUT_UL else state.J,
-            K=state.K if reduction == REDUCTION_WITHOUT_UL else 0,
-            alpha=0.0 if reduction == REDUCTION_WITHOUT_UL else schedule.alpha(i),
-            beta=schedule.beta(i if reduction == REDUCTION_WITHOUT_UL else 1),
-            gamma=schedule.gamma(1) if reduction == REDUCTION_WITHOUT_UL else 0.0,
-            flags=";".join(events),
+    def without_ul_step(i, x, y, z, state, events):
+        # outer iteration i is middle-level iteration j = i-1, at step beta_i
+        y, z, g = _ml_iteration(
+            oracle, x, y, z, schedule.beta(i), schedule.gamma, state.K, cfg, i - 1,
+            lambda j: samples.ml(0, j), lambda j, k: samples.ll(0, j, k), events,
         )
-        trace.records.append(record)
-        if keep_iterates:
-            trace.iterates.append(point)
-        if sink is not None:
-            sink(record)
+        return Point(x, y, z), g, x, (1, state.K), dict(
+            J=1, K=state.K, alpha=0.0, beta=schedule.beta(i), gamma=schedule.gamma(1))
 
-        if reduction == REDUCTION_WITHOUT_LL:
-            x = x - schedule.alpha(i) * g
+    def without_ll_step(i, x, y, z, state, events):
+        for j in range(state.J):
+            g2 = np.asarray(oracle.grad_y_f2(Point(x, y, z), samples.ml(i, j)), float)
+            _finite_or_raise(g2, "middle-level gradient")
+            y = y - schedule.beta(j + 1) * g2
+        point = Point(x, y, z)
+        g = bilevel_adjoint_gradient(oracle, point, samples.ul(i), cfg, events)
+        _finite_or_raise(g, "bilevel adjoint gradient")
+        alpha = schedule.alpha(i)
+        return point, g, x - alpha * g, (state.J, 0), dict(
+            J=state.J, K=0, alpha=alpha, beta=schedule.beta(1), gamma=0.0)
 
-        if budget.adaptive and prev_f1 is not None:
-            if reduction == REDUCTION_WITHOUT_UL:
-                # only the lower-level budget rule applies (f2 is the outer objective)
-                state = adaptive_update(state, 0.0, 1.0, prev_f2, f2,
-                                        budget.ul_threshold, budget.ml_threshold)
-            else:
-                state = adaptive_update(state, prev_f1, f1, 0.0, 1.0,
-                                        budget.ul_threshold, budget.ml_threshold)
-        prev_f1, prev_f2 = f1, f2
-
-    return trace
+    if reduction == REDUCTION_WITHOUT_UL:
+        return _outer_loop(without_ul_step, (False, True), oracle, init, budget, sink,
+                           keep_iterates)
+    if reduction == REDUCTION_WITHOUT_LL:
+        return _outer_loop(without_ll_step, (True, False), oracle,
+                           init.replace(z=np.zeros_like(init.z)), budget, sink, keep_iterates)
+    raise ValueError(f"unknown reduction {reduction!r}")

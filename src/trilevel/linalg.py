@@ -3,8 +3,9 @@
 Minimal numerics used by the adjoint engines and the synthetic problems:
 a linear conjugate-gradient solver with non-positive-curvature detection,
 a partial-pivot LU direct solver (LAPACK getrf, BLAS triangular solves
-and a pivot tolerance check), and the order-3 tensor contractions
-required when assembling the exact reduced Hessians.
+and a pivot tolerance check) with a thread-safe factorization cache, and
+the order-3 tensor contraction that the synthetic problems' third-order
+callbacks are checked against.
 
 Vectors, matrices, and order-3 tensors are plain float64 ndarrays of
 rank 1, 2, and 3 (row-major; packed LU factors and LU solutions of matrix
@@ -12,6 +13,7 @@ right-hand sides are column-major). All operations are pure; inputs are
 never mutated, so a factorization may be shared across threads.
 """
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -151,20 +153,6 @@ def tensor_contract_vec(T, v) -> Array:
     return np.einsum("abc,b->ac", T, v)
 
 
-def tensor_contract_mat(T, M) -> Array:
-    """Contract the middle index of a (d1, d2, d3) tensor with a d2 x k matrix.
-
-    out[a, j, c] = sum_b T[a, b, c] * M[b, j], giving a (d1, k, d3) tensor.
-    """
-    T = as_tensor3(T, "T")
-    M = as_matrix(M, "M")
-    if T.shape[1] != M.shape[0]:
-        raise ValueError(
-            f"middle dimension {T.shape[1]} does not match matrix rows {M.shape[0]}"
-        )
-    return np.einsum("abc,bj->ajc", T, M)
-
-
 def lu_factor(A) -> tuple[Array, Array]:
     """Partial-pivot LU factorization by LAPACK ``getrf``: returns (LU, perm).
 
@@ -221,26 +209,22 @@ def solve_dense(A, B) -> Array:
 # Factorization cache keyed by array identity: oracles that return the same
 # Hessian object for every call (constant-curvature problems) get their LU
 # computed once. Values hold a strong reference to the key array, so ids
-# stay valid; the cache is small and evicts FIFO.
+# stay valid; the cache is small and evicts FIFO. Threads share it, so the
+# lock guards every lookup, insert and eviction.
 _LU_CACHE: dict[int, tuple] = {}
 _LU_CACHE_MAX = 64
+_LU_CACHE_LOCK = threading.Lock()
 
 
 def lu_factor_cached(A) -> tuple[Array, Array]:
     key = id(A)
-    hit = _LU_CACHE.get(key)
+    with _LU_CACHE_LOCK:
+        hit = _LU_CACHE.get(key)
     if hit is not None and hit[0] is A:
         return hit[1]
     fact = lu_factor(A)
-    if len(_LU_CACHE) >= _LU_CACHE_MAX:
-        _LU_CACHE.pop(next(iter(_LU_CACHE)))
-    _LU_CACHE[key] = (A, fact)
+    with _LU_CACHE_LOCK:
+        if len(_LU_CACHE) >= _LU_CACHE_MAX:
+            del _LU_CACHE[next(iter(_LU_CACHE))]
+        _LU_CACHE[key] = (A, fact)
     return fact
-
-
-def is_symmetric(A: Array, rtol: float = 1e-12) -> bool:
-    A = as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        return False
-    scale = np.maximum(1.0, np.abs(A))
-    return bool(np.all(np.abs(A - A.T) <= rtol * scale))

@@ -93,6 +93,14 @@ class TestNeumannInverse:
             assert err <= bound * 1.0000001
             assert err >= bound / 2.0
 
+    def test_divergence_guard_truncates_and_reports(self):
+        # 1 - scale*A = -3: terms 1, -3, 9 stay within 10|b|, term 3 (-27) does not
+        b = np.array([1.0])
+        events = []
+        out = neumann_inverse_apply(lambda v: 4.0 * v, b, 10, 1.0, events, "probe")
+        np.testing.assert_array_equal(out, [7.0])
+        assert events == ["neumann_truncated:probe@3"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             neumann_inverse_apply(lambda v: v, np.ones(2), -1, 0.5)

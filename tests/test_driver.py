@@ -349,18 +349,20 @@ class TestRunTsg:
             assert r1.f1 == r2.f1 and r1.f2 == r2.f2 and r1.gnorm == r2.gnorm
 
     def test_abort_on_non_finite(self):
+        # every reduction ends its run at a non-finite gradient of a block it uses
         spec = default_quadratic(3, 3, 3, rng=10)
         inner = make_oracle(spec)
 
         class Exploder:
-            def __init__(self):
+            def __init__(self, method):
                 self.capabilities = inner.capabilities
                 self.dims = inner.dims
+                self.method = method
                 self.calls = 0
 
             def __getattr__(self, name):
                 target = getattr(inner, name)
-                if name == "grad_z_f3":
+                if name == self.method:
                     def wrapper(point, sample, *rest):
                         self.calls += 1
                         if self.calls > 4:
@@ -370,10 +372,13 @@ class TestRunTsg:
                     return wrapper
                 return target
 
-        trace = run_tsg(Exploder(), Point(np.ones(3), np.ones(3), np.ones(3)),
-                        Decaying(0.3, 0.2, 0.1), IterationBudget(10), H)
-        assert trace.aborted is not None
-        assert len(trace.records) < 10
+        for reduction, method in (
+            ("trilevel", "grad_z_f3"), ("without-ul", "grad_z_f3"), ("without-ll", "grad_y_f2"),
+        ):
+            trace = run_bsg(reduction, Exploder(method), Point(np.ones(3), np.ones(3), np.ones(3)),
+                            Decaying(0.3, 0.2, 0.1), IterationBudget(10), H)
+            assert trace.aborted is not None, reduction
+            assert len(trace.records) < 10, reduction
 
     def test_ml_bias_shrinks_with_k(self):
         from trilevel.adjoint import ml_adjoint_gradient
@@ -425,8 +430,8 @@ class TestRunBsg:
                         keep_iterates=True)
         y_ref, z_ref = ml_bsg(oracle, init.x, init.y, init.z, sched.beta, sched.gamma,
                               J=I, K=3, cfg=H)
-        np.testing.assert_allclose(trace.iterates[-1].y, y_ref, atol=1e-12)
-        np.testing.assert_allclose(trace.iterates[-1].z, z_ref, atol=1e-12)
+        np.testing.assert_array_equal(trace.iterates[-1].y, y_ref)
+        np.testing.assert_array_equal(trace.iterates[-1].z, z_ref)
         # x is never optimized
         for p in trace.iterates:
             np.testing.assert_array_equal(p.x, init.x)

@@ -1,18 +1,18 @@
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from trilevel import linalg
 from trilevel.linalg import (
     SingularMatrixError,
     cg_solve,
-    is_symmetric,
     lu_factor,
     lu_factor_cached,
     lu_solve,
     solve_dense,
-    tensor_contract_mat,
     tensor_contract_vec,
 )
 
@@ -113,38 +113,6 @@ class TestTensorContractions:
                     expected[a, c] += T[a, b, c] * v[b]
         np.testing.assert_allclose(tensor_contract_vec(T, v), expected, atol=1e-14)
 
-    def test_mat_identity(self):
-        rng = np.random.default_rng(5)
-        T = rng.standard_normal((2, 3, 4))
-        np.testing.assert_allclose(tensor_contract_mat(T, np.eye(3)), T)
-
-    def test_mat_hand_sum(self):
-        T = np.ones((1, 2, 1))
-        M = np.array([[2.0], [3.0]])
-        out = tensor_contract_mat(T, M)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 5.0
-
-    def test_mat_brute_force(self):
-        rng = np.random.default_rng(6)
-        T = rng.standard_normal((2, 2, 2))
-        M = rng.standard_normal((2, 2))
-        expected = np.zeros((2, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                for j in range(2):
-                    for c in range(2):
-                        expected[a, j, c] += T[a, b, c] * M[b, j]
-        np.testing.assert_allclose(tensor_contract_mat(T, M), expected, atol=1e-14)
-
-    def test_vec_equals_mat_with_column(self):
-        rng = np.random.default_rng(7)
-        for dims in [(2, 3, 4), (4, 2, 3), (3, 3, 3)]:
-            T = rng.standard_normal(dims)
-            v = rng.standard_normal(dims[1])
-            via_mat = tensor_contract_mat(T, v[:, None])[:, 0, :]
-            np.testing.assert_allclose(tensor_contract_vec(T, v), via_mat, atol=1e-14)
-
     def test_linearity(self):
         rng = np.random.default_rng(8)
         T = rng.standard_normal((4, 4, 4))
@@ -157,8 +125,6 @@ class TestTensorContractions:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             tensor_contract_vec(np.zeros((2, 3, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            tensor_contract_mat(np.zeros((2, 3, 2)), np.zeros((2, 2)))
 
 
 class TestSolveDense:
@@ -237,7 +203,25 @@ class TestSolveDense:
                 np.testing.assert_array_equal(X, expected)
         np.testing.assert_array_equal(perm, perm_before)
 
+    def test_cache_eviction_across_threads(self):
+        # every call caches a fresh array, so with the cache full each call
+        # evicts; two threads must never evict the same oldest entry
+        A0 = np.array([[3.0, 1.0], [1.0, 2.0]])
 
-def test_is_symmetric():
-    assert is_symmetric(np.array([[1.0, 2.0], [2.0, 3.0]]))
-    assert not is_symmetric(np.array([[1.0, 2.0], [2.1, 3.0]]))
+        def work(_):
+            deadline = time.perf_counter() + 1.0
+            calls = 0
+            while time.perf_counter() < deadline:
+                lu_factor_cached(A0 + 0.0)
+                calls += 1
+            return calls
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                calls = list(pool.map(work, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert min(calls) > linalg._LU_CACHE_MAX
+        assert len(linalg._LU_CACHE) <= linalg._LU_CACHE_MAX
