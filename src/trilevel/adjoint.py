@@ -140,8 +140,11 @@ def neumann_inverse_apply(
 def _cg(apply_A, b, cfg: AdjointConfig, events, label: str) -> Array:
     max_iters = cfg.cg_max_iters if cfg.cg_max_iters is not None else 10 * len(b)
     report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=max_iters)
-    if report.terminated_on_curvature and events is not None:
-        events.append(f"cg_curvature:{label}")
+    if events is not None:
+        if report.terminated_on_curvature:
+            events.append(f"cg_curvature:{label}")
+        elif report.residual_norm > cfg.cg_tol * max(1.0, float(np.linalg.norm(b))):
+            events.append(f"cg_capped:{label}")
     return report.solution
 
 
@@ -299,8 +302,10 @@ def ul_adjoint_gradient(
     """Trilevel adjoint gradient of the reduced objective in x.
 
     Axes of inexactness are the caller's: point.y and point.z stand in
-    for the exact inner solutions. CG curvature terminations are appended
-    to ``events`` when a list is supplied.
+    for the exact inner solutions. CG solves that stop on curvature
+    (``cg_curvature:<label>``) or at the iteration cap above tolerance
+    (``cg_capped:<label>``) are appended to ``events`` when a list is
+    supplied.
     """
     cfg = cfg or AdjointConfig()
     if cfg.engine == ENGINE_H:

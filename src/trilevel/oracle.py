@@ -6,11 +6,16 @@ objectives through a :class:`ProblemOracle`. Evaluations are parameterized
 by a sample descriptor so the same interface serves deterministic,
 minibatch, and synthetic-noise regimes.
 
-Randomness is counter-based: a noise draw is a pure function of
-(seed, stream, counter, evaluated point), so runs are bit-reproducible
-regardless of evaluation order or concurrency.
+Randomness is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011): a noise draw is a pure function of
+(seed, stream, counter, block, evaluated point), so runs are
+bit-reproducible regardless of evaluation order or concurrency. The Philox
+key is (seed, SplitMix64(stream, block)) and its counter is (sample
+counter, BLAKE2b-64 of the x||y||z float64 bytes, BLAKE2b-64 of the HVP
+direction v or 0, 0).
 """
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -263,12 +268,12 @@ def stream_gen(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _digest_array(arr: Array) -> int:
-    return splitmix64(*np.frombuffer(np.ascontiguousarray(arr, dtype=float).tobytes(), dtype=np.uint64))
-
-
-def _point_digest(point: Point) -> int:
-    return splitmix64(_digest_array(point.x), _digest_array(point.y), _digest_array(point.z))
+def _digest(*arrays: Array) -> int:
+    """BLAKE2b-64 of the arrays' C-contiguous float64 bytes, concatenated."""
+    h = hashlib.blake2b(digest_size=8)
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype=float))
+    return int.from_bytes(h.digest(), "little")
 
 
 # block tags keep noise draws independent across derivative blocks
@@ -296,11 +301,16 @@ class GaussianNoiseOracle(ProblemOracle):
     third-order contractions and function values pass through unperturbed.
     Deterministic samples bypass noise entirely.
 
-    The per-call generator is keyed by (seed, stream, counter, block,
-    point), so repeated evaluation of the same block at the same point and
-    sample is bit-identical, while distinct points or blocks draw
+    Each call builds its own Philox generator, with key
+    (seed, SplitMix64(stream, block tag)) and counter (sample counter,
+    BLAKE2b-64 of the C-contiguous float64 bytes of x||y||z, BLAKE2b-64 of
+    v for HVPs or 0 otherwise, 0). The oracle's fixed dims make the
+    concatenation unambiguous, and the digest ignores memory layout. So
+    repeated evaluation of the same block at the same point and sample is
+    bit-identical, while distinct points, directions or blocks draw
     independent noise (a finite difference of noisy gradients is itself
-    noisy, as it would be with sampled data).
+    noisy, as it would be with sampled data). No generator state is
+    shared between calls, so concurrent evaluation is safe.
     """
 
     def __init__(self, inner: ProblemOracle, std_grad: float, std_hess: float, seed: int):
@@ -320,7 +330,7 @@ class GaussianNoiseOracle(ProblemOracle):
         key = (self.seed & _MASK64, splitmix64(sample.stream, _BLOCK_TAGS[block]))
         counter = [
             int(sample.counter) & _MASK64,
-            _point_digest(point),
+            _digest(point.x, point.y, point.z),
             int(extra) & _MASK64,
             0,
         ]
@@ -364,7 +374,7 @@ def _install_noise_methods():
             clean = getattr(self.inner, name)(point, sample, v)
             if not isinstance(sample, NoiseDraw) or self.std_hess == 0.0:
                 return clean
-            gen = self._gen(sample, name, point, _digest_array(np.asarray(v, dtype=float)))
+            gen = self._gen(sample, name, point, _digest(v))
             return clean + gen.normal(0.0, self.std_hess, size=np.shape(clean))
 
         method.__name__ = name

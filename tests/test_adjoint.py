@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,20 @@ class TestContracts:
         )
         assert any("cg_curvature" in e for e in events)
         assert np.all(np.isfinite(g))
+
+    def test_capped_cg_flagged(self):
+        # Hzz with four distinct eigenvalues: CG needs four iterations
+        spec = replace(default_quadratic(4, 4, 4, rng=0), Hzz=np.diag([1.0, 2.0, 3.0, 4.0]))
+        oracle = make_oracle(spec)
+        rng = np.random.default_rng(5)
+        point = Point(rng.uniform(0, 9, 4), rng.uniform(0, 9, 4), rng.uniform(0, 9, 4))
+        capped, converged = [], []
+        ml_adjoint_gradient(oracle, point, DETERMINISTIC,
+                            AdjointConfig(engine="NFD", cg_max_iters=1), events=capped)
+        ml_adjoint_gradient(oracle, point, DETERMINISTIC,
+                            AdjointConfig(engine="NFD"), events=converged)
+        assert capped == ["cg_capped:ml_w"]
+        assert converged == []
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

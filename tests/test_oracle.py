@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,43 @@ class TestNoiseWrapper:
         h2 = wrapped.hvp_zz_f3(self.point, s, v)
         np.testing.assert_array_equal(h1, h2)
         assert not np.allclose(h1, self.inner.hvp_zz_f3(self.point, s, v))
+
+    def test_hvp_digest_ignores_layout(self):
+        wrapped = wrap_gaussian_noise(self.inner, 0.0, 0.5, seed=4)
+        s = NoiseDraw(stream=3, counter=3)
+        w = np.linspace(-1.0, 2.0, 8)
+        strided = w[::2]
+        assert not strided.flags.c_contiguous
+        np.testing.assert_array_equal(
+            wrapped.hvp_zz_f3(self.point, s, strided),
+            wrapped.hvp_zz_f3(self.point, s, strided.copy()),
+        )
+        # a different direction at the same point and sample draws other noise
+        v1, v2 = strided.copy(), strided + 1.0
+        n1 = wrapped.hvp_zz_f3(self.point, s, v1) - self.inner.hvp_zz_f3(self.point, s, v1)
+        n2 = wrapped.hvp_zz_f3(self.point, s, v2) - self.inner.hvp_zz_f3(self.point, s, v2)
+        assert not np.allclose(n1, n2)
+
+    def test_draws_thread_safe(self):
+        # no generator state is shared between calls, so concurrent draws
+        # match serial ones bit for bit
+        wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.1, seed=9)
+        calls = [
+            (wrapped.grad_z_f3 if i % 2 else wrapped.hess_zz_f3,
+             self.point.replace(z=self.point.z + 0.01 * i), NoiseDraw(stream=i % 3, counter=i))
+            for i in range(200)
+        ]
+        serial = [method(point, s) for method, point, s in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(method, point, s) for method, point, s in calls]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            np.testing.assert_array_equal(a, b)
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
