@@ -27,7 +27,7 @@ import numpy as np
 from scipy import stats
 
 from . import advhpt as ah
-from .adjoint import AdjointConfig, auto_scales
+from .adjoint import AdjointConfig, auto_scale_bilevel, auto_scales
 from .config import ExperimentConfig, load_config, save_config
 from .driver import (
     Decaying,
@@ -35,6 +35,7 @@ from .driver import (
     IterationBudget,
     MinibatchSamples,
     NoiseSamples,
+    REDUCTION_WITHOUT_LL,
     RunTrace,
     TheoremConstant,
     TRACE_COLUMNS,
@@ -147,7 +148,11 @@ def _build_task(cfg: ExperimentConfig) -> _Task:
 
 
 def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) -> AdjointConfig:
-    """Fill in auto c0/c1 for the AD engine by probing at the initial point."""
+    """Fill in auto c0/c1 for the AD engine by probing at the initial point.
+
+    c1 bounds the operator that the reduction's Neumann series inverts: the
+    reduced Hessian Hbar_yy, or H_yy(f2) at z = 0 for ``without-ll``.
+    """
     c0, c1 = cfg.c0, cfg.c1
     if cfg.engine == "AD" and (c0 is None or c1 is None):
         probe_c0 = pin_c0 if c0 is None else c0
@@ -155,6 +160,10 @@ def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) ->
             oracle, init, DETERMINISTIC,
             neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps, c0=probe_c0,
         )
+        if c1 is None and cfg.reduction == REDUCTION_WITHOUT_LL:
+            auto_c1 = auto_scale_bilevel(
+                oracle, init.replace(z=np.zeros_like(init.z)), DETERMINISTIC, fd_eps=cfg.fd_eps
+            )
         c0 = c0 if c0 is not None else auto_c0
         c1 = c1 if c1 is not None else auto_c1
         _log(f"auto scales: c0={c0:.6g} c1={c1:.6g}")

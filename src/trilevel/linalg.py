@@ -3,9 +3,9 @@
 Minimal numerics used by the adjoint engines and the synthetic problems:
 a linear conjugate-gradient solver with non-positive-curvature detection,
 a partial-pivot LU direct solver (LAPACK getrf, BLAS triangular solves
-and a pivot tolerance check) with a thread-safe factorization cache, and
-the order-3 tensor contraction that the synthetic problems' third-order
-callbacks are checked against.
+and a pivot tolerance check) with a one-entry memo that factors a matrix
+object solved repeatedly only once, and the order-3 tensor contraction
+that the synthetic problems' third-order callbacks are checked against.
 
 Vectors, matrices, and order-3 tensors are plain float64 ndarrays of
 rank 1, 2, and 3 (row-major; packed LU factors and LU solutions of matrix
@@ -13,7 +13,6 @@ right-hand sides are column-major). All operations are pure; inputs are
 never mutated, so a factorization may be shared across threads.
 """
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -206,25 +205,20 @@ def solve_dense(A, B) -> Array:
     return lu_solve(lu, perm, B)
 
 
-# Factorization cache keyed by array identity: oracles that return the same
-# Hessian object for every call (constant-curvature problems) get their LU
-# computed once. Values hold a strong reference to the key array, so ids
-# stay valid; the cache is small and evicts FIFO. Threads share it, so the
-# lock guards every lookup, insert and eviction.
-_LU_CACHE: dict[int, tuple] = {}
-_LU_CACHE_MAX = 64
-_LU_CACHE_LOCK = threading.Lock()
+# One-entry factorization memo, an (array, factorization) pair: an oracle
+# that returns the same Hessian object for every call (constant-curvature
+# problems) gets its LU computed once, and a fresh array replaces the pair.
+# A lookup reads the pair once and an update swaps it whole, so threads
+# need no lock: each sees the old pair or the new one, and the identity
+# check keeps a thread from taking another array's factorization.
+_LU_LAST: Optional[tuple] = None
 
 
 def lu_factor_cached(A) -> tuple[Array, Array]:
-    key = id(A)
-    with _LU_CACHE_LOCK:
-        hit = _LU_CACHE.get(key)
-    if hit is not None and hit[0] is A:
-        return hit[1]
+    global _LU_LAST
+    last = _LU_LAST
+    if last is not None and last[0] is A:
+        return last[1]
     fact = lu_factor(A)
-    with _LU_CACHE_LOCK:
-        if len(_LU_CACHE) >= _LU_CACHE_MAX:
-            del _LU_CACHE[next(iter(_LU_CACHE))]
-        _LU_CACHE[key] = (A, fact)
+    _LU_LAST = (A, fact)
     return fact

@@ -326,7 +326,7 @@ class GaussianNoiseOracle(ProblemOracle):
     def dims(self):
         return self.inner.dims
 
-    def _gen(self, sample: NoiseDraw, block: str, point: Point, extra: int = 0):
+    def _gen(self, sample: NoiseDraw, block: str, point: Point, extra: int):
         key = (self.seed & _MASK64, splitmix64(sample.stream, _BLOCK_TAGS[block]))
         counter = [
             int(sample.counter) & _MASK64,
@@ -336,11 +336,11 @@ class GaussianNoiseOracle(ProblemOracle):
         ]
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
-    def _noisy(self, name: str, point, sample, std: float, extra_digest: int = 0):
-        clean = getattr(self.inner, name)(point, sample)
+    def _noisy(self, name: str, std: float, point, sample, *v):
+        clean = getattr(self.inner, name)(point, sample, *v)
         if not isinstance(sample, NoiseDraw) or std == 0.0:
             return clean
-        gen = self._gen(sample, name, point, extra_digest)
+        gen = self._gen(sample, name, point, _digest(*v) if v else 0)
         return clean + gen.normal(0.0, std, size=np.shape(clean))
 
     # values pass through
@@ -355,27 +355,11 @@ class GaussianNoiseOracle(ProblemOracle):
 
 
 def _install_noise_methods():
-    def grad_method(name):
-        def method(self, point, sample):
-            return self._noisy(name, point, sample, self.std_grad)
+    def noisy_method(name):
+        std_attr = "std_grad" if name.startswith("grad_") else "std_hess"
 
-        method.__name__ = name
-        return method
-
-    def hess_method(name):
-        def method(self, point, sample):
-            return self._noisy(name, point, sample, self.std_hess)
-
-        method.__name__ = name
-        return method
-
-    def hvp_method(name):
-        def method(self, point, sample, v):
-            clean = getattr(self.inner, name)(point, sample, v)
-            if not isinstance(sample, NoiseDraw) or self.std_hess == 0.0:
-                return clean
-            gen = self._gen(sample, name, point, _digest(v))
-            return clean + gen.normal(0.0, self.std_hess, size=np.shape(clean))
+        def method(self, point, sample, *v):
+            return self._noisy(name, getattr(self, std_attr), point, sample, *v)
 
         method.__name__ = name
         return method
@@ -388,12 +372,7 @@ def _install_noise_methods():
         return method
 
     for block in _BLOCK_TAGS:
-        if block.startswith("grad_"):
-            setattr(GaussianNoiseOracle, block, grad_method(block))
-        elif block.startswith("hess_"):
-            setattr(GaussianNoiseOracle, block, hess_method(block))
-        elif block.startswith("hvp_"):
-            setattr(GaussianNoiseOracle, block, hvp_method(block))
+        setattr(GaussianNoiseOracle, block, noisy_method(block))
     for t3 in [
         "t3_yzx_f3_contract", "t3_yzz_f3_contract", "t3_zzx_f3_contract",
         "t3_zzz_f3_contract", "t3_yzy_f3_contract", "t3_zzy_f3_contract",

@@ -330,7 +330,9 @@ class QuadraticOracle(_SyntheticOracle):
         return lambda z, sample: hzz_dot(z) - w
 
     def hess_zz_f3(self, p, sample):
-        # shared constant block; callers must not mutate oracle outputs
+        # the same constant object on every call, so the H engine's one-entry
+        # memo (linalg.lu_factor_cached) factors it once; callers must not
+        # mutate oracle outputs
         return self.spec.Hzz
 
     def hess_xz_f3(self, p, sample):

@@ -3,15 +3,25 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from trilevel.adjoint import auto_scale_bilevel, auto_scales
 from trilevel.advhpt import bundled_dataset_path
-from trilevel.cli import _ci_half, aggregate, main, run_experiment, verify_checks
+from trilevel.cli import (
+    _build_task,
+    _ci_half,
+    aggregate,
+    main,
+    run_experiment,
+    verify_checks,
+)
 from trilevel.config import ExperimentConfig, from_ini, load_config, save_config, to_ini
 from trilevel.driver import RunTrace, TraceRecord
+from trilevel.synthetic import default_init_point, default_quadratic, make_oracle
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -137,6 +147,24 @@ class TestRunExperiment:
             rows = list(csv.reader(fh))
         assert rows[0] == ["run_id", "realization", "mse"]
         assert len(rows) == 1 + 2 * 10
+
+
+class TestAutoScales:
+    def test_without_ll_scales_its_own_operator(self, tmp_path):
+        # the bilevel gradient's Neumann series inverts H_yy(f2) at z = 0,
+        # whose norm the trilevel c1 (a bound on Hbar_yy) can undershoot
+        spec = default_quadratic(10, 10, 10, rng=42)
+        oracle, init = make_oracle(spec), default_init_point(spec, rng=43)
+        cfg = tiny_config(tmp_path, n=10, m=10, t=10, spec_seed=42, engine="AD",
+                          reduction="without-ll")
+        c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros(10)), fd_eps=cfg.fd_eps)
+        tri_c0, tri_c1 = auto_scales(oracle, init, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps)
+        assert c1 == pytest.approx(8.0, rel=0.05) and tri_c1 == pytest.approx(4.0, rel=0.05)
+        adjoint_cfg = _build_task(cfg).adjoint_cfg
+        assert adjoint_cfg.c1 == c1
+        assert adjoint_cfg.c0 == tri_c0
+        # an explicit c1 still wins
+        assert _build_task(replace(cfg, c1=3.0)).adjoint_cfg.c1 == 3.0
 
 
 class TestVerifyCommand:

@@ -1,5 +1,7 @@
+import gc
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -203,25 +205,57 @@ class TestSolveDense:
                 np.testing.assert_array_equal(X, expected)
         np.testing.assert_array_equal(perm, perm_before)
 
-    def test_cache_eviction_across_threads(self):
-        # every call caches a fresh array, so with the cache full each call
-        # evicts; two threads must never evict the same oldest entry
-        A0 = np.array([[3.0, 1.0], [1.0, 2.0]])
+    def test_memo_keeps_one_array(self):
+        # the memo holds only the last array, so earlier ones can be freed
+        rng = np.random.default_rng(14)
+        refs = []
+        for _ in range(3):
+            A = random_spd(rng, 5)
+            lu_factor_cached(A)
+            refs.append(weakref.ref(A))
+            del A
+        gc.collect()
+        assert [r() is None for r in refs] == [True, True, False]
 
-        def work(_):
-            deadline = time.perf_counter() + 1.0
-            calls = 0
+    def test_memo_swaps_whole_pair(self, monkeypatch):
+        # another caller replacing the entry while A is being factored
+        # (here re-entrantly, as a thread switch could) must not leave A's
+        # factorization paired with B
+        rng = np.random.default_rng(15)
+        A, B = random_spd(rng, 5), random_spd(rng, 5)
+        factor = linalg.lu_factor
+
+        def interleaved(M):
+            if M is A:
+                lu_factor_cached(B)
+            return factor(M)
+
+        monkeypatch.setattr(linalg, "lu_factor", interleaved)
+        lu_factor_cached(A)
+        np.testing.assert_array_equal(lu_factor_cached(B)[0], factor(B)[0])
+
+    def test_cache_eviction_across_threads(self):
+        # each thread factors its own array again and again for a fixed
+        # time: a call hits when no other thread replaced the memo's one
+        # entry since, and must never return another thread's factorization
+        arrays = [random_spd(np.random.default_rng(100 + t), 4) for t in range(4)]
+        expected = [lu_factor(A) for A in arrays]
+
+        def work(t):
+            (lu_ref, perm_ref), wrong, calls = expected[t], 0, 0
+            deadline = time.perf_counter() + 0.5
             while time.perf_counter() < deadline:
-                lu_factor_cached(A0 + 0.0)
+                lu, perm = lu_factor_cached(arrays[t])
+                wrong += not (np.array_equal(lu, lu_ref) and np.array_equal(perm, perm_ref))
                 calls += 1
-            return calls
+            return wrong, calls
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as pool:
-                calls = list(pool.map(work, range(4), timeout=60))
+                results = list(pool.map(work, range(4), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        assert min(calls) > linalg._LU_CACHE_MAX
-        assert len(linalg._LU_CACHE) <= linalg._LU_CACHE_MAX
+        assert [wrong for wrong, _ in results] == [0] * 4
+        assert min(calls for _, calls in results) > 0

@@ -10,6 +10,7 @@ from trilevel.oracle import (
     NoiseDraw,
     OracleCapabilities,
     Point,
+    ProblemOracle,
     fd_hvp,
     splitmix64,
     stream_gen,
@@ -201,6 +202,46 @@ class TestNoiseWrapper:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
+
+    def test_draws_pinned(self):
+        # recorded draws: a change to keys, counters or scales shows here.
+        # The inner oracle returns zeros, so each output is the noise alone
+        class Zeros(ProblemOracle):
+            capabilities = OracleCapabilities(has_hessians=True, has_hvp=True)
+
+            def grad_z_f3(self, point, sample):
+                return np.zeros(4)
+
+            def hess_zz_f3(self, point, sample):
+                return np.zeros((4, 4))
+
+            def hvp_zz_f3(self, point, sample, v):
+                return np.zeros(4)
+
+        wrapped = wrap_gaussian_noise(Zeros(), 0.3, 0.2, seed=7)
+        s = NoiseDraw(stream=3, counter=5)
+        recorded = {
+            "grad": ["0x1.8ac2c6ff4b9c2p-2", "0x1.6d75c3e99ac93p-4",
+                     "0x1.89e5912b0ac68p-3", "0x1.e1002bddcbe41p-2"],
+            "hess": ["0x1.e39bce1b834cdp-5", "-0x1.474b33b0bd393p-3",
+                     "-0x1.b0b1eefc32d24p-2", "-0x1.1203ba1cec187p-2",
+                     "-0x1.a0a284e2dce07p-5", "0x1.71785ce968401p-4",
+                     "-0x1.7431677a02a9dp-5", "-0x1.b643755e1d5c7p-5",
+                     "-0x1.ebc3d3056bfffp-12", "0x1.702898c6e8df6p-4",
+                     "-0x1.b4a38c5e287dcp-3", "-0x1.c2cadaf0ca034p-3",
+                     "-0x1.fbebe045f59f2p-5", "0x1.51654276e3974p-2",
+                     "0x1.e7fd6d03629d5p-3", "0x1.d0d29aca7123dp-5"],
+            "hvp": ["-0x1.c6c5dcd1ad0e4p-4", "0x1.595f5dc3f2348p-3",
+                    "-0x1.202c01d67bc1cp-3", "-0x1.fb386d30d8b9dp-6"],
+        }
+        drawn = {
+            "grad": wrapped.grad_z_f3(self.point, s),
+            "hess": wrapped.hess_zz_f3(self.point, s),
+            "hvp": wrapped.hvp_zz_f3(self.point, s, np.arange(4.0)),
+        }
+        for name, values in recorded.items():
+            expected = np.array([float.fromhex(h) for h in values])
+            np.testing.assert_array_equal(np.ravel(drawn[name]), expected)
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
