@@ -24,6 +24,9 @@ Backends:
   1/c0 (lower level) and 1/c1 (reduced middle level), consuming analytic
   Hessian-vector products where the oracle provides them.
 
+NFD and AD share one matrix-free class, ``_Ops``: its ``inverse`` method
+is the only place that chooses between CG and a Neumann series, and its
+f3 products are analytic only under AD with an HVP-capable oracle.
 For NFD and AD, directional derivatives of the reduced maps grad_y fbar
 and grad_x fbar along a y-direction v are taken with the lower-level
 variable moved to first order along s = (dz/dy) v; differencing at frozen
@@ -75,14 +78,6 @@ class AdjointConfig:
             raise ValueError("fd_eps must be positive")
         if self.cg_tol <= 0:
             raise ValueError("cg_tol must be positive")
-
-    def _require_ad(self, need_c1: bool):
-        if self.neumann_q is None or self.neumann_q < 0:
-            raise ValueError("AD engine requires a nonnegative neumann_q")
-        if self.c0 is None or self.c0 <= 0:
-            raise ValueError("AD engine requires a positive c0")
-        if need_c1 and (self.c1 is None or self.c1 <= 0):
-            raise ValueError("AD engine requires a positive c1")
 
 
 # A Neumann iterate larger than this multiple of |b| counts as divergence.
@@ -137,40 +132,26 @@ def neumann_inverse_apply(
 # engine plumbing
 
 
-def _cg(apply_A, b, cfg: AdjointConfig, events, label: str) -> Array:
-    max_iters = cfg.cg_max_iters if cfg.cg_max_iters is not None else 10 * len(b)
-    report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=max_iters)
-    if events is not None:
-        if report.terminated_on_curvature:
-            events.append(f"cg_curvature:{label}")
-        elif report.residual_norm > cfg.cg_tol * max(1.0, float(np.linalg.norm(b))):
-            events.append(f"cg_capped:{label}")
-    return report.solution
-
-
 def _fd_dir(method, point: Point, sample, axis: str, v: Array, eps: float) -> Array:
     """Central difference of an oracle gradient along direction v in one
     variable block: approximates (d/d axis)(method) applied to v."""
     delta = eps * v
-    if axis == "z":
-        pp, pm = point.replace(z=point.z + delta), point.replace(z=point.z - delta)
-    elif axis == "y":
-        pp, pm = point.replace(y=point.y + delta), point.replace(y=point.y - delta)
-    elif axis == "x":
-        pp, pm = point.replace(x=point.x + delta), point.replace(x=point.x - delta)
-    else:
-        raise ValueError(f"unknown axis {axis!r}")
+    base = getattr(point, axis)
+    pp, pm = point.replace(**{axis: base + delta}), point.replace(**{axis: base - delta})
     return (np.asarray(method(pp, sample), float) - np.asarray(method(pm, sample), float)) / (2.0 * eps)
 
 
-class _NfdOps:
-    """Matrix-free primitives bound to (oracle, sample, cfg) for one engine.
+class _Ops:
+    """Matrix-free primitives of the NFD and AD engines, bound to
+    (oracle, sample, cfg, events).
 
-    As defined here they are the NFD engine's: every Hessian-vector product
-    is a central difference of an oracle gradient and Hzz systems are
-    solved by CG. The AD engine overrides the inverse and the products the
-    oracle provides analytically. ``block`` names the x or y variable block
-    of a cross term.
+    The two engines differ in two places only. :meth:`inverse` solves
+    every inverse-Hessian system: by CG under NFD, by a truncated Neumann
+    series at 1/c0 (Hzz) or 1/c1 (reduced middle level) under AD.
+    ``analytic`` is set when the engine is AD and the oracle has HVPs; the
+    f3 products H_{block,z} v then come from the oracle, otherwise they are
+    central differences of its gradients. ``block`` names the x, y or z
+    variable block of a product.
     """
 
     def __init__(self, oracle, sample, cfg, events):
@@ -178,18 +159,42 @@ class _NfdOps:
         self.sample = sample
         self.cfg = cfg
         self.events = events
+        self.analytic = cfg.engine == ENGINE_AD and oracle.capabilities.has_hvp
 
-    def inv_zz(self, point, b, label) -> Array:
-        return _cg(self._hvp_zz(point), b, self.cfg, self.events, label)
-
-    def _hvp_zz(self, point):
-        o, s, eps = self.oracle, self.sample, self.cfg.fd_eps
-        return lambda v: _fd_dir(o.grad_z_f3, point, s, "z", v, eps)
+    def inverse(self, apply_A, b, scale_name: str, label: str) -> Array:
+        """Approximate A^{-1} b. ``scale_name`` names the AD scale constant
+        bounding |A| ("c0" or "c1"); CG solves that stop on curvature or at
+        the iteration cap above tolerance are flagged in ``events``."""
+        cfg, events = self.cfg, self.events
+        if cfg.engine == ENGINE_NFD:
+            max_iters = cfg.cg_max_iters if cfg.cg_max_iters is not None else 10 * len(b)
+            report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=max_iters)
+            if events is not None:
+                if report.terminated_on_curvature:
+                    events.append(f"cg_curvature:{label}")
+                elif report.residual_norm > cfg.cg_tol * max(1.0, float(np.linalg.norm(b))):
+                    events.append(f"cg_capped:{label}")
+            return report.solution
+        scale = getattr(cfg, scale_name)
+        if cfg.neumann_q is None or cfg.neumann_q < 0:
+            raise ValueError("AD engine requires a nonnegative neumann_q")
+        if scale is None or scale <= 0:
+            raise ValueError(f"AD engine requires a positive {scale_name}")
+        return neumann_inverse_apply(apply_A, b, cfg.neumann_q, 1.0 / scale, events, label)
 
     def hvp_z(self, point, block, v) -> Array:
         """H_{block,z}(f3) v."""
+        if self.analytic:
+            return np.asarray(getattr(self.oracle, f"hvp_{block}z_f3")(point, self.sample, v), float)
         method = getattr(self.oracle, f"grad_{block}_f3")
         return _fd_dir(method, point, self.sample, "z", v, self.cfg.fd_eps)
+
+    def hvp_zz(self, point) -> Callable[[Array], Array]:
+        """The operator v -> Hzz(f3) v at point."""
+        return lambda v: self.hvp_z(point, "z", v)
+
+    def inv_zz(self, point, b, label) -> Array:
+        return self.inverse(self.hvp_zz(point), b, "c0", label)
 
     def hvp_zy(self, point, v) -> Array:
         # transposed cross product H_zy(f3) v; no oracle surface for it,
@@ -218,34 +223,6 @@ class _NfdOps:
         pp = point.replace(y=point.y + eps * v, z=point.z + eps * s_dir)
         pm = point.replace(y=point.y - eps * v, z=point.z - eps * s_dir)
         return (self.fbar_gradient(pp, block) - self.fbar_gradient(pm, block)) / (2.0 * eps)
-
-
-class _AdOps(_NfdOps):
-    def _hvp_zz(self, point):
-        o, s = self.oracle, self.sample
-        if o.capabilities.has_hvp:
-            return lambda v: np.asarray(o.hvp_zz_f3(point, s, v), float)
-        return super()._hvp_zz(point)
-
-    def inv_zz(self, point, b, label):
-        return neumann_inverse_apply(
-            self._hvp_zz(point), b, self.cfg.neumann_q, 1.0 / self.cfg.c0,
-            self.events, label,
-        )
-
-    def hvp_z(self, point, block, v):
-        if self.oracle.capabilities.has_hvp:
-            method = getattr(self.oracle, f"hvp_{block}z_f3")
-            return np.asarray(method(point, self.sample, v), float)
-        return super().hvp_z(point, block, v)
-
-
-def _make_ops(oracle, sample, cfg, events) -> _NfdOps:
-    if cfg.engine == ENGINE_NFD:
-        return _NfdOps(oracle, sample, cfg, events)
-    if cfg.engine == ENGINE_AD:
-        return _AdOps(oracle, sample, cfg, events)
-    raise ValueError(f"no matrix-free ops for engine {cfg.engine!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +264,7 @@ def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
         w = lu_solve(*lu, np.asarray(oracle.grad_z_f2(point, sample), float))
         return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
                 - getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w)
-    if cfg.engine == ENGINE_AD:
-        cfg._require_ad(need_c1=False)
-    return _make_ops(oracle, sample, cfg, events).fbar_gradient(point, block)
+    return _Ops(oracle, sample, cfg, events).fbar_gradient(point, block)
 
 
 def ul_adjoint_gradient(
@@ -310,22 +285,12 @@ def ul_adjoint_gradient(
     cfg = cfg or AdjointConfig()
     if cfg.engine == ENGINE_H:
         return _ul_dense(oracle, point, sample, cfg)
-    if cfg.engine == ENGINE_AD:
-        cfg._require_ad(need_c1=True)
-    ops = _make_ops(oracle, sample, cfg, events)
+    ops = _Ops(oracle, sample, cfg, events)
     o, s = oracle, sample
 
     lam_z = ops.inv_zz(point, np.asarray(o.grad_z_f1(point, s), float), "lam_z")
     b = np.asarray(o.grad_y_f1(point, s), float) - ops.hvp_z(point, "y", lam_z)
-
-    def hbar_yy(v):
-        return ops.reduced_apply(point, "y", v)
-
-    if cfg.engine == ENGINE_NFD:
-        lam_y = _cg(hbar_yy, b, cfg, events, "lam_y")
-    else:
-        lam_y = neumann_inverse_apply(hbar_yy, b, cfg.neumann_q, 1.0 / cfg.c1, events, "lam_y")
-
+    lam_y = ops.inverse(lambda v: ops.reduced_apply(point, "y", v), b, "c1", "lam_y")
     cross = ops.reduced_apply(point, "x", lam_y)
     return np.asarray(o.grad_x_f1(point, s), float) - ops.hvp_z(point, "x", lam_z) - cross
 
@@ -379,6 +344,12 @@ def bilevel_adjoint_gradient(
     removed: min_x f1(x, y, z) s.t. y in argmin_y f2(x, y, z), at frozen z.
 
     grad = grad_x f1 - H_xy(f2) H_yy(f2)^{-1} grad_y f1.
+
+    AD inverts H_yy(f2) at 1/c1 and uses no c0. Both matrix-free engines
+    take the H_yy(f2) and H_xy(f2) products as central differences of
+    grad_y f2 and grad_x f2 at ``fd_eps``, whose error dominates off the
+    quadratic family: on adv-hpt (split 7) at the default 0.1 the AD
+    gradient is about 10 % off the H engine's, falling as O(fd_eps^2).
     """
     cfg = cfg or AdjointConfig()
     o, p, s = oracle, point, sample
@@ -389,14 +360,8 @@ def bilevel_adjoint_gradient(
         lam = solve_dense(o.hess_yy_f2(p, s), gy1)
         return np.asarray(o.grad_x_f1(p, s), float) - np.asarray(o.hess_yx_f2(p, s), float).T @ lam
 
-    def hvp_yy(v):
-        return _fd_dir(o.grad_y_f2, p, s, "y", v, cfg.fd_eps)
-
-    if cfg.engine == ENGINE_NFD:
-        lam = _cg(hvp_yy, gy1, cfg, events, "bilevel_lam")
-    else:
-        cfg._require_ad(need_c1=True)
-        lam = neumann_inverse_apply(hvp_yy, gy1, cfg.neumann_q, 1.0 / cfg.c1, events, "bilevel_lam")
+    ops = _Ops(o, s, cfg, events)
+    lam = ops.inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, "y", v, cfg.fd_eps), gy1, "c1", "bilevel_lam")
     cross = _fd_dir(o.grad_x_f2, p, s, "y", lam, cfg.fd_eps)
     return np.asarray(o.grad_x_f1(p, s), float) - cross
 
@@ -426,23 +391,15 @@ def auto_scales(
     (e.g. a cold-started adversarial perturbation problem) need this,
     since the probe-local estimate would make 1/c0 enormous.
     """
-    caps = oracle.capabilities
+    cfg = AdjointConfig(engine=ENGINE_AD, fd_eps=fd_eps, neumann_q=neumann_q)
+    ops = _Ops(oracle, sample, cfg, None)
     if c0 is None:
-        if caps.has_hessians:
+        if oracle.capabilities.has_hessians:
             Hzz = np.asarray(oracle.hess_zz_f3(point, sample), float)
             c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
         else:
-            hvp = (
-                (lambda v: oracle.hvp_zz_f3(point, sample, v))
-                if caps.has_hvp
-                else (lambda v: _fd_dir(oracle.grad_z_f3, point, sample, "z", v, fd_eps))
-            )
-            c0 = 2.0 * _power_norm(hvp, point.z.size, power_iters, seed)
-
-    cfg = AdjointConfig(
-        engine=ENGINE_AD, fd_eps=fd_eps, neumann_q=neumann_q, c0=c0, c1=1.0
-    )
-    ops = _AdOps(oracle, sample, cfg, None)
+            c0 = 2.0 * _power_norm(ops.hvp_zz(point), point.z.size, power_iters, seed)
+    cfg.c0 = c0
     c1 = 2.0 * _power_norm(
         lambda v: ops.reduced_apply(point, "y", v), point.y.size, power_iters, seed
     )

@@ -151,19 +151,21 @@ def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) ->
     """Fill in auto c0/c1 for the AD engine by probing at the initial point.
 
     c1 bounds the operator that the reduction's Neumann series inverts: the
-    reduced Hessian Hbar_yy, or H_yy(f2) at z = 0 for ``without-ll``.
+    reduced Hessian Hbar_yy, or H_yy(f2) at z = 0 for ``without-ll``, whose
+    gradient uses no c0.
     """
     c0, c1 = cfg.c0, cfg.c1
-    if cfg.engine == "AD" and (c0 is None or c1 is None):
-        probe_c0 = pin_c0 if c0 is None else c0
-        auto_c0, auto_c1 = auto_scales(
-            oracle, init, DETERMINISTIC,
-            neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps, c0=probe_c0,
-        )
-        if c1 is None and cfg.reduction == REDUCTION_WITHOUT_LL:
-            auto_c1 = auto_scale_bilevel(
+    if cfg.engine == "AD" and cfg.reduction == REDUCTION_WITHOUT_LL:
+        if c1 is None:
+            c1 = auto_scale_bilevel(
                 oracle, init.replace(z=np.zeros_like(init.z)), DETERMINISTIC, fd_eps=cfg.fd_eps
             )
+            _log(f"auto scale: c1={c1:.6g}")
+    elif cfg.engine == "AD" and (c0 is None or c1 is None):
+        auto_c0, auto_c1 = auto_scales(
+            oracle, init, DETERMINISTIC,
+            neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps, c0=pin_c0 if c0 is None else c0,
+        )
         c0 = c0 if c0 is not None else auto_c0
         c1 = c1 if c1 is not None else auto_c1
         _log(f"auto scales: c0={c0:.6g} c1={c1:.6g}")

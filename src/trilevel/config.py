@@ -51,8 +51,8 @@ Example::
 import configparser
 import io
 import warnings
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, get_args, get_type_hints
 
 PROBLEMS = ("quadratic", "quartic", "adv-hpt")
 ENGINES = ("H", "NFD", "AD")
@@ -165,41 +165,43 @@ def save_config(cfg: ExperimentConfig, path):
         fh.write(to_ini(cfg))
 
 
-def _parse_value(field_type, raw: str, name: str):
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse_value(hint, raw: str, name: str):
+    """Parse one INI value by its field's type hint. Only ``Optional``
+    fields take an empty, ``auto`` or ``none`` value (as None)."""
     raw = raw.strip()
-    if raw.lower() in ("", "auto", "none"):
+    args = [a for a in get_args(hint) if a is not type(None)]
+    optional = len(args) == 1
+    base = args[0] if optional else hint
+    if raw.lower() in ("", "auto", "none") and optional:
         return None
-    if field_type is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
-    return field_type(raw)
+    if base is bool:
+        if raw.lower() not in _BOOLS:
+            raise ValueError(f"{name} must be one of {'/'.join(_BOOLS)}, got {raw!r}")
+        return _BOOLS[raw.lower()]
+    if not raw:
+        raise ValueError(f"{name} needs a value")
+    try:
+        return base(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be {base.__name__}, got {raw!r}") from None
 
 
 def from_ini(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
     cfg = ExperimentConfig()
-    types = {f.name: f for f in fields(ExperimentConfig)}
+    hints = get_type_hints(ExperimentConfig)
     for section, names in _SECTIONS.items():
         if not parser.has_section(section):
             continue
         for name in names:
             key = _FILE_KEY.get(name, name)
-            if not parser.has_option(section, key):
-                continue
-            raw = parser.get(section, key)
-            current = getattr(cfg, name)
-            if name in ("csv", "c0", "c1", "cg_max_iters"):
-                base = {"csv": str, "c0": float, "c1": float, "cg_max_iters": int}[name]
-                value = _parse_value(base, raw, name)
-            elif isinstance(current, bool):
-                value = _parse_value(bool, raw, name)
-            elif isinstance(current, int):
-                value = _parse_value(int, raw, name)
-            elif isinstance(current, float):
-                value = _parse_value(float, raw, name)
-            else:
-                value = raw.strip()
-            setattr(cfg, name, value)
+            if parser.has_option(section, key):
+                setattr(cfg, name, _parse_value(hints[name], parser.get(section, key), name))
     return cfg.validate()
 
 

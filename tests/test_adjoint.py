@@ -24,6 +24,7 @@ from trilevel.synthetic import (
     QuadraticSpec,
     closed_form_point,
     closed_form_z,
+    default_init_point,
     default_quadratic,
     default_quartic,
     make_oracle,
@@ -343,12 +344,30 @@ class TestContracts:
         cfg = AdjointConfig(engine="AD")  # q/c0/c1 checked at use
         oracle = make_oracle(default_quadratic(3, 3, 3, rng=0))
         p = Point(np.ones(3), np.ones(3), np.ones(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="neumann_q"):
             ml_adjoint_gradient(oracle, p, DETERMINISTIC, cfg)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive c0"):
+            ml_adjoint_gradient(oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5))
+        with pytest.raises(ValueError, match="positive c1"):
             ul_adjoint_gradient(
                 oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=1.0)
             )
+        with pytest.raises(ValueError, match="positive c1"):
+            bilevel_adjoint_gradient(
+                oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=1.0, c1=-1.0)
+            )
+
+    def test_ad_bilevel_needs_no_c0(self):
+        # the bilevel gradient's only series inverts H_yy(f2) at 1/c1
+        oracle = make_oracle(default_quadratic(3, 3, 3, rng=0))
+        p = Point(np.ones(3), np.ones(3), np.ones(3))
+        with_c0 = bilevel_adjoint_gradient(
+            oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=20, c0=1.0, c1=8.0)
+        )
+        without_c0 = bilevel_adjoint_gradient(
+            oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=20, c1=8.0)
+        )
+        np.testing.assert_array_equal(without_c0, with_c0)
 
     def test_h_requires_capabilities(self):
         class GradOnly(ProblemOracle):
@@ -437,3 +456,109 @@ class TestBilevelGradient:
         ]:
             g = bilevel_adjoint_gradient(oracle, point, DETERMINISTIC, cfg)
             np.testing.assert_allclose(g, fd, atol=2e-5)
+
+
+class TestPinned:
+    # recorded gradients and events of the matrix-free engines: any
+    # reordering of their float operations, or a renamed event, shows here.
+    # The quartic point has nonzero third-order terms and FD error; on the
+    # quadratic the AD engine takes the oracle's analytic HVPs
+    RECORDED = {
+        ("quadratic", "ml", "NFD"): (
+            ["-0x1.9a31e70314aa3p+1", "-0x1.8e429960bbec1p+2", "0x1.518ca981919bep+2"],
+            [],
+        ),
+        ("quadratic", "ml", "AD"): (
+            ["-0x1.979f6a7fb2fe8p+1", "-0x1.8e0478910a83bp+2", "0x1.53464d96e95bfp+2"],
+            [],
+        ),
+        ("quadratic", "ml", "AD-stale"): (
+            ["-0x1.979f6a7fb2fe8p+1", "-0x1.8e0478910a83bp+2", "0x1.53464d96e95bfp+2"],
+            [],
+        ),
+        ("quadratic", "ul", "NFD"): (
+            ["0x1.b272dbfeeb28ep+5", "0x1.3c06058fe3a14p+5", "0x1.0339421fe7047p+5"],
+            [],
+        ),
+        ("quadratic", "ul", "AD"): (
+            ["0x1.aefa5271e28e6p+5", "0x1.399181acfc80cp+5", "0x1.0147280019914p+5"],
+            [],
+        ),
+        ("quadratic", "ul", "AD-stale"): (
+            ["0x1.40bb0ce910529p+9", "0x1.d1330453ad9eap+8", "0x1.955fc75e5d6d4p+8"],
+            ["neumann_truncated:lam_y@3"],
+        ),
+        ("quadratic", "bilevel", "NFD"): (
+            ["0x1.811bcc8702484p+4", "0x1.23248afaf2ce9p+4", "0x1.f98b1901cd634p+3"],
+            [],
+        ),
+        ("quadratic", "bilevel", "AD"): (
+            ["0x1.8120878658e84p+4", "0x1.232833374c945p+4", "0x1.f99307e7025adp+3"],
+            [],
+        ),
+        ("quadratic", "bilevel", "AD-stale"): (
+            ["-0x1.8ec595e0f20fep+6", "-0x1.35f137090e412p+6", "-0x1.5fea99883645dp+6"],
+            ["neumann_truncated:bilevel_lam@2"],
+        ),
+        ("quartic", "ml", "NFD"): (
+            ["0x1.a9c1578826b10p-7", "0x1.4df6cedcabe9dp-1", "-0x1.5353f95422848p-5"],
+            ["cg_capped:ml_w"],
+        ),
+        ("quartic", "ml", "AD"): (
+            ["-0x1.a4d5029a32191p-4", "0x1.53db45aa50e38p-1", "-0x1.5353f95422848p-5"],
+            [],
+        ),
+        ("quartic", "ml", "AD-stale"): (
+            ["-0x1.a4d5029a32191p-4", "0x1.53db45aa50e38p-1", "-0x1.5353f95422848p-5"],
+            [],
+        ),
+        ("quartic", "ul", "NFD"): (
+            ["-0x1.b7b50c704d4cbp+0", "-0x1.275f229ba4fe0p+0", "-0x1.3871e54263f17p-2"],
+            ["cg_capped:lam_z", "cg_capped:track", "cg_capped:ml_w", "cg_capped:ml_w",
+             "cg_capped:track", "cg_capped:ml_w", "cg_capped:ml_w", "cg_capped:lam_y",
+             "cg_capped:track", "cg_capped:gx_w", "cg_capped:gx_w"],
+        ),
+        ("quartic", "ul", "AD"): (
+            ["-0x1.337215933536dp-1", "-0x1.e55e202ecd702p-1", "-0x1.4fb0c8a9be02cp-2"],
+            [],
+        ),
+        ("quartic", "ul", "AD-stale"): (
+            ["0x1.0f31c2ed36051p+1", "0x1.d331c313d1890p+1", "0x1.25a68d9ad805ap+1"],
+            ["neumann_truncated:lam_y@2"],
+        ),
+        ("quartic", "bilevel", "NFD"): (
+            ["-0x1.dae8d3793a46ap-2", "-0x1.4d2fc756a4554p-1", "-0x1.4faa5eb80b0bcp-2"],
+            [],
+        ),
+        ("quartic", "bilevel", "AD"): (
+            ["-0x1.daed81627394ep-2", "-0x1.4d33a24029174p-1", "-0x1.4fb0c8a9be02cp-2"],
+            [],
+        ),
+        ("quartic", "bilevel", "AD-stale"): (
+            ["0x1.72f8d2138a534p+0", "0x1.4025c3b465630p+1", "0x1.25a68d9ad805ap+1"],
+            ["neumann_truncated:bilevel_lam@2"],
+        ),
+    }
+
+    def test_gradients_and_events_pinned(self):
+        quartic = default_quartic(3, 3, 2, rng=5)
+        gen = np.random.default_rng(5)
+        cases = {
+            "quadratic": (make_oracle(default_quadratic(3, 3, 3, rng=5)),
+                          Point(gen.uniform(0, 9, 3), gen.uniform(0, 9, 3), gen.uniform(0, 9, 3))),
+            "quartic": (make_oracle(quartic), default_init_point(quartic, rng=6)),
+        }
+        cfgs = {
+            "NFD": AdjointConfig(engine="NFD", fd_eps=0.1, cg_max_iters=2),
+            "AD": AdjointConfig(engine="AD", fd_eps=0.1, neumann_q=6, c0=2.0, c1=3.0),
+            "AD-stale": AdjointConfig(engine="AD", fd_eps=0.1, neumann_q=6, c0=2.0, c1=0.5),
+        }
+        fns = {"ml": ml_adjoint_gradient, "ul": ul_adjoint_gradient,
+               "bilevel": bilevel_adjoint_gradient}
+        for (problem, fn, engine), (grad, flags) in self.RECORDED.items():
+            oracle, point = cases[problem]
+            events = []
+            g = fns[fn](oracle, point, DETERMINISTIC, cfgs[engine], events=events)
+            expected = np.array([float.fromhex(h) for h in grad])
+            np.testing.assert_array_equal(g, expected, err_msg=f"{problem}/{fn}/{engine}")
+            assert events == flags, (problem, fn, engine)

@@ -56,6 +56,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(tmp_path, repetitions=0).validate()
 
+    @pytest.mark.parametrize("section,line", [
+        ("problem", "n ="),
+        ("budget", "ul_iters = auto"),
+        ("run", "repetitions = none"),
+        ("budget", "adaptive = maybe"),
+    ])
+    def test_empty_values_and_bad_booleans_rejected(self, tmp_path, section, line):
+        # only Optional fields take empty/auto/none; a boolean must be one
+        # of true/false/1/0/yes/no/on/off
+        text = f"[{section}]\n{line}\n"
+        with pytest.raises(ValueError):
+            from_ini(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path)]) == 2
+
+    def test_optional_values_and_booleans_parse(self):
+        cfg = from_ini("[engine]\ncg_max_iters = auto\nc0 = none\nc1 = 2.5\n"
+                       "[problem]\ncsv =\n[budget]\nadaptive = Off\n")
+        assert (cfg.cg_max_iters, cfg.c0, cfg.c1, cfg.csv, cfg.adaptive) == (None, None, 2.5, None, False)
+
     def test_h_engine_hess_noise_warns_not_errors(self, tmp_path):
         cfg = tiny_config(tmp_path, mode="stochastic", engine="H", std_hess=0.5)
         with pytest.warns(UserWarning):
@@ -156,13 +177,16 @@ class TestAutoScales:
         spec = default_quadratic(10, 10, 10, rng=42)
         oracle, init = make_oracle(spec), default_init_point(spec, rng=43)
         cfg = tiny_config(tmp_path, n=10, m=10, t=10, spec_seed=42, engine="AD",
-                          reduction="without-ll")
+                          reduction="without-ll", ul_iters=3, repetitions=1)
         c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros(10)), fd_eps=cfg.fd_eps)
-        tri_c0, tri_c1 = auto_scales(oracle, init, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps)
+        _, tri_c1 = auto_scales(oracle, init, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps)
         assert c1 == pytest.approx(8.0, rel=0.05) and tri_c1 == pytest.approx(4.0, rel=0.05)
         adjoint_cfg = _build_task(cfg).adjoint_cfg
         assert adjoint_cfg.c1 == c1
-        assert adjoint_cfg.c0 == tri_c0
+        # the bilevel gradient uses no c0: it stays unset and the run steps
+        assert adjoint_cfg.c0 is None
+        agg = run_experiment(cfg)
+        assert len(agg.mean_f1) == cfg.ul_iters and np.all(np.isfinite(agg.mean_f1))
         # an explicit c1 still wins
         assert _build_task(replace(cfg, c1=3.0)).adjoint_cfg.c1 == 3.0
 
