@@ -57,7 +57,7 @@ ENGINES = (ENGINE_H, ENGINE_NFD, ENGINE_AD)
 class AdjointConfig:
     """Approximation knobs for the adjoint engines.
 
-    ``cg_max_iters=None`` resolves to 10x the system dimension per solve.
+    ``cg_max_iters=None`` leaves the cap to :func:`cg_solve` (10x the dimension).
     ``c0`` and ``c1`` are the Lipschitz-style scaling constants of the
     lower-level Hessian and the reduced middle-level Hessian; the AD
     engine requires them (see :func:`auto_scales`).
@@ -78,6 +78,8 @@ class AdjointConfig:
             raise ValueError("fd_eps must be positive")
         if self.cg_tol <= 0:
             raise ValueError("cg_tol must be positive")
+        if self.cg_max_iters is not None and self.cg_max_iters < 1:
+            raise ValueError("cg_max_iters must be positive")
 
 
 # A Neumann iterate larger than this multiple of |b| counts as divergence.
@@ -132,12 +134,12 @@ def neumann_inverse_apply(
 # engine plumbing
 
 
-def _fd_dir(method, point: Point, sample, axis: str, v: Array, eps: float) -> Array:
-    """Central difference of an oracle gradient along direction v in one
-    variable block: approximates (d/d axis)(method) applied to v."""
-    delta = eps * v
-    base = getattr(point, axis)
-    pp, pm = point.replace(**{axis: base + delta}), point.replace(**{axis: base - delta})
+def _fd_dir(method, point: Point, sample, eps: float, **dirs: Array) -> Array:
+    """Central difference of ``method(point, sample)`` at step eps along the
+    direction that moves each named variable block by ``dirs[block]``."""
+    steps = {block: eps * d for block, d in dirs.items()}
+    pp = point.replace(**{block: getattr(point, block) + s for block, s in steps.items()})
+    pm = point.replace(**{block: getattr(point, block) - s for block, s in steps.items()})
     return (np.asarray(method(pp, sample), float) - np.asarray(method(pm, sample), float)) / (2.0 * eps)
 
 
@@ -167,8 +169,7 @@ class _Ops:
         the iteration cap above tolerance are flagged in ``events``."""
         cfg, events = self.cfg, self.events
         if cfg.engine == ENGINE_NFD:
-            max_iters = cfg.cg_max_iters if cfg.cg_max_iters is not None else 10 * len(b)
-            report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=max_iters)
+            report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=cfg.cg_max_iters)
             if events is not None:
                 if report.terminated_on_curvature:
                     events.append(f"cg_curvature:{label}")
@@ -187,7 +188,7 @@ class _Ops:
         if self.analytic:
             return np.asarray(getattr(self.oracle, f"hvp_{block}z_f3")(point, self.sample, v), float)
         method = getattr(self.oracle, f"grad_{block}_f3")
-        return _fd_dir(method, point, self.sample, "z", v, self.cfg.fd_eps)
+        return _fd_dir(method, point, self.sample, self.cfg.fd_eps, z=v)
 
     def hvp_zz(self, point) -> Callable[[Array], Array]:
         """The operator v -> Hzz(f3) v at point."""
@@ -199,7 +200,7 @@ class _Ops:
     def hvp_zy(self, point, v) -> Array:
         # transposed cross product H_zy(f3) v; no oracle surface for it,
         # so both matrix-free engines difference grad_z f3 in y
-        return _fd_dir(self.oracle.grad_z_f3, point, self.sample, "y", v, self.cfg.fd_eps)
+        return _fd_dir(self.oracle.grad_z_f3, point, self.sample, self.cfg.fd_eps, y=v)
 
     def fbar_gradient(self, point, block) -> Array:
         """grad_block fbar = grad_block f2 - H_{block,z}(f3) Hzz(f3)^{-1} grad_z f2."""
@@ -218,11 +219,8 @@ class _Ops:
         """Hbar_{block,y} v as a central difference of grad_block fbar along
         (v, track_z(v)): Hbar_yy v for block y, and for block x Hbar_xy v
         in the two-evaluation form of the mixed partial."""
-        eps = self.cfg.fd_eps
-        s_dir = self.track_z(point, v)
-        pp = point.replace(y=point.y + eps * v, z=point.z + eps * s_dir)
-        pm = point.replace(y=point.y - eps * v, z=point.z - eps * s_dir)
-        return (self.fbar_gradient(pp, block) - self.fbar_gradient(pm, block)) / (2.0 * eps)
+        return _fd_dir(lambda p, _: self.fbar_gradient(p, block), point, self.sample,
+                       self.cfg.fd_eps, y=v, z=self.track_z(point, v))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +359,8 @@ def bilevel_adjoint_gradient(
         return np.asarray(o.grad_x_f1(p, s), float) - np.asarray(o.hess_yx_f2(p, s), float).T @ lam
 
     ops = _Ops(o, s, cfg, events)
-    lam = ops.inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, "y", v, cfg.fd_eps), gy1, "c1", "bilevel_lam")
-    cross = _fd_dir(o.grad_x_f2, p, s, "y", lam, cfg.fd_eps)
+    lam = ops.inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v), gy1, "c1", "bilevel_lam")
+    cross = _fd_dir(o.grad_x_f2, p, s, cfg.fd_eps, y=lam)
     return np.asarray(o.grad_x_f1(p, s), float) - cross
 
 
@@ -376,8 +374,6 @@ def auto_scales(
     sample: SampleSpec = DETERMINISTIC,
     neumann_q: int = 20,
     fd_eps: float = 0.1,
-    power_iters: int = 5,
-    seed: int = 0,
     c0: Optional[float] = None,
 ) -> tuple[float, float]:
     """Estimate the Neumann scaling constants (c0, c1) at a probe point.
@@ -398,11 +394,9 @@ def auto_scales(
             Hzz = np.asarray(oracle.hess_zz_f3(point, sample), float)
             c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
         else:
-            c0 = 2.0 * _power_norm(ops.hvp_zz(point), point.z.size, power_iters, seed)
+            c0 = 2.0 * _power_norm(ops.hvp_zz(point), point.z.size)
     cfg.c0 = c0
-    c1 = 2.0 * _power_norm(
-        lambda v: ops.reduced_apply(point, "y", v), point.y.size, power_iters, seed
-    )
+    c1 = 2.0 * _power_norm(lambda v: ops.reduced_apply(point, "y", v), point.y.size)
     return c0, c1
 
 
@@ -411,26 +405,20 @@ def auto_scale_bilevel(
     point: Point,
     sample: SampleSpec = DETERMINISTIC,
     fd_eps: float = 0.1,
-    power_iters: int = 5,
-    seed: int = 0,
 ) -> float:
     """c1 for :func:`bilevel_adjoint_gradient`: doubles a power-iteration
     estimate of |H_yy(f2)| at a probe point."""
-    est = _power_norm(
-        lambda v: _fd_dir(oracle.grad_y_f2, point, sample, "y", v, fd_eps),
-        point.y.size,
-        power_iters,
-        seed,
-    )
-    return 2.0 * est
+    return 2.0 * _power_norm(lambda v: _fd_dir(oracle.grad_y_f2, point, sample, fd_eps, y=v),
+                             point.y.size)
 
 
-def _power_norm(apply_A, dim, iters, seed) -> float:
-    gen = np.random.default_rng(seed)
-    v = gen.standard_normal(dim)
+def _power_norm(apply_A, dim) -> float:
+    """Norm estimate of the operator after five power iterations from a
+    fixed random start (seed 0)."""
+    v = np.random.default_rng(0).standard_normal(dim)
     v /= np.linalg.norm(v)
     est = 1.0
-    for _ in range(iters):
+    for _ in range(5):
         u = np.asarray(apply_A(v), float)
         est = float(np.linalg.norm(u))
         if est == 0.0 or not np.isfinite(est):

@@ -35,6 +35,7 @@ from .driver import (
     IterationBudget,
     MinibatchSamples,
     NoiseSamples,
+    REDUCTION_TRILEVEL,
     REDUCTION_WITHOUT_LL,
     RunTrace,
     TheoremConstant,
@@ -83,11 +84,11 @@ def _build_schedule(cfg: ExperimentConfig):
 
 
 def _build_task(cfg: ExperimentConfig) -> _Task:
+    """Assemble the experiment, raising ValueError on any value the run cannot use."""
     cfg.validate()
-    budget = IterationBudget(
-        cfg.ul_iters, cfg.j0, cfg.k0, cfg.adaptive, cfg.ul_threshold, cfg.ml_threshold
-    )
+    budget = IterationBudget(cfg.ul_iters, cfg.j0, cfg.k0, cfg.adaptive)
     schedule = _build_schedule(cfg)
+    spec = test_eval = None
 
     if cfg.problem in ("quadratic", "quartic"):
         make_spec = default_quadratic if cfg.problem == "quadratic" else default_quartic
@@ -108,52 +109,51 @@ def _build_task(cfg: ExperimentConfig) -> _Task:
 
             def samples_for(rep_seed):
                 return DeterministicSamples()
+    else:  # adversarial hyperparameter tuning
+        ds = ah.load_csv(cfg.csv)
+        splits = ah.split_dataset(ds, ah.SplitSpec(seed=cfg.spec_seed))
+        problem = ah.build_problem(ds, splits)
+        oracle = ah.build_oracle(problem, ds)
+        init = ah.init_point(problem)
+        adjoint_cfg = _resolve_adjoint(cfg, oracle, init, pin_c0=1.0)
 
-        return _Task(oracle_for, samples_for, init, schedule, budget, adjoint_cfg, spec=spec)
+        if cfg.mode == "deterministic":
+            def samples_for(rep_seed):
+                return DeterministicSamples()
+        else:
+            def samples_for(rep_seed):
+                return MinibatchSamples(problem.n_train, cfg.minibatch, rep_seed)
 
-    # adversarial hyperparameter tuning
-    ds = ah.load_csv(cfg.csv)
-    splits = ah.split_dataset(ds, ah.SplitSpec(seed=cfg.spec_seed))
-    problem = ah.build_problem(ds, splits)
-    oracle = ah.build_oracle(problem, ds)
-    init = ah.init_point(problem)
-    adjoint_cfg = _resolve_adjoint(cfg, oracle, init, pin_c0=1.0)
+        def oracle_for(rep_seed):
+            return oracle
 
-    if cfg.mode == "deterministic":
-        def samples_for(rep_seed):
-            return DeterministicSamples()
-    else:
-        def samples_for(rep_seed):
-            return MinibatchSamples(problem.n_train, cfg.minibatch, rep_seed)
+        mean, std = oracle.feature_mean, oracle.feature_std
+        test_features = (ds.features[splits.test] - mean) / std
+        test_targets = ds.targets[splits.test]
 
-    def oracle_for(rep_seed):
-        return oracle
+        def test_eval(trace: RunTrace, run_id: int):
+            _, values = ah.noisy_test_mse(
+                trace.iterates[-1].y, test_features, test_targets,
+                realizations=cfg.noise_test_realizations, seed=cfg.base_seed + run_id,
+            )
+            return values
 
-    mean, std = oracle.feature_mean, oracle.feature_std
-    test_features = (ds.features[splits.test] - mean) / std
-    test_targets = ds.targets[splits.test]
-
-    def test_eval(trace: RunTrace, run_id: int):
-        theta = trace.iterates[-1].y
-        _, values = ah.noisy_test_mse(
-            theta, test_features, test_targets,
-            noise_std=cfg.noise_test_std,
-            realizations=cfg.noise_test_realizations,
-            seed=cfg.base_seed + run_id,
-        )
-        return values
-
-    return _Task(oracle_for, samples_for, init, schedule, budget, adjoint_cfg,
-                 test_eval=test_eval)
+    # the per-repetition parts check their values when built: build one now
+    oracle_for(cfg.base_seed), samples_for(cfg.base_seed)
+    return _Task(oracle_for, samples_for, init, schedule, budget, adjoint_cfg, test_eval, spec)
 
 
 def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) -> AdjointConfig:
-    """Fill in auto c0/c1 for the AD engine by probing at the initial point.
+    """Check the oracle has the H engine's terms; fill in auto AD c0/c1 at the initial point.
 
     c1 bounds the operator that the reduction's Neumann series inverts: the
     reduced Hessian Hbar_yy, or H_yy(f2) at z = 0 for ``without-ll``, whose
     gradient uses no c0.
     """
+    if (cfg.engine == "H" and cfg.reduction == REDUCTION_TRILEVEL
+            and not oracle.capabilities.has_third_order):
+        raise ValueError(f"the H engine's trilevel gradient needs third-order contractions, "
+                         f"which the {cfg.problem} oracle does not supply")
     c0, c1 = cfg.c0, cfg.c1
     if cfg.engine == "AD" and cfg.reduction == REDUCTION_WITHOUT_LL:
         if c1 is None:
@@ -170,8 +170,8 @@ def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) ->
         c1 = c1 if c1 is not None else auto_c1
         _log(f"auto scales: c0={c0:.6g} c1={c1:.6g}")
     return AdjointConfig(
-        engine=cfg.engine, fd_eps=cfg.fd_eps, cg_tol=cfg.cg_tol,
-        cg_max_iters=cfg.cg_max_iters, neumann_q=cfg.neumann_q, c0=c0, c1=c1,
+        engine=cfg.engine, fd_eps=cfg.fd_eps, cg_max_iters=cfg.cg_max_iters,
+        neumann_q=cfg.neumann_q, c0=c0, c1=c1,
     )
 
 
@@ -252,10 +252,14 @@ def _write_trace_csv(path, run_id: int, trace: RunTrace):
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
     """Execute ``cfg.repetitions`` independent runs and write all outputs.
 
-    Raises RuntimeError when any run aborts (partial traces are still
-    written first).
+    Raises ValueError for a config the run cannot use, before any output
+    is written, and RuntimeError when any run aborts (partial traces are
+    still written first).
     """
-    task = _build_task(cfg)
+    return _run_task(cfg, _build_task(cfg), jobs)
+
+
+def _run_task(cfg: ExperimentConfig, task: _Task, jobs: int) -> AggregateResult:
     os.makedirs(cfg.output_dir, exist_ok=True)
     save_config(cfg, os.path.join(cfg.output_dir, "config.ini"))
     if task.spec is not None:
@@ -268,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
         _log(f"run {rep}: seed={seed}")
         return run_bsg(
             cfg.reduction, oracle, task.init, task.schedule, task.budget,
-            task.adjoint_cfg, samples=samples, keep_iterates=True,
+            task.adjoint_cfg, samples=samples,
         )
 
     if jobs > 1:
@@ -322,7 +326,7 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
     c0, c1 = auto_scales(oracle, point, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps)
     cfgs = [
         AdjointConfig(engine="H"),
-        AdjointConfig(engine="NFD", fd_eps=cfg.fd_eps, cg_tol=cfg.cg_tol),
+        AdjointConfig(engine="NFD", fd_eps=cfg.fd_eps),
         AdjointConfig(engine="AD", fd_eps=cfg.fd_eps, neumann_q=max(cfg.neumann_q, 40), c0=c0, c1=c1),
     ]
     fd_ref = fd_grad_f(oracle, x, FdOracleConfig(use_closed_form=True), spec=spec)
@@ -347,7 +351,7 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
     qc0, qc1 = auto_scales(qoracle, qpoint, neumann_q=max(cfg.neumann_q, 40), fd_eps=cfg.fd_eps)
     qcfgs = [
         AdjointConfig(engine="H"),
-        AdjointConfig(engine="NFD", fd_eps=cfg.fd_eps, cg_tol=cfg.cg_tol),
+        AdjointConfig(engine="NFD", fd_eps=cfg.fd_eps),
         AdjointConfig(engine="AD", fd_eps=cfg.fd_eps, neumann_q=max(cfg.neumann_q, 40), c0=qc0, c1=qc1),
     ]
     qreport = engine_agreement_report(qoracle, qpoint, qcfgs, labels=["H", "NFD", "AD"], fd_reference=qfd)
@@ -435,26 +439,23 @@ def main(argv=None) -> int:
         print(f"train={splits.train.size} val={splits.val.size} test={splits.test.size}")
         return 0
 
-    if args.config:
-        try:
-            cfg = load_config(args.config)
-        except (OSError, ValueError, configparser.Error) as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-    else:
-        cfg = ExperimentConfig(n=10, m=10, t=10)
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.out is not None:
-        cfg.output_dir = args.out
+    try:
+        cfg = load_config(args.config) if args.config else ExperimentConfig(n=10, m=10, t=10)
+        if args.seed is not None:
+            cfg.base_seed = args.seed
+        if args.out is not None:
+            cfg.output_dir = args.out
+        task = None if args.command == "verify" else _build_task(cfg)
+    except (OSError, ValueError, configparser.Error) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
     if args.command == "verify":
         return _cmd_verify(cfg)
     if args.command == "grid-search":
         return _cmd_grid_search(cfg, args.jobs)
-
     try:
-        run_experiment(cfg, jobs=args.jobs)
+        _run_task(cfg, task, args.jobs)
     except RuntimeError as err:
         print(f"run failed: {err}", file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ Example::
     [engine]
     kind = NFD              ; H | NFD | AD
     fd_eps = 0.1
-    cg_tol = 1e-8
     cg_max_iters = auto
     neumann_q = 30
     c0 = auto               ; auto-calibrated at the initial point
@@ -35,8 +34,6 @@ Example::
     j0 = 1
     k0 = 1
     adaptive = true
-    ul_threshold = 1e-2
-    ml_threshold = 1e-1
 
     [run]
     repetitions = 10
@@ -44,7 +41,6 @@ Example::
     output_dir = out
     reduction = trilevel    ; trilevel | without-ul | without-ll
     minibatch = 64
-    noise_test_std = 5.0
     noise_test_realizations = 100
 """
 
@@ -54,11 +50,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
 
+from .adjoint import ENGINES
+from .driver import REDUCTIONS
+
 PROBLEMS = ("quadratic", "quartic", "adv-hpt")
-ENGINES = ("H", "NFD", "AD")
 MODES = ("deterministic", "stochastic")
 SCHEDULES = ("decaying", "theorem")
-REDUCTIONS = ("trilevel", "without-ul", "without-ll")
 
 
 @dataclass
@@ -73,7 +70,6 @@ class ExperimentConfig:
     # [engine]
     engine: str = "NFD"
     fd_eps: float = 0.1
-    cg_tol: float = 1e-8
     cg_max_iters: Optional[int] = None
     neumann_q: int = 30
     c0: Optional[float] = None
@@ -92,15 +88,12 @@ class ExperimentConfig:
     j0: int = 1
     k0: int = 1
     adaptive: bool = True
-    ul_threshold: float = 1e-2
-    ml_threshold: float = 1e-1
     # [run]
     repetitions: int = 10
     base_seed: int = 1234
     output_dir: str = "out"
     reduction: str = "trilevel"
     minibatch: int = 64
-    noise_test_std: float = 5.0
     noise_test_realizations: int = 100
 
     def validate(self) -> "ExperimentConfig":
@@ -116,6 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
+        if self.noise_test_realizations < 1:
+            raise ValueError("noise_test_realizations must be at least 1")
         if self.problem == "adv-hpt" and not self.csv:
             raise ValueError("adv-hpt requires a csv path")
         if self.mode == "stochastic" and self.engine == "H" and self.std_hess > 0.1:
@@ -129,17 +124,20 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "problem": ["problem", "n", "m", "t", "spec_seed", "csv"],
-    "engine": ["engine", "fd_eps", "cg_tol", "cg_max_iters", "neumann_q", "c0", "c1"],
+    "engine": ["engine", "fd_eps", "cg_max_iters", "neumann_q", "c0", "c1"],
     "mode": ["mode", "std_grad", "std_hess"],
     "schedule": ["schedule", "alpha_bar", "beta_bar", "gamma_bar"],
-    "budget": ["ul_iters", "j0", "k0", "adaptive", "ul_threshold", "ml_threshold"],
+    "budget": ["ul_iters", "j0", "k0", "adaptive"],
     "run": [
         "repetitions", "base_seed", "output_dir", "reduction", "minibatch",
-        "noise_test_std", "noise_test_realizations",
+        "noise_test_realizations",
     ],
 }
 # key used inside the file for the section-defining field
 _FILE_KEY = {"problem": "kind", "engine": "kind", "mode": "kind", "schedule": "kind"}
+# (section, key in the file) -> field
+_FIELDS = {(section, _FILE_KEY.get(name, name)): name
+           for section, names in _SECTIONS.items() for name in names}
 
 
 def to_ini(cfg: ExperimentConfig) -> str:
@@ -195,13 +193,14 @@ def from_ini(text: str) -> ExperimentConfig:
     parser.read_string(text)
     cfg = ExperimentConfig()
     hints = get_type_hints(ExperimentConfig)
-    for section, names in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
-        for name in names:
-            key = _FILE_KEY.get(name, name)
-            if parser.has_option(section, key):
-                setattr(cfg, name, _parse_value(hints[name], parser.get(section, key), name))
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ValueError(f"unknown section [{section}]")
+        for key, raw in parser.items(section):
+            name = _FIELDS.get((section, key))
+            if name is None:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+            setattr(cfg, name, _parse_value(hints[name], raw, name))
     return cfg.validate()
 
 

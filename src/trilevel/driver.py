@@ -8,9 +8,9 @@ cycles: each new cycle starts from the last iterate of the previous one.
 
 The trilevel method (:func:`run_tsg`) and its bilevel reductions
 (:func:`run_bsg`) run one outer loop, ``_outer_loop``: it evaluates and
-records the objectives, aborts on non-finite values, feeds the trace
-sink and applies the adaptive budget rule. Each reduction supplies only a
-step function for one outer iteration. ``without-ul`` freezes x and runs
+records the objectives and iterates, aborts on non-finite values and
+applies the adaptive budget rule. Each reduction supplies only a step
+function for one outer iteration. ``without-ul`` freezes x and runs
 one middle-level iteration per outer step; ``without-ll`` freezes z at
 zero and tunes x against the middle level only.
 """
@@ -128,14 +128,17 @@ def _step_fn(value) -> Callable[[int], float]:
 # budgets and the increasing-accuracy controller
 
 
+# The increasing-accuracy rule's stall thresholds on the f1 and f2 changes.
+UL_THRESHOLD = 1e-2
+ML_THRESHOLD = 1e-1
+
+
 @dataclass(frozen=True)
 class IterationBudget:
     ul_iters: int
     j0: int = 1
     k0: int = 1
     adaptive: bool = False
-    ul_threshold: float = 1e-2
-    ml_threshold: float = 1e-1
 
     def __post_init__(self):
         if self.ul_iters < 1 or self.j0 < 1 or self.k0 < 1:
@@ -154,14 +157,12 @@ def adaptive_update(
     cur_f1: float,
     prev_f2: float,
     cur_f2: float,
-    ul_threshold: float = 1e-2,
-    ml_threshold: float = 1e-1,
 ) -> BudgetState:
     """Increasing-accuracy rule: J grows by one when the f1 change drops
-    below ul_threshold, K grows by one when the f2 change drops below
-    ml_threshold. At most one increment per level per call."""
-    J = state.J + (1 if abs(cur_f1 - prev_f1) < ul_threshold else 0)
-    K = state.K + (1 if abs(cur_f2 - prev_f2) < ml_threshold else 0)
+    below UL_THRESHOLD, K grows by one when the f2 change drops below
+    ML_THRESHOLD. At most one increment per level per call."""
+    J = state.J + (1 if abs(cur_f1 - prev_f1) < UL_THRESHOLD else 0)
+    K = state.K + (1 if abs(cur_f2 - prev_f2) < ML_THRESHOLD else 0)
     return BudgetState(J, K)
 
 
@@ -265,7 +266,7 @@ class TraceRecord:
 class RunTrace:
     records: list = field(default_factory=list)
     aborted: Optional[str] = None
-    iterates: Optional[list] = None
+    iterates: list = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -371,8 +372,7 @@ def _ml_iteration(oracle, x, y, z, beta, gamma, K, cfg, j, ml_sampler, ll_sample
     return y - beta * g, z, g
 
 
-def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget,
-                sink, keep_iterates: bool) -> RunTrace:
+def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget) -> RunTrace:
     """The outer loop every reduction runs.
 
     ``step(i, x, y, z, state, events)`` runs outer iteration i from the
@@ -381,11 +381,11 @@ def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget,
     the point to record, the outer gradient, the next x, the middle- and
     lower-level work done, and the record's J, K, alpha, beta and gamma.
     The loop evaluates the objectives deterministically at the point and
-    records them; a NonFiniteError or a non-finite f1 or f2 ends the run
-    with ``trace.aborted`` set. With an adaptive budget, the
+    records them and the point; a NonFiniteError or a non-finite f1 or f2
+    ends the run with ``trace.aborted`` set. With an adaptive budget, the
     increasing-accuracy rule grows the budgets flagged in ``grows`` = (J, K).
     """
-    trace = RunTrace(iterates=[] if keep_iterates else None)
+    trace = RunTrace()
     x, y, z = init.x.copy(), init.y.copy(), init.z.copy()
     state = BudgetState(budget.j0, budget.k0)
     cum_ml = cum_ll = 0
@@ -416,17 +416,11 @@ def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget,
             flags=";".join(events), **fields,
         )
         trace.records.append(record)
-        if keep_iterates:
-            trace.iterates.append(point)
-        if sink is not None:
-            sink(record)
+        trace.iterates.append(point)
 
         x, y, z = x_next, point.y, point.z
         if budget.adaptive and prev_f1 is not None:
-            grown = adaptive_update(
-                state, prev_f1, f1, prev_f2, f2,
-                budget.ul_threshold, budget.ml_threshold,
-            )
+            grown = adaptive_update(state, prev_f1, f1, prev_f2, f2)
             state = BudgetState(grown.J if grows[0] else state.J,
                                 grown.K if grows[1] else state.K)
         prev_f1, prev_f2 = f1, f2
@@ -441,9 +435,7 @@ def run_tsg(
     budget: IterationBudget,
     cfg: AdjointConfig,
     samples=None,
-    sink: Optional[Callable[[TraceRecord], None]] = None,
     exact_inner: Optional[Callable[[Array], tuple[Array, Array]]] = None,
-    keep_iterates: bool = False,
 ) -> RunTrace:
     """Run the full trilevel stochastic-gradient method.
 
@@ -480,7 +472,7 @@ def run_tsg(
         return point, g, x - alpha * g, work, dict(
             J=J, K=K, alpha=alpha, beta=schedule.beta(1), gamma=schedule.gamma(1))
 
-    return _outer_loop(step, (True, True), oracle, init, budget, sink, keep_iterates)
+    return _outer_loop(step, (True, True), oracle, init, budget)
 
 
 def run_bsg(
@@ -491,8 +483,6 @@ def run_bsg(
     budget: IterationBudget,
     cfg: AdjointConfig,
     samples=None,
-    sink: Optional[Callable[[TraceRecord], None]] = None,
-    keep_iterates: bool = False,
 ) -> RunTrace:
     """Run a bilevel reduction of the trilevel problem (same trace schema).
 
@@ -503,8 +493,7 @@ def run_bsg(
     bilevel adjoint gradient; the adaptive rule grows J only.
     """
     if reduction == REDUCTION_TRILEVEL:
-        return run_tsg(oracle, init, schedule, budget, cfg, samples, sink,
-                       keep_iterates=keep_iterates)
+        return run_tsg(oracle, init, schedule, budget, cfg, samples)
     samples = samples or DeterministicSamples()
 
     def without_ul_step(i, x, y, z, state, events):
@@ -529,9 +518,8 @@ def run_bsg(
             J=state.J, K=0, alpha=alpha, beta=schedule.beta(1), gamma=0.0)
 
     if reduction == REDUCTION_WITHOUT_UL:
-        return _outer_loop(without_ul_step, (False, True), oracle, init, budget, sink,
-                           keep_iterates)
+        return _outer_loop(without_ul_step, (False, True), oracle, init, budget)
     if reduction == REDUCTION_WITHOUT_LL:
         return _outer_loop(without_ll_step, (True, False), oracle,
-                           init.replace(z=np.zeros_like(init.z)), budget, sink, keep_iterates)
+                           init.replace(z=np.zeros_like(init.z)), budget)
     raise ValueError(f"unknown reduction {reduction!r}")

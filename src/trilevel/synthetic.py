@@ -65,6 +65,8 @@ class _SyntheticSpec:
     Hyz: Array
 
     def __post_init__(self):
+        if min(self.n, self.m, self.t) < 1:
+            raise ValueError(f"n, m and t must be at least 1, got {self.n}, {self.m}, {self.t}")
         for nm in ("h_x", "h_y", "h_z"):
             object.__setattr__(self, nm, as_vector(getattr(self, nm), nm))
         for nm in ("Hxx", "Hyy", "Hzz", "Hxy", "Hxz", "Hyz"):
@@ -111,10 +113,7 @@ class QuadraticSpec(_SyntheticSpec):
 
 @dataclass(frozen=True)
 class QuarticSpec(_SyntheticSpec):
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("t must be at least 1")
-        super().__post_init__()
+    """The quartic family: the same blocks, with f3 = 0.5 * g^2."""
 
 
 SyntheticSpec = Union[QuadraticSpec, QuarticSpec]

@@ -138,7 +138,6 @@ def test_criterion_03_convergence_desk_scale():
     trace = run_tsg(
         oracle, init, Decaying(0.3, 0.2, 0.1),
         IterationBudget(300, adaptive=True), AdjointConfig(engine="H"),
-        keep_iterates=True,
     )
     fstar = reduced_objective(spec, reduced_minimizer(spec))
     f0 = reduced_objective(spec, init.x)
@@ -171,7 +170,7 @@ def test_criterion_04_exact_inner_contraction():
         return y, closed_form_z(spec, x, y)
 
     trace = run_tsg(oracle, init, ConstAlpha(), IterationBudget(30),
-                    AdjointConfig(engine="H"), exact_inner=exact_inner, keep_iterates=True)
+                    AdjointConfig(engine="H"), exact_inner=exact_inner)
     ratio = np.linalg.norm(trace.iterates[-1].x - xstar) / np.linalg.norm(init.x - xstar)
     elapsed = time.perf_counter() - t0
     ok = ratio <= 1e-12 and elapsed <= 1.0
@@ -307,7 +306,7 @@ def test_criterion_10_adversarial_pipeline(tmp_path):
     cfg = AdjointConfig(engine="AD", fd_eps=0.1, neumann_q=5, c0=c0, c1=c1)
     trace = run_tsg(
         oracle, p0, Decaying(0.1, 0.01, 0.1), IterationBudget(50, adaptive=True),
-        cfg, samples=MinibatchSamples(problem.n_train, 64, seed=11), keep_iterates=True,
+        cfg, samples=MinibatchSamples(problem.n_train, 64, seed=11),
     )
     f2s = trace.column("f2")
     decrease = (f2s[0] - f2s[-1]) / abs(f2s[0])

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from trilevel.cli import (
     run_experiment,
     verify_checks,
 )
-from trilevel.config import ExperimentConfig, from_ini, load_config, save_config, to_ini
+from trilevel.config import _SECTIONS, ExperimentConfig, from_ini, load_config, save_config, to_ini
 from trilevel.driver import RunTrace, TraceRecord
 from trilevel.synthetic import default_init_point, default_quadratic, make_oracle
 
@@ -76,6 +76,39 @@ class TestConfig:
         cfg = from_ini("[engine]\ncg_max_iters = auto\nc0 = none\nc1 = 2.5\n"
                        "[problem]\ncsv =\n[budget]\nadaptive = Off\n")
         assert (cfg.cg_max_iters, cfg.c0, cfg.c1, cfg.csv, cfg.adaptive) == (None, None, 2.5, None, False)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[budget]\nul_iter = 5\n[engin]\nkind = AD\n", r"unknown key 'ul_iter' in \[budget\]"),
+        ("[engin]\nkind = AD\n", r"unknown section \[engin\]"),
+        ("[budget]\nul_threshold = 0.01\n", "unknown key 'ul_threshold'"),
+    ], ids=["misspelt_key_and_section", "misspelt_section", "removed_key"])
+    def test_unknown_sections_and_keys_rejected(self, tmp_path, text, message):
+        # a misspelt or removed key must not silently run the defaults
+        with pytest.raises(ValueError, match=message):
+            from_ini(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_ini_schema_covers_every_field_once(self, tmp_path):
+        names = [name for section in _SECTIONS.values() for name in section]
+        assert len(names) == len(set(names))
+        assert set(names) == {f.name for f in fields(ExperimentConfig)}
+        # every field off its default survives the round trip
+        values = dict(
+            problem="quartic", n=3, m=4, t=2, spec_seed=5, csv="data.csv",
+            engine="AD", fd_eps=0.05, cg_max_iters=7, neumann_q=12, c0=2.5, c1=3.5,
+            mode="stochastic", std_grad=0.2, std_hess=0.01,
+            schedule="theorem", alpha_bar=0.5, beta_bar=0.4, gamma_bar=0.3,
+            ul_iters=9, j0=2, k0=3, adaptive=False,
+            repetitions=4, base_seed=99, output_dir=str(tmp_path / "elsewhere"),
+            reduction="without-ul", minibatch=16, noise_test_realizations=7,
+        )
+        assert values.keys() == set(names)
+        cfg = ExperimentConfig(**values)
+        assert all(getattr(cfg, f.name) != f.default for f in fields(ExperimentConfig))
+        assert from_ini(to_ini(cfg)) == cfg
 
     def test_h_engine_hess_noise_warns_not_errors(self, tmp_path):
         cfg = tiny_config(tmp_path, mode="stochastic", engine="H", std_hess=0.5)
@@ -227,6 +260,29 @@ class TestMainEntry:
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nkind = pentalevel\n")
         assert main(["run", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(fd_eps=-1.0), "fd_eps"),
+        (dict(ul_iters=0), "budgets"),
+        (dict(alpha_bar=2.0), "alpha_bar"),
+        (dict(mode="stochastic", std_grad=-1.0), "noise standard deviations"),
+        (dict(n=0), "n, m and t"),
+        (dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="NFD",
+              mode="stochastic", minibatch=0), "batch_size"),
+        (dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="H"), "third-order"),
+        (dict(engine="NFD", cg_max_iters=0), "cg_max_iters"),
+        (dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="NFD",
+              noise_test_realizations=0), "noise_test_realizations"),
+    ], ids=["fd_eps", "ul_iters", "alpha_bar", "std_grad", "n", "minibatch", "h_without_t3",
+            "cg_max_iters", "realizations"])
+    def test_out_of_range_values_exit_2_before_output(self, tmp_path, capsys, overrides, message):
+        cfg = tiny_config(tmp_path, **overrides)
+        path = tmp_path / "cfg.ini"
+        save_config(cfg, path)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not os.path.exists(cfg.output_dir)
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfg = tiny_config(tmp_path, ul_iters=3, repetitions=1)

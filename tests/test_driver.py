@@ -292,7 +292,7 @@ class TestRunTsg:
             return y, closed_form_z(spec, x, y)
 
         trace = run_tsg(oracle, init, ConstSched(), IterationBudget(10), H,
-                        exact_inner=exact_inner, keep_iterates=True)
+                        exact_inner=exact_inner)
         # x_{i+1} - x* = 0.3 (x_i - x*) exactly on the identity instance
         errs = [np.linalg.norm(p.x - xstar) for p in trace.iterates]
         ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
@@ -303,7 +303,7 @@ class TestRunTsg:
         oracle = make_oracle(spec)
         init = default_init_point(spec, rng=6)
         trace = run_tsg(oracle, init, Decaying(0.3, 0.2, 0.1),
-                        IterationBudget(200, adaptive=True), H, keep_iterates=True)
+                        IterationBudget(200, adaptive=True), H)
         fstar = reduced_objective(spec, reduced_minimizer(spec))
         f0 = reduced_objective(spec, init.x)
         fI = reduced_objective(spec, trace.iterates[-1].x)
@@ -319,13 +319,14 @@ class TestRunTsg:
             for v in (r.alpha, r.beta, r.gamma):
                 assert 0.0 < v <= 1.0
 
-    def test_sink_receives_records_in_order(self):
+    def test_records_and_iterates_in_order(self):
         spec = default_quadratic(3, 3, 3, rng=20)
-        seen = []
         trace = run_tsg(make_oracle(spec), Point(np.ones(3), np.ones(3), np.ones(3)),
-                        Decaying(0.3, 0.2, 0.1), IterationBudget(4), H, sink=seen.append)
-        assert [r.i for r in seen] == [1, 2, 3, 4]
-        assert seen == trace.records
+                        Decaying(0.3, 0.2, 0.1), IterationBudget(4), H)
+        assert [r.i for r in trace.records] == [1, 2, 3, 4]
+        # one iterate per record, the first at the initial x
+        assert len(trace.iterates) == 4
+        np.testing.assert_array_equal(trace.iterates[0].x, np.ones(3))
 
     def test_wall_clock_nondecreasing(self):
         spec = default_quadratic(3, 3, 3, rng=8)
@@ -426,8 +427,7 @@ class TestRunBsg:
         init = Point(rng.uniform(0, 9, 4), rng.uniform(0, 9, 4), rng.uniform(0, 9, 4))
         sched = Decaying(0.3, 0.2, 0.1)
         I = 6
-        trace = run_bsg("without-ul", oracle, init, sched, IterationBudget(I, k0=3), H,
-                        keep_iterates=True)
+        trace = run_bsg("without-ul", oracle, init, sched, IterationBudget(I, k0=3), H)
         y_ref, z_ref = ml_bsg(oracle, init.x, init.y, init.z, sched.beta, sched.gamma,
                               J=I, K=3, cfg=H)
         np.testing.assert_array_equal(trace.iterates[-1].y, y_ref)
@@ -441,7 +441,7 @@ class TestRunBsg:
         oracle = make_oracle(spec)
         init = Point(np.ones(4), np.ones(4), np.ones(4))
         trace = run_bsg("without-ll", oracle, init, Decaying(0.3, 0.2, 0.1),
-                        IterationBudget(6), H, keep_iterates=True)
+                        IterationBudget(6), H)
         for p in trace.iterates:
             np.testing.assert_array_equal(p.z, np.zeros(4))
         assert not np.allclose(trace.iterates[-1].x, init.x)
