@@ -37,7 +37,8 @@ All evaluations inside one gradient computation receive the caller's
 SampleSpec unchanged (fixed-sample contract).
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -121,8 +122,8 @@ def neumann_inverse_apply(
         if hv.shape != r.shape:
             raise ValueError("hvp output dimension mismatch")
         r = r - scale * hv
-        norm = float(np.linalg.norm(r))
-        if not np.isfinite(norm) or norm > cap:
+        norm = math.sqrt(r.dot(r))  # np.linalg.norm's value, without its wrapper
+        if not math.isfinite(norm) or norm > cap:
             if events is not None:
                 events.append(f"neumann_truncated:{label}@{h + 1}")
             break
@@ -191,7 +192,11 @@ class _Ops:
         return _fd_dir(method, point, self.sample, self.cfg.fd_eps, z=v)
 
     def hvp_zz(self, point) -> Callable[[Array], Array]:
-        """The operator v -> Hzz(f3) v at point."""
+        """The operator v -> Hzz(f3) v at point: the oracle's own
+        ``hvp_zz_op`` when analytic and its class defines one, otherwise
+        one :meth:`hvp_z` call per product."""
+        if self.analytic and getattr(type(self.oracle), "hvp_zz_op", None) is not None:
+            return self.oracle.hvp_zz_op(point, self.sample)
         return lambda v: self.hvp_z(point, "z", v)
 
     def inv_zz(self, point, b, label) -> Array:

@@ -440,15 +440,34 @@ class AdvHptOracle(ProblemOracle):
         return H
 
     # -- Hessian-vector products ---------------------------------------------
-    def hvp_zz_f3(self, p, sample, v):
+    def hvp_zz_op(self, p, sample):
+        """The operator v -> Hzz(f3) v at (p, sample).
+
+        The point split, the checked batch and both coefficients are fixed
+        once, so a Neumann series over one operator pays them once rather
+        than per product; the returned closure does only the per-vector
+        arithmetic. :meth:`hvp_zz_f3` is one call of it, so both paths
+        give the same bits.
+        """
         _, theta_f, _, _ = self._split(p)
         batch = self._batch(sample)
         n, d = self.problem.n_train, self.problem.n_features
         m = d + 1
-        V = np.asarray(v, dtype=float).reshape(n, d)
-        out = (2.0 * self.problem.c / (m * n)) * V.copy()
-        out[batch] -= (2.0 / batch.size) * np.outer(V[batch] @ theta_f, theta_f)
-        return out.ravel()
+        diag = 2.0 * self.problem.c / (m * n)
+        coef = 2.0 / batch.size
+        row = theta_f[None, :]
+
+        def apply(v):
+            V = np.asarray(v, dtype=float).reshape(n, d)
+            out = diag * V
+            s = V.take(batch, axis=0) @ theta_f
+            out[batch] = out.take(batch, axis=0) - coef * (s[:, None] * row)
+            return out.ravel()
+
+        return apply
+
+    def hvp_zz_f3(self, p, sample, v):
+        return self.hvp_zz_op(p, sample)(v)
 
     def hvp_xz_f3(self, p, sample, v):
         return np.zeros(1)

@@ -1,6 +1,6 @@
 """Experiment configuration: a flat INI file with one section per concern.
 
-Example::
+Example, with every key at its default (``;`` after a space starts a comment)::
 
     [problem]
     kind = quadratic        ; quadratic | quartic | adv-hpt
@@ -111,6 +111,12 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.noise_test_realizations < 1:
             raise ValueError("noise_test_realizations must be at least 1")
+        if self.engine == "AD" and self.neumann_q < 0:
+            raise ValueError(f"the AD engine needs a nonnegative neumann_q, got {self.neumann_q}")
+        for name in ("c0", "c1"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive or auto, got {value}")
         if self.problem == "adv-hpt" and not self.csv:
             raise ValueError("adv-hpt requires a csv path")
         if self.mode == "stochastic" and self.engine == "H" and self.std_hess > 0.1:
@@ -189,7 +195,7 @@ def _parse_value(hint, raw: str, name: str):
 
 
 def from_ini(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read_string(text)
     cfg = ExperimentConfig()
     hints = get_type_hints(ExperimentConfig)

@@ -118,7 +118,12 @@ class ProblemOracle:
     A subclass may also define ``ll_grad(x, y)``, returning a
     ``(z, sample) -> grad_z_f3`` callable for fixed (x, y) that hoists
     what a lower-level cycle leaves invariant; ``driver.ll_sg`` uses it
-    when the oracle's class defines it.
+    when the oracle's class defines it. Likewise ``hvp_zz_op(point,
+    sample)`` may return the ``v -> hvp_zz_f3(point, sample, v)`` operator
+    with the per-point work done once; the AD engine's Neumann series and
+    power iterations over Hzz(f3) use it when the oracle's class defines
+    it. Both hooks must give the per-call methods' values bit for bit,
+    since a wrapper that forwards attribute by attribute hides them.
     """
 
     capabilities = OracleCapabilities()

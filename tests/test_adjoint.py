@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trilevel import advhpt as ah
 from trilevel.adjoint import (
     AdjointConfig,
     auto_scale_bilevel,
@@ -16,6 +17,7 @@ from trilevel.adjoint import (
 from trilevel.oracle import (
     DETERMINISTIC,
     Deterministic,
+    MinibatchIndices,
     OracleCapabilities,
     Point,
     ProblemOracle,
@@ -562,3 +564,29 @@ class TestPinned:
             expected = np.array([float.fromhex(h) for h in grad])
             np.testing.assert_array_equal(g, expected, err_msg=f"{problem}/{fn}/{engine}")
             assert events == flags, (problem, fn, engine)
+
+    def test_advhpt_ad_gradients_pinned(self):
+        # adv-hpt split 7 on an unsorted minibatch: the AD engine's nested
+        # Neumann series run on the oracle's hvp_zz_op operator. The x
+        # gradient is a difference of penalty gradients that cancels most
+        # bits, so the y gradient is pinned too: it moves with the last bit
+        # of an Hzz product
+        ds = ah.load_csv(ah.bundled_dataset_path())
+        problem = ah.build_problem(ds, ah.split_dataset(ds, ah.SplitSpec(seed=7)))
+        oracle = ah.build_oracle(problem, ds)
+        gen = np.random.default_rng(7)
+        _, m, t = problem.dims
+        point = Point(np.array([0.2]), gen.normal(0, 0.3, m), gen.normal(0, 0.05, t))
+        batch = MinibatchIndices(tuple(int(i) for i in gen.permutation(problem.n_train)[:20]))
+        cfg = AdjointConfig(engine="AD", neumann_q=6, c0=0.06, c1=3e5)
+        events = []
+        g = ul_adjoint_gradient(oracle, point, batch, cfg, events=events)
+        np.testing.assert_array_equal(g, [float.fromhex("0x1.69ca2ac440000p-19")])
+        assert events == ["neumann_truncated:ml_w@6", "neumann_truncated:ml_w@5",
+                          "neumann_truncated:ml_w@5", "neumann_truncated:ml_w@6",
+                          "neumann_truncated:ml_w@6"]
+        g = ml_adjoint_gradient(oracle, point, batch, cfg, events=events)
+        expected = ["0x1.073749c494a26p+1", "0x1.f505c735a4b5bp+5", "-0x1.d187ca38e84b3p+5",
+                    "-0x1.4de22c2a6ea6cp+7", "-0x1.1e526d4f51528p+6", "0x1.db806e5e01b74p+3"]
+        np.testing.assert_array_equal(g, [float.fromhex(h) for h in expected])
+        assert len(events) == 5

@@ -1,9 +1,12 @@
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from trilevel.adjoint import AdjointConfig, _Ops
 from trilevel.advhpt import (
+    AdvHptOracle,
     SplitSpec,
     Splits,
     TabularDataset,
@@ -18,7 +21,14 @@ from trilevel.advhpt import (
     split_dataset,
     standardize_stats,
 )
-from trilevel.oracle import DETERMINISTIC, MinibatchIndices, NoiseDraw, Point
+from trilevel.driver import Decaying, IterationBudget, MinibatchSamples, run_tsg
+from trilevel.oracle import (
+    DETERMINISTIC,
+    MinibatchIndices,
+    NoiseDraw,
+    Point,
+    wrap_gaussian_noise,
+)
 
 
 def write_csv(path, rows, header="a,b,target"):
@@ -337,6 +347,111 @@ class TestOracleStructure:
         H = oracle.hess_zz_f3(p, DETERMINISTIC)
         eigmin = np.linalg.eigvalsh(H).min()
         assert ll_convexity_margin(problem, theta) == pytest.approx(eigmin, abs=1e-12)
+
+
+def reference_hvp_zz_f3(oracle, p, sample, v):
+    """The per-call Hzz(f3) v formula that hvp_zz_op must reproduce bit for bit."""
+    n, d = oracle.problem.n_train, oracle.problem.n_features
+    theta_f = p.y[:d]
+    batch = (np.asarray(sample.indices) if isinstance(sample, MinibatchIndices)
+             else np.arange(n))
+    V = np.asarray(v, dtype=float).reshape(n, d)
+    out = (2.0 * oracle.problem.c / ((d + 1) * n)) * V.copy()
+    out[batch] -= (2.0 / batch.size) * np.outer(V[batch] @ theta_f, theta_f)
+    return out.ravel()
+
+
+class _Forwarding:
+    """Forwards every attribute read to the wrapped oracle, as a tracing
+    proxy does, and counts method calls. Class-level hooks stay hidden."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class _AcceptsNoiseDraws(AdvHptOracle):
+    """Evaluates a NoiseDraw on the full training split, so that a noise
+    wrapper around adv-hpt has a sample on which it adds noise."""
+
+    def _batch(self, sample):
+        return super()._batch(DETERMINISTIC if isinstance(sample, NoiseDraw) else sample)
+
+
+class TestHvpZzOp:
+    def _point(self, problem, seed):
+        gen = np.random.default_rng(seed)
+        _, m, t = problem.dims
+        return Point(np.array([0.2]), gen.normal(0, 1, m), gen.normal(0, 0.1, t))
+
+    def test_operator_matches_per_call_formula_exactly(self):
+        ds, splits, problem, oracle = toy_setup(n=40, d=3)
+        p = self._point(problem, 8)
+        gen = np.random.default_rng(9)
+        unsorted = MinibatchIndices((17, 3, 25, 0, 9, 14, 1))
+        assert hasattr(AdvHptOracle, "hvp_zz_op")
+        for sample in (DETERMINISTIC, unsorted):
+            op = oracle.hvp_zz_op(p, sample)
+            for _ in range(5):
+                v = gen.normal(0, 1, problem.dims[2])
+                expected = reference_hvp_zz_f3(oracle, p, sample, v)
+                assert np.array_equal(op(v), expected)
+                assert np.array_equal(oracle.hvp_zz_f3(p, sample, v), expected)
+
+    def test_out_of_range_batch_raises_when_built(self):
+        ds, splits, problem, oracle = toy_setup()
+        p = init_point(problem)
+        with pytest.raises(IndexError):
+            oracle.hvp_zz_op(p, MinibatchIndices((0, problem.n_train)))
+
+    def test_noise_wrapper_hides_the_hook_and_adds_noise(self):
+        ds = toy_dataset(n=12, d=3, seed=0)
+        splits = Splits(train=np.arange(8), val=np.arange(8, 10), test=np.arange(10, 12))
+        problem = build_problem(ds, splits)
+        inner = _AcceptsNoiseDraws(problem, ds)
+        noisy = wrap_gaussian_noise(inner, 0.0, 0.5, seed=3)
+        assert getattr(type(noisy), "hvp_zz_op", None) is None
+        p = self._point(problem, 10)
+        v = np.random.default_rng(11).normal(0, 1, problem.dims[2])
+        draw = NoiseDraw(stream=1, counter=2)
+        clean = inner.hvp_zz_op(p, draw)(v)
+        noisy_hv = noisy.hvp_zz_f3(p, draw, v)
+        assert not np.array_equal(noisy_hv, clean)
+        # the AD engine's Hzz operator goes through the noisy per-call method
+        cfg = AdjointConfig(engine="AD", neumann_q=3, c0=1.0, c1=1.0)
+        assert np.array_equal(_Ops(noisy, draw, cfg, None).hvp_zz(p)(v), noisy_hv)
+
+    def test_short_ad_run_identical_through_forwarding_wrapper(self):
+        # tier-1 stand-in for the benchmark's traced-digest gate: a wrapper
+        # that hides class-level hooks takes the per-call HVP path, which
+        # must give the same iterates bit for bit
+        ds = load_csv(bundled_dataset_path())
+        problem = build_problem(ds, split_dataset(ds, SplitSpec(seed=7)))
+        raw = build_oracle(problem, ds)
+        wrapped = _Forwarding(raw)
+        cfg = AdjointConfig(engine="AD", neumann_q=4, c0=1.0, c1=30.0)
+        traces = [
+            run_tsg(oracle, init_point(problem), Decaying(0.1, 0.01, 0.1),
+                    IterationBudget(2, 2, 3), cfg, MinibatchSamples(problem.n_train, 64, 5))
+            for oracle in (raw, wrapped)
+        ]
+        assert wrapped.calls["hvp_zz_f3"] > 0 and wrapped.calls["hvp_zz_op"] == 0
+        assert [r.flags for r in traces[0].records] == [r.flags for r in traces[1].records]
+        assert len(traces[0].iterates) == 2 and traces[0].iterates[-1].x[0] != 0.0
+        for a, b in zip(traces[0].iterates, traces[1].iterates):
+            for block in ("x", "y", "z"):
+                assert np.array_equal(getattr(a, block), getattr(b, block))
 
 
 class TestNoisyTestMse:

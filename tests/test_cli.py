@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from trilevel import config as config_module
 from trilevel.adjoint import auto_scale_bilevel, auto_scales
 from trilevel.advhpt import bundled_dataset_path
 from trilevel.cli import (
@@ -47,6 +49,13 @@ class TestConfig:
         path = tmp_path / "cfg.ini"
         save_config(cfg, path)
         assert load_config(path) == cfg
+
+    def test_docstring_example_loads(self):
+        # the module docstring's example is the full key reference: with its
+        # inline comments it must load, and it lists every default
+        example = textwrap.dedent(config_module.__doc__.split("::", 1)[1])
+        cfg = from_ini(example)
+        assert cfg.validate() == ExperimentConfig()
 
     def test_validation_errors(self, tmp_path):
         with pytest.raises(ValueError):
@@ -273,8 +282,11 @@ class TestMainEntry:
         (dict(engine="NFD", cg_max_iters=0), "cg_max_iters"),
         (dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="NFD",
               noise_test_realizations=0), "noise_test_realizations"),
+        (dict(engine="AD", neumann_q=-1, c0=1.0, c1=1.0), "neumann_q"),
+        (dict(engine="AD", c0=-2.0, c1=1.0), "c0"),
+        (dict(engine="AD", c0=1.0, c1=0.0), "c1"),
     ], ids=["fd_eps", "ul_iters", "alpha_bar", "std_grad", "n", "minibatch", "h_without_t3",
-            "cg_max_iters", "realizations"])
+            "cg_max_iters", "realizations", "neumann_q", "c0", "c1"])
     def test_out_of_range_values_exit_2_before_output(self, tmp_path, capsys, overrides, message):
         cfg = tiny_config(tmp_path, **overrides)
         path = tmp_path / "cfg.ini"
