@@ -12,10 +12,12 @@ easy as 1, 2, 3", SC 2011): a noise draw is a pure function of
 bit-reproducible regardless of evaluation order or concurrency. The Philox
 key is (seed, SplitMix64(stream, block)) and its counter is (sample
 counter, BLAKE2b-64 of the x||y||z float64 bytes, BLAKE2b-64 of the HVP
-direction v or 0, 0).
+direction v or 0, 0). Each thread holds one Philox per noise wrapper and
+re-keys it to that key and counter before every draw.
 """
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -281,6 +283,9 @@ def _digest(*arrays: Array) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+# the output buffer of a fresh Philox; with buffer_pos = 4 no word of it is used
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
 # block tags keep noise draws independent across derivative blocks
 _BLOCK_TAGS = {
     name: idx
@@ -306,7 +311,7 @@ class GaussianNoiseOracle(ProblemOracle):
     third-order contractions and function values pass through unperturbed.
     Deterministic samples bypass noise entirely.
 
-    Each call builds its own Philox generator, with key
+    Each call draws from a Philox stream with key
     (seed, SplitMix64(stream, block tag)) and counter (sample counter,
     BLAKE2b-64 of the C-contiguous float64 bytes of x||y||z, BLAKE2b-64 of
     v for HVPs or 0 otherwise, 0). The oracle's fixed dims make the
@@ -314,8 +319,17 @@ class GaussianNoiseOracle(ProblemOracle):
     repeated evaluation of the same block at the same point and sample is
     bit-identical, while distinct points, directions or blocks draw
     independent noise (a finite difference of noisy gradients is itself
-    noisy, as it would be with sampled data). No generator state is
-    shared between calls, so concurrent evaluation is safe.
+    noisy, as it would be with sampled data).
+
+    Each thread owns one Philox per wrapper. Before every draw the call
+    assigns it the complete state (key, counter, empty buffer), so nothing
+    carries over from an earlier call and concurrent evaluation is safe.
+    The key and counter words go through ``np.asarray(words).astype(
+    np.uint64)``, as ``np.random.Philox(key=, counter=)`` converts them:
+    when a list mixes words below and at or above 2**63, numpy promotes it
+    to float64, so its large words are rounded to 53 significant bits
+    (counters 1 apart above 2**63 can draw identical noise). The draws
+    keep that rounding bit for bit.
     """
 
     def __init__(self, inner: ProblemOracle, std_grad: float, std_hess: float, seed: int):
@@ -326,27 +340,38 @@ class GaussianNoiseOracle(ProblemOracle):
         self.std_hess = float(std_hess)
         self.seed = int(seed)
         self.capabilities = inner.capabilities
+        self._local = threading.local()
 
     @property
     def dims(self):
         return self.inner.dims
 
-    def _gen(self, sample: NoiseDraw, block: str, point: Point, extra: int):
-        key = (self.seed & _MASK64, splitmix64(sample.stream, _BLOCK_TAGS[block]))
-        counter = [
-            int(sample.counter) & _MASK64,
-            _digest(point.x, point.y, point.z),
-            int(extra) & _MASK64,
-            0,
-        ]
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    def _draw(self, sample: NoiseDraw, block: str, point: Point, extra: int, std, shape) -> Array:
+        """N(0, std^2) noise of the given shape, drawn by this thread's re-keyed Philox."""
+        key = np.asarray(
+            [self.seed & _MASK64, splitmix64(sample.stream, _BLOCK_TAGS[block])]
+        ).astype(np.uint64)
+        counter = np.asarray(
+            [int(sample.counter) & _MASK64, _digest(point.x, point.y, point.z), int(extra) & _MASK64, 0]
+        ).astype(np.uint64)
+        gen = getattr(self._local, "gen", None)
+        if gen is None:
+            gen = self._local.gen = np.random.Generator(np.random.Philox())
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": counter, "key": key},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen.normal(0.0, std, size=shape)
 
     def _noisy(self, name: str, std: float, point, sample, *v):
         clean = getattr(self.inner, name)(point, sample, *v)
         if not isinstance(sample, NoiseDraw) or std == 0.0:
             return clean
-        gen = self._gen(sample, name, point, _digest(*v) if v else 0)
-        return clean + gen.normal(0.0, std, size=np.shape(clean))
+        return clean + self._draw(sample, name, point, _digest(*v) if v else 0, std, np.shape(clean))
 
     # values pass through
     def f1(self, point, sample):

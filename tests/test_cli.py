@@ -198,6 +198,27 @@ class TestRunExperiment:
         b = run_experiment(cfg2, jobs=3)
         np.testing.assert_array_equal(a.mean_f1, b.mean_f1)
 
+    def test_jobs_noisy_traces_bit_identical(self, tmp_path):
+        # threads share no generator: each repetition's records (but wall_s)
+        # and iterates match the serial run's bit for bit
+        runs = [
+            run_experiment(tiny_config(tmp_path, mode="stochastic", std_grad=0.2, std_hess=0.05,
+                                       repetitions=3, ul_iters=5,
+                                       output_dir=str(tmp_path / f"jobs{jobs}")), jobs=jobs)
+            for jobs in (1, 3)
+        ]
+        serial, threaded = (agg.traces for agg in runs)
+        assert len(serial) == len(threaded) == 3
+        for a, b in zip(serial, threaded):
+            assert [replace(r, wall_s=0.0) for r in a.records] == \
+                [replace(r, wall_s=0.0) for r in b.records]
+            assert len(a.iterates) == len(b.iterates) == 5
+            for p, q in zip(a.iterates, b.iterates):
+                for name in ("x", "y", "z"):
+                    assert np.array_equal(getattr(p, name), getattr(q, name))
+        # the repetitions draw different noise
+        assert serial[0].records[-1].f1 != serial[1].records[-1].f1
+
     def test_adv_hpt_outputs(self, tmp_path):
         cfg = tiny_config(
             tmp_path, problem="adv-hpt", csv=bundled_dataset_path(), engine="AD",

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -242,6 +244,58 @@ class TestNoiseWrapper:
         for name, values in recorded.items():
             expected = np.array([float.fromhex(h) for h in values])
             np.testing.assert_array_equal(np.ravel(drawn[name]), expected)
+
+    def test_interleaved_draws_match_fresh_wrappers(self):
+        # one thread re-keys its generator before every draw, so draws from
+        # two wrappers, three blocks and counter words on both sides of 2**63,
+        # taken in any order, equal one-call draws of fresh wrappers and of a
+        # Philox built from the documented key and counter
+        def digest(*arrays):
+            h = hashlib.blake2b(digest_size=8)
+            for arr in arrays:
+                h.update(np.ascontiguousarray(arr, dtype=float))
+            return int.from_bytes(h.digest(), "little")
+
+        tags = {"grad_z_f3": 8, "hess_zz_f3": 9, "hvp_zz_f3": 18}
+        directions = {"grad_z_f3": (), "hess_zz_f3": (), "hvp_zz_f3": (np.arange(4.0),)}
+        seeds = (3, 2**40 + 11)
+        points = [self.point.replace(z=self.point.z + 0.25 * k) for k in range(3)]
+        samples = [NoiseDraw(stream, counter) for stream in (0, 2, 9)
+                   for counter in (5, 2**62 + 1, 2**63 + 4097, 2**64 - 2**12)]
+        calls = [(seed, block, point, s) for seed in seeds for block in tags
+                 for point in points for s in samples]
+        random.Random(0).shuffle(calls)
+        wrappers = {seed: wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=seed) for seed in seeds}
+        large = set()
+        for seed, block, point, s in calls:
+            v = directions[block]
+            drawn = getattr(wrappers[seed], block)(point, s, *v)
+            fresh = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=seed)
+            assert np.array_equal(drawn, getattr(fresh, block)(point, s, *v))
+
+            key = [seed, splitmix64(s.stream, tags[block])]
+            counter = [s.counter, digest(point.x, point.y, point.z), digest(*v) if v else 0, 0]
+            large.update(w >= 2**63 for w in counter[:2])
+            std = 0.3 if block.startswith("grad_") else 0.2
+            clean = getattr(self.inner, block)(point, s, *v)
+            gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            assert np.array_equal(drawn, clean + gen.normal(0.0, std, size=np.shape(clean)))
+        assert large == {False, True}
+
+    def test_one_philox_per_thread(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=5)
+        for c in range(50):
+            wrapped.grad_z_f3(self.point, NoiseDraw(stream=1, counter=c))
+            wrapped.hvp_zz_f3(self.point, NoiseDraw(stream=2, counter=c), np.ones(4))
+        assert len(built) <= 1
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
