@@ -44,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import cg_solve, lu_factor_cached, lu_solve, solve_dense
-from .oracle import DETERMINISTIC, Point, ProblemOracle, SampleSpec
+from .oracle import DETERMINISTIC, Point, ProblemOracle, SampleSpec, hook
 
 Array = np.ndarray
 
@@ -174,7 +174,7 @@ class _Ops:
             if events is not None:
                 if report.terminated_on_curvature:
                     events.append(f"cg_curvature:{label}")
-                elif report.residual_norm > cfg.cg_tol * max(1.0, float(np.linalg.norm(b))):
+                elif not report.converged:
                     events.append(f"cg_capped:{label}")
             return report.solution
         scale = getattr(cfg, scale_name)
@@ -193,10 +193,11 @@ class _Ops:
 
     def hvp_zz(self, point) -> Callable[[Array], Array]:
         """The operator v -> Hzz(f3) v at point: the oracle's own
-        ``hvp_zz_op`` when analytic and its class defines one, otherwise
-        one :meth:`hvp_z` call per product."""
-        if self.analytic and getattr(type(self.oracle), "hvp_zz_op", None) is not None:
-            return self.oracle.hvp_zz_op(point, self.sample)
+        ``hvp_zz_op`` hook (:func:`oracle.hook`) when analytic and the
+        oracle has one, otherwise one :meth:`hvp_z` call per product."""
+        op = hook(self.oracle, "hvp_zz_op") if self.analytic else None
+        if op is not None:
+            return op(point, self.sample)
         return lambda v: self.hvp_z(point, "z", v)
 
     def inv_zz(self, point, b, label) -> Array:

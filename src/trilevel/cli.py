@@ -1,17 +1,19 @@
 """Command-line experiment runner.
 
-Subcommands:
+Subcommands and their flags:
 
-* ``run``         execute repeated seeded runs of a configured experiment
-                  and write plot-ready CSVs (per-run traces, per-iteration
-                  and per-wall-time aggregates with 95% t-CIs, and -- for
-                  the adversarial problem -- a noisy-test summary).
-* ``verify``      desk-scale engine-agreement and FD-referee checks;
-                  nonzero exit on any tolerance breach.
-* ``grid-search`` sweep the decaying step scales over {0.1, 0.01, 0.001}
-                  per level and report the best final objective.
-* ``split-info``  print the train/val/test sizes for a CSV.
+* ``run --config C [--jobs N] [--seed S] [--out DIR]``: execute repeated
+  seeded runs of a configured experiment and write plot-ready CSVs
+  (per-run traces, per-iteration and per-wall-time aggregates with 95%
+  t-CIs, and -- for the adversarial problem -- a noisy-test summary).
+* ``verify [--config C]``: desk-scale engine-agreement and FD-referee
+  checks; nonzero exit on any tolerance breach.
+* ``grid-search --config C [--seed S] [--out DIR]``: sweep the decaying
+  step scales over {0.1, 0.01, 0.001} per level and report the best
+  final objective.
+* ``split-info CSV [--seed S]``: print the train/val/test sizes for a CSV.
 
+``--seed`` and ``--out`` override base_seed and output_dir.
 Verbosity is controlled by the TSG_LOG environment variable (0/1).
 """
 
@@ -24,7 +26,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from . import advhpt as ah
 from .adjoint import AdjointConfig, auto_scale_bilevel, auto_scales
@@ -77,17 +79,12 @@ class _Task:
     spec: object = None
 
 
-def _build_schedule(cfg: ExperimentConfig):
-    if cfg.schedule == "theorem":
-        return TheoremConstant(cfg.ul_iters, cfg.j0, cfg.k0)
-    return Decaying(cfg.alpha_bar, cfg.beta_bar, cfg.gamma_bar)
-
-
 def _build_task(cfg: ExperimentConfig) -> _Task:
     """Assemble the experiment, raising ValueError on any value the run cannot use."""
     cfg.validate()
     budget = IterationBudget(cfg.ul_iters, cfg.j0, cfg.k0, cfg.adaptive)
-    schedule = _build_schedule(cfg)
+    schedule = (TheoremConstant(cfg.ul_iters, cfg.j0, cfg.k0) if cfg.schedule == "theorem"
+                else Decaying(cfg.alpha_bar, cfg.beta_bar, cfg.gamma_bar))
     spec = test_eval = None
 
     if cfg.problem in ("quadratic", "quartic"):
@@ -194,14 +191,14 @@ class AggregateResult:
 
 
 def _ci_half(values: np.ndarray) -> float:
-    """95% half-width via the t-distribution over repetitions."""
+    """95% half-width via the t-distribution (stdtrit, its quantile) over repetitions."""
     n = values.size
     if n < 2:
         return 0.0
     sem = values.std(ddof=1) / math.sqrt(n)
     if sem == 0.0:
         return 0.0
-    return float(stats.t.ppf(0.975, n - 1) * sem)
+    return float(stdtrit(n - 1, 0.975) * sem)
 
 
 def aggregate(traces: list) -> AggregateResult:
@@ -366,19 +363,16 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
     checks = verify_checks(cfg)
-    failed = False
     for name, value, tol, ok in checks:
-        status = "ok" if ok else "FAIL"
-        print(f"{status:>4}  {name:<28} {value:.3e} (tol {tol:.1e})")
-        failed = failed or not ok
-    return 1 if failed else 0
+        print(f"{'ok' if ok else 'FAIL':>4}  {name:<28} {value:.3e} (tol {tol:.1e})")
+    return 0 if all(ok for *_, ok in checks) else 1
 
 
 # ---------------------------------------------------------------------------
 # grid search
 
 
-def _cmd_grid_search(cfg: ExperimentConfig, jobs: int) -> int:
+def _cmd_grid_search(cfg: ExperimentConfig) -> int:
     grid = (0.1, 0.01, 0.001)
     rows = []
     for ab in grid:
@@ -390,7 +384,7 @@ def _cmd_grid_search(cfg: ExperimentConfig, jobs: int) -> int:
                     output_dir=os.path.join(cfg.output_dir, f"grid_{ab}_{bb}_{gb}"),
                 )
                 try:
-                    agg = run_experiment(sub, jobs=jobs)
+                    agg = run_experiment(sub)
                     final = float(agg.mean_f1[-1])
                 except RuntimeError:
                     final = float("nan")
@@ -419,12 +413,13 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("run", "verify", "grid-search"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "verify"), help="INI config path")
-        p.add_argument("--jobs", type=int, default=1)
+    run, verify, grid = (sub.add_parser(name) for name in ("run", "verify", "grid-search"))
+    verify.add_argument("--config", help="INI config path")
+    for p in (run, grid):
+        p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
         p.add_argument("--out", default=None, help="override output_dir")
+    run.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("split-info")
     p.add_argument("csv")
@@ -441,11 +436,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig(n=10, m=10, t=10)
-        if args.seed is not None:
-            cfg.base_seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
-        task = None if args.command == "verify" else _build_task(cfg)
+        if args.command != "verify":
+            if args.seed is not None:
+                cfg.base_seed = args.seed
+            if args.out is not None:
+                cfg.output_dir = args.out
+            task = _build_task(cfg)
     except (OSError, ValueError, configparser.Error) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -453,7 +449,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return _cmd_verify(cfg)
     if args.command == "grid-search":
-        return _cmd_grid_search(cfg, args.jobs)
+        return _cmd_grid_search(cfg)
     try:
         _run_task(cfg, task, args.jobs)
     except RuntimeError as err:

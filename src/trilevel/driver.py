@@ -35,6 +35,7 @@ from .oracle import (
     Point,
     ProblemOracle,
     SampleSpec,
+    hook,
     splitmix64,
     stream_gen,
 )
@@ -49,16 +50,6 @@ REDUCTIONS = (REDUCTION_TRILEVEL, REDUCTION_WITHOUT_UL, REDUCTION_WITHOUT_LL)
 
 class NonFiniteError(RuntimeError):
     """A gradient or objective evaluation produced NaN/Inf."""
-
-
-def _fast_point(x: Array, y: Array, z: Array) -> Point:
-    # Bypasses dataclass construction in the innermost loop; the driver
-    # only ever passes 1-d float64 arrays here.
-    p = object.__new__(Point)
-    object.__setattr__(p, "x", x)
-    object.__setattr__(p, "y", y)
-    object.__setattr__(p, "z", z)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +289,10 @@ def ll_sg(
 
     ``gamma`` is a step value or a callable of the 1-based step index;
     ``sampler`` maps the 0-based step index to a SampleSpec. An oracle
-    whose class defines an ``ll_grad(x, y)`` hook supplies a
-    ``(z, sample) -> grad`` callable with the cycle's invariants in (x, y)
-    computed once; other oracles get a ``grad_z_f3(point, sample)`` call
-    per step. The hook is looked up on the class, so a wrapper that
-    forwards attribute reads to an inner oracle (noise, a spy, a counting
-    proxy) never picks up the inner oracle's hook and still sees every
-    ``grad_z_f3`` call.
+    with an ``ll_grad`` hook (:func:`oracle.hook`, which says which
+    wrappers see it) supplies a ``(z, sample) -> grad`` callable with the
+    cycle's invariants in (x, y) computed once; other oracles get a
+    ``grad_z_f3(point, sample)`` call per step.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -312,13 +300,14 @@ def ll_sg(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z0, dtype=float).copy()
-    if getattr(type(oracle), "ll_grad", None) is not None:
-        grad = oracle.ll_grad(x, y)
+    ll_grad = hook(oracle, "ll_grad")
+    if ll_grad is not None:
+        grad = ll_grad(x, y)
     else:
         grad_z_f3 = oracle.grad_z_f3
 
         def grad(z, sample):
-            return grad_z_f3(_fast_point(x, y, z), sample)
+            return grad_z_f3(Point(x, y, z), sample)
 
     for k in range(K):
         g = grad(z, DETERMINISTIC if sampler is None else sampler(k))

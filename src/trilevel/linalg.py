@@ -63,12 +63,15 @@ class CgReport:
 
     ``solution`` is the final iterate; when ``terminated_on_curvature`` is
     true it is the iterate held at the moment d'Ad <= 0 was detected.
+    ``converged`` is true when the solve met its tolerance; a solve that
+    is neither converged nor stopped on curvature ended at the cap.
     """
 
     solution: Array
     iterations: int
     residual_norm: float
     terminated_on_curvature: bool
+    converged: bool
 
 
 def cg_solve(
@@ -102,7 +105,7 @@ def cg_solve(
     threshold = tol * max(1.0, float(np.linalg.norm(b)))
 
     if np.sqrt(rs) <= threshold:
-        return CgReport(x, 0, float(np.sqrt(rs)), False)
+        return CgReport(x, 0, float(np.sqrt(rs)), False, True)
 
     for k in range(max_iters):
         Ad = np.asarray(apply_A(d), dtype=float)
@@ -115,7 +118,7 @@ def cg_solve(
         dAd = float(d @ Ad)
         if dAd <= CURVATURE_TOL * float(d @ d):
             res = float(np.linalg.norm(b - _apply(apply_A, x, n)))
-            return CgReport(x, k, res, True)
+            return CgReport(x, k, res, True, False)
         alpha = rs / dAd
         x = x + alpha * d
         if (k + 1) % 50 == 0:
@@ -124,11 +127,11 @@ def cg_solve(
             r = r - alpha * Ad
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= threshold:
-            return CgReport(x, k + 1, float(np.sqrt(rs_new)), False)
+            return CgReport(x, k + 1, float(np.sqrt(rs_new)), False, True)
         d = r + (rs_new / rs) * d
         rs = rs_new
 
-    return CgReport(x, max_iters, float(np.sqrt(rs)), False)
+    return CgReport(x, max_iters, float(np.sqrt(rs)), False, False)
 
 
 def _apply(apply_A, x, n):

@@ -117,15 +117,12 @@ class ProblemOracle:
     ``capabilities``. All evaluations take (point, sample) and must be
     deterministic functions of their arguments.
 
-    A subclass may also define ``ll_grad(x, y)``, returning a
-    ``(z, sample) -> grad_z_f3`` callable for fixed (x, y) that hoists
-    what a lower-level cycle leaves invariant; ``driver.ll_sg`` uses it
-    when the oracle's class defines it. Likewise ``hvp_zz_op(point,
-    sample)`` may return the ``v -> hvp_zz_f3(point, sample, v)`` operator
-    with the per-point work done once; the AD engine's Neumann series and
-    power iterations over Hzz(f3) use it when the oracle's class defines
-    it. Both hooks must give the per-call methods' values bit for bit,
-    since a wrapper that forwards attribute by attribute hides them.
+    A subclass may also define the fast-path hooks named in :data:`HOOKS`
+    (see :func:`hook`): ``ll_grad(x, y)`` returns a ``(z, sample) ->
+    grad_z_f3`` callable for fixed (x, y) that hoists what a lower-level
+    cycle leaves invariant, and ``hvp_zz_op(point, sample)`` returns the
+    ``v -> hvp_zz_f3(point, sample, v)`` operator with the per-point work
+    done once.
     """
 
     capabilities = OracleCapabilities()
@@ -232,6 +229,25 @@ class ProblemOracle:
         raise NotImplementedError
 
 
+# the fast paths of driver.ll_sg and of the AD engine's Hzz(f3) products
+HOOKS = ("ll_grad", "hvp_zz_op")
+
+
+def hook(oracle: ProblemOracle, name: str) -> Optional[Callable]:
+    """The oracle's bound ``name`` hook, or None if its class defines none.
+
+    The hook is looked up on the class, so a wrapper that forwards
+    attribute reads to an inner oracle (noise, a spy, a counting proxy)
+    never picks up the inner oracle's hook and still sees every per-call
+    method call. A hook must give the per-call methods' values bit for bit.
+    """
+    if name not in HOOKS:
+        raise ValueError(f"unknown oracle hook {name!r}; expected one of {HOOKS}")
+    if getattr(type(oracle), name, None) is None:
+        return None
+    return getattr(oracle, name)
+
+
 def fd_hvp(grad: Callable[[Array], Array], at, v, eps: float) -> Array:
     """Central-difference Hessian-vector product.
 
@@ -324,12 +340,6 @@ class GaussianNoiseOracle(ProblemOracle):
     Each thread owns one Philox per wrapper. Before every draw the call
     assigns it the complete state (key, counter, empty buffer), so nothing
     carries over from an earlier call and concurrent evaluation is safe.
-    The key and counter words go through ``np.asarray(words).astype(
-    np.uint64)``, as ``np.random.Philox(key=, counter=)`` converts them:
-    when a list mixes words below and at or above 2**63, numpy promotes it
-    to float64, so its large words are rounded to 53 significant bits
-    (counters 1 apart above 2**63 can draw identical noise). The draws
-    keep that rounding bit for bit.
     """
 
     def __init__(self, inner: ProblemOracle, std_grad: float, std_hess: float, seed: int):
@@ -348,12 +358,12 @@ class GaussianNoiseOracle(ProblemOracle):
 
     def _draw(self, sample: NoiseDraw, block: str, point: Point, extra: int, std, shape) -> Array:
         """N(0, std^2) noise of the given shape, drawn by this thread's re-keyed Philox."""
-        key = np.asarray(
-            [self.seed & _MASK64, splitmix64(sample.stream, _BLOCK_TAGS[block])]
-        ).astype(np.uint64)
-        counter = np.asarray(
-            [int(sample.counter) & _MASK64, _digest(point.x, point.y, point.z), int(extra) & _MASK64, 0]
-        ).astype(np.uint64)
+        key = np.array([self.seed & _MASK64, splitmix64(sample.stream, _BLOCK_TAGS[block])],
+                       dtype=np.uint64)
+        counter = np.array(
+            [int(sample.counter) & _MASK64, _digest(point.x, point.y, point.z), int(extra) & _MASK64, 0],
+            dtype=np.uint64,
+        )
         gen = getattr(self._local, "gen", None)
         if gen is None:
             gen = self._local.gen = np.random.Generator(np.random.Philox())

@@ -138,6 +138,14 @@ class TestAggregation:
     def test_identical_runs_zero_width(self):
         assert _ci_half(np.full(10, 1.25)) == 0.0
 
+    def test_ci_half_bit_identical_to_stats_t_ppf(self):
+        # the t-quantile comes from scipy.special; scipy.stats stays the reference
+        rng = np.random.default_rng(1)
+        for n in range(2, 201):
+            values = rng.normal(3.0, 1.0, n)
+            sem = values.std(ddof=1) / math.sqrt(n)
+            assert _ci_half(values) == stats.t.ppf(0.975, n - 1) * sem, n
+
     def _trace(self, values):
         records = [
             TraceRecord(i=i + 1, cum_ml=0, cum_ll=0, wall_s=0.1 * (i + 1),
@@ -326,6 +334,36 @@ class TestMainEntry:
         assert (out2 / "aggregate.csv").exists()
         echoed = load_config(out2 / "config.ini")
         assert echoed.base_seed == 42
+
+    def test_verify_exit_code(self, capsys):
+        assert main(["verify"]) == 0
+        assert "quadratic_pairwise_max" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--jobs", "2"],
+        ["verify", "--seed", "3"],
+        ["verify", "--out", "d"],
+        ["grid-search", "--config", "{cfg}", "--jobs", "2"],
+    ], ids=["verify-jobs", "verify-seed", "verify-out", "grid-search-jobs"])
+    def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, argv):
+        cfg = tiny_config(tmp_path)
+        path = tmp_path / "cfg.ini"
+        save_config(cfg, path)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(cfg=path) for a in argv])
+        assert exc.value.code == 2
+        assert not os.path.exists(cfg.output_dir)
+
+    def test_import_loads_no_scipy_stats(self):
+        # a fresh interpreter: this test process has already imported scipy.stats
+        code = ("import sys, trilevel.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.sparse') "
+                "if m in sys.modules))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self, tmp_path):
         cfg = tiny_config(tmp_path, ul_iters=3, repetitions=1)

@@ -84,6 +84,21 @@ class TestCgSolve:
         assert report.iterations == 0
         np.testing.assert_allclose(report.solution, 0.0)
 
+    def test_converged_flag(self):
+        # converged means the solve met |r| <= tol * max(1, |b|): true for a
+        # solved system and a zero rhs, false at the cap and on curvature
+        d = 60
+        diag = np.geomspace(1.0, 1e4, d)
+        capped = cg_solve(lambda v: diag * v, np.ones(d), tol=1e-10, max_iters=5)
+        assert capped.iterations == 5 and not capped.terminated_on_curvature
+        assert not capped.converged and capped.residual_norm > 1e-10 * np.sqrt(d)
+        solved = cg_solve(lambda v: diag * v, np.ones(d), tol=1e-10, max_iters=10 * d)
+        assert solved.converged and solved.residual_norm <= 1e-10 * np.sqrt(d)
+        curvature = cg_solve(lambda v: -v, np.array([1.0, 0.0]))
+        assert curvature.terminated_on_curvature and not curvature.converged
+        zero = cg_solve(lambda v: v, np.zeros(3))
+        assert zero.iterations == 0 and zero.converged
+
 
 class TestTensorContractions:
     def test_vec_zero_tensor(self):

@@ -8,12 +8,14 @@ import pytest
 
 from trilevel.oracle import (
     DETERMINISTIC,
+    HOOKS,
     MinibatchIndices,
     NoiseDraw,
     OracleCapabilities,
     Point,
     ProblemOracle,
     fd_hvp,
+    hook,
     splitmix64,
     stream_gen,
     wrap_gaussian_noise,
@@ -55,6 +57,26 @@ class TestSampleSpecs:
     def test_capability_implication(self):
         with pytest.raises(ValueError):
             OracleCapabilities(has_hessians=False, has_third_order=True)
+
+
+class TestHook:
+    def test_class_hooks_bound_and_wrappers_hide_them(self):
+        inner = make_oracle(default_quadratic(3, 3, 3, rng=0))
+        assert hook(inner, "ll_grad").__self__ is inner
+        assert hook(inner, "hvp_zz_op") is None
+        # the noise wrapper forwards no hook, so its noise reaches every call
+        assert all(hook(wrap_gaussian_noise(inner, 0.1, 0.1, seed=0), name) is None
+                   for name in HOOKS)
+
+    def test_instance_attribute_is_not_a_hook(self):
+        inner = make_oracle(default_quadratic(3, 3, 3, rng=0))
+        plain = ProblemOracle()
+        plain.ll_grad = inner.ll_grad
+        assert hook(plain, "ll_grad") is None
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="ll_cycle"):
+            hook(ProblemOracle(), "ll_cycle")
 
 
 class TestFdHvp:
@@ -223,18 +245,18 @@ class TestNoiseWrapper:
         wrapped = wrap_gaussian_noise(Zeros(), 0.3, 0.2, seed=7)
         s = NoiseDraw(stream=3, counter=5)
         recorded = {
-            "grad": ["0x1.8ac2c6ff4b9c2p-2", "0x1.6d75c3e99ac93p-4",
-                     "0x1.89e5912b0ac68p-3", "0x1.e1002bddcbe41p-2"],
-            "hess": ["0x1.e39bce1b834cdp-5", "-0x1.474b33b0bd393p-3",
-                     "-0x1.b0b1eefc32d24p-2", "-0x1.1203ba1cec187p-2",
-                     "-0x1.a0a284e2dce07p-5", "0x1.71785ce968401p-4",
-                     "-0x1.7431677a02a9dp-5", "-0x1.b643755e1d5c7p-5",
-                     "-0x1.ebc3d3056bfffp-12", "0x1.702898c6e8df6p-4",
-                     "-0x1.b4a38c5e287dcp-3", "-0x1.c2cadaf0ca034p-3",
-                     "-0x1.fbebe045f59f2p-5", "0x1.51654276e3974p-2",
-                     "0x1.e7fd6d03629d5p-3", "0x1.d0d29aca7123dp-5"],
-            "hvp": ["-0x1.c6c5dcd1ad0e4p-4", "0x1.595f5dc3f2348p-3",
-                    "-0x1.202c01d67bc1cp-3", "-0x1.fb386d30d8b9dp-6"],
+            "grad": ["0x1.bc007d97e6fa9p-2", "0x1.1ae8a9dfb8ac4p-2",
+                     "-0x1.195ae39a434e3p-2", "-0x1.547a04e1529a8p-4"],
+            "hess": ["-0x1.f77443534be5ap-4", "0x1.23cfef1a41cb3p-2",
+                     "-0x1.a3fd3a2acc462p-6", "-0x1.1bc8ed101473cp-2",
+                     "-0x1.d6e05fca28dc5p-3", "-0x1.041491d8983bep-6",
+                     "0x1.2e2d2aed986d3p-3", "0x1.186c63f04632bp-5",
+                     "0x1.83bedde0eff43p-6", "0x1.a733c5354e248p-5",
+                     "-0x1.9b2873c8bd51cp-3", "0x1.ca55f5f1bfea8p-3",
+                     "0x1.d0097fa5a4825p-5", "0x1.5d6666617e95cp-3",
+                     "-0x1.2ac45d7d98b26p-5", "-0x1.5b509e01ea160p-6"],
+            "hvp": ["0x1.92a092b6747cep-4", "0x1.1f2c2e71606e1p-3",
+                    "-0x1.3d316ab7ddefbp-7", "0x1.3e57623500f30p-4"],
         }
         drawn = {
             "grad": wrapped.grad_z_f3(self.point, s),
@@ -249,7 +271,9 @@ class TestNoiseWrapper:
         # one thread re-keys its generator before every draw, so draws from
         # two wrappers, three blocks and counter words on both sides of 2**63,
         # taken in any order, equal one-call draws of fresh wrappers and of a
-        # Philox built from the documented key and counter
+        # Philox built from the documented key and counter as exact uint64
+        # words (a plain list mixing words below and above 2**63 would go
+        # through float64)
         def digest(*arrays):
             h = hashlib.blake2b(digest_size=8)
             for arr in arrays:
@@ -278,9 +302,18 @@ class TestNoiseWrapper:
             large.update(w >= 2**63 for w in counter[:2])
             std = 0.3 if block.startswith("grad_") else 0.2
             clean = getattr(self.inner, block)(point, s, *v)
-            gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64),
+                                                       counter=np.array(counter, dtype=np.uint64)))
             assert np.array_equal(drawn, clean + gen.normal(0.0, std, size=np.shape(clean)))
         assert large == {False, True}
+
+    def test_counters_above_2_63_draw_distinct_noise(self):
+        # counter words are exact uint64: neighbours above 2**63 must not
+        # collapse to one float64 value and draw the same noise
+        wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=7)
+        a = wrapped.grad_z_f3(self.point, NoiseDraw(stream=3, counter=2**63 + 1000))
+        b = wrapped.grad_z_f3(self.point, NoiseDraw(stream=3, counter=2**63 + 1001))
+        assert not np.array_equal(a, b)
 
     def test_one_philox_per_thread(self, monkeypatch):
         built = []
