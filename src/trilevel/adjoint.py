@@ -319,18 +319,23 @@ def _ul_dense(oracle, point, sample, cfg) -> Array:
     Jx = -inv(Hxz3.T)  # t x n, dz/dx on the solution manifold
     Jy = -inv(Hyz3.T)  # t x m
     w2 = inv(np.asarray(o.grad_z_f2(p, s), float))
+    # the blocks that both the x and the y side use, each evaluated once
+    T_zzz = o.t3_zzz_f3_contract(p, s, w2)
+    T_yzz = o.t3_yzz_f3_contract(p, s, w2)
+    Hzz2 = np.asarray(o.hess_zz_f2(p, s), float)
+    Hyz2 = np.asarray(o.hess_yz_f2(p, s), float)
 
     # derivative of the correction term -H_yz Hzz^{-1} grad_z f2 in x and y
-    Bx = o.t3_zzx_f3_contract(p, s, w2) + o.t3_zzz_f3_contract(p, s, w2) @ Jx
-    Cx = np.asarray(o.hess_zx_f2(p, s), float) + np.asarray(o.hess_zz_f2(p, s), float) @ Jx
-    dx = -(o.t3_yzx_f3_contract(p, s, w2) + o.t3_yzz_f3_contract(p, s, w2) @ Jx) + Hyz3 @ inv(Bx - Cx)
+    Bx = o.t3_zzx_f3_contract(p, s, w2) + T_zzz @ Jx
+    Cx = np.asarray(o.hess_zx_f2(p, s), float) + Hzz2 @ Jx
+    dx = -(o.t3_yzx_f3_contract(p, s, w2) + T_yzz @ Jx) + Hyz3 @ inv(Bx - Cx)
 
-    By = o.t3_zzy_f3_contract(p, s, w2) + o.t3_zzz_f3_contract(p, s, w2) @ Jy
-    Cy = np.asarray(o.hess_zy_f2(p, s), float) + np.asarray(o.hess_zz_f2(p, s), float) @ Jy
-    dy = -(o.t3_yzy_f3_contract(p, s, w2) + o.t3_yzz_f3_contract(p, s, w2) @ Jy) + Hyz3 @ inv(By - Cy)
+    By = o.t3_zzy_f3_contract(p, s, w2) + T_zzz @ Jy
+    Cy = np.asarray(o.hess_zy_f2(p, s), float) + Hzz2 @ Jy
+    dy = -(o.t3_yzy_f3_contract(p, s, w2) + T_yzz @ Jy) + Hyz3 @ inv(By - Cy)
 
-    Hyx_bar = np.asarray(o.hess_yx_f2(p, s), float) + np.asarray(o.hess_yz_f2(p, s), float) @ Jx + dx
-    Hyy_bar = np.asarray(o.hess_yy_f2(p, s), float) + np.asarray(o.hess_yz_f2(p, s), float) @ Jy + dy
+    Hyx_bar = np.asarray(o.hess_yx_f2(p, s), float) + Hyz2 @ Jx + dx
+    Hyy_bar = np.asarray(o.hess_yy_f2(p, s), float) + Hyz2 @ Jy + dy
 
     b = np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z
     lam_y = solve_dense(Hyy_bar, b)

@@ -372,7 +372,9 @@ def _cmd_verify(cfg: ExperimentConfig) -> int:
 # grid search
 
 
-def _cmd_grid_search(cfg: ExperimentConfig) -> int:
+def _cmd_grid_search(cfg: ExperimentConfig, task: _Task) -> int:
+    """Run ``task`` once per grid point with only its step scales swapped:
+    nothing else it holds (problem, oracle, AD scales) depends on them."""
     grid = (0.1, 0.01, 0.001)
     rows = []
     for ab in grid:
@@ -384,7 +386,7 @@ def _cmd_grid_search(cfg: ExperimentConfig) -> int:
                     output_dir=os.path.join(cfg.output_dir, f"grid_{ab}_{bb}_{gb}"),
                 )
                 try:
-                    agg = run_experiment(sub)
+                    agg = _run_task(sub, replace(task, schedule=Decaying(ab, bb, gb)), 1)
                     final = float(agg.mean_f1[-1])
                 except RuntimeError:
                     final = float("nan")
@@ -449,7 +451,7 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return _cmd_verify(cfg)
     if args.command == "grid-search":
-        return _cmd_grid_search(cfg)
+        return _cmd_grid_search(cfg, task)
     try:
         _run_task(cfg, task, args.jobs)
     except RuntimeError as err:

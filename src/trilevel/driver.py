@@ -288,33 +288,45 @@ def ll_sg(
     """K stochastic-gradient steps on the lower-level objective in z.
 
     ``gamma`` is a step value or a callable of the 1-based step index;
-    ``sampler`` maps the 0-based step index to a SampleSpec. An oracle
-    with an ``ll_grad`` hook (:func:`oracle.hook`, which says which
-    wrappers see it) supplies a ``(z, sample) -> grad`` callable with the
-    cycle's invariants in (x, y) computed once; other oracles get a
-    ``grad_z_f3(point, sample)`` call per step.
+    ``sampler`` maps the 0-based step index to a SampleSpec. The K step sizes
+    are evaluated once, up front.
+
+    Without a sampler, an oracle with an ``ll_grad`` hook
+    (:func:`oracle.hook`, which says which wrappers see it) supplies the
+    cycle's affine map ``(A, w)``, and the steps z -= gamma_k (A z - w)
+    run in place in two buffers. Non-finite values are absorbing under
+    that step, so one finiteness check of the final iterate catches what
+    a check per step would. Every other oracle, and any sampled cycle,
+    gets a ``grad_z_f3(point, sample)`` call and a finiteness check per
+    step. Neither path writes to ``x``, ``y``, ``z0`` or the hook's arrays.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
     gamma_fn = _step_fn(gamma)
+    gammas = [gamma_fn(k) for k in range(1, K + 1)]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    z = np.asarray(z0, dtype=float).copy()
-    ll_grad = hook(oracle, "ll_grad")
+    z = np.array(z0, dtype=float)
+    ll_grad = hook(oracle, "ll_grad") if sampler is None else None
     if ll_grad is not None:
-        grad = ll_grad(x, y)
-    else:
-        grad_z_f3 = oracle.grad_z_f3
+        A, w = ll_grad(x, y)
+        g = np.empty_like(z)
+        for gam in gammas:
+            A.dot(z, g)
+            g -= w
+            g *= gam
+            z -= g
+        # any NaN/Inf entry propagates through the dot (so does an overflowing norm)
+        if not math.isfinite(z.dot(z)):
+            raise NonFiniteError(f"non-finite lower-level iterate after {K} steps")
+        return z
 
-        def grad(z, sample):
-            return grad_z_f3(Point(x, y, z), sample)
-
+    grad_z_f3 = oracle.grad_z_f3
     for k in range(K):
-        g = grad(z, DETERMINISTIC if sampler is None else sampler(k))
-        # g.dot(g) is finite iff every entry is (NaN/Inf propagate through the dot)
+        g = grad_z_f3(Point(x, y, z), DETERMINISTIC if sampler is None else sampler(k))
         if not math.isfinite(g.dot(g)):
             raise NonFiniteError(f"non-finite lower-level gradient at step {k}")
-        z = z - gamma_fn(k + 1) * g
+        z = z - gammas[k] * g
     return z
 
 

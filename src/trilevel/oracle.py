@@ -118,11 +118,12 @@ class ProblemOracle:
     deterministic functions of their arguments.
 
     A subclass may also define the fast-path hooks named in :data:`HOOKS`
-    (see :func:`hook`): ``ll_grad(x, y)`` returns a ``(z, sample) ->
-    grad_z_f3`` callable for fixed (x, y) that hoists what a lower-level
-    cycle leaves invariant, and ``hvp_zz_op(point, sample)`` returns the
-    ``v -> hvp_zz_f3(point, sample, v)`` operator with the per-point work
-    done once.
+    (see :func:`hook`). ``ll_grad(x, y)`` is for a lower level whose
+    gradient is affine in z: it returns float64 arrays ``(A, w)`` with
+    ``A @ z - w == grad_z_f3(Point(x, y, z), DETERMINISTIC)`` bit for bit
+    for every z; callers must not write to them. ``hvp_zz_op(point,
+    sample)`` returns the ``v -> hvp_zz_f3(point, sample, v)`` operator
+    with the per-point work done once.
     """
 
     capabilities = OracleCapabilities()

@@ -321,12 +321,10 @@ class QuadraticOracle(_SyntheticOracle):
         return self.spec.Hzz @ p.z - self._w(p.x, p.y)
 
     def ll_grad(self, x, y):
-        """Lower-level gradient in z for fixed (x, y), as used by ``ll_sg``:
-        w = Hzx x + Hzy y is computed once per cycle, and each step costs
-        one product with Hzz. Samples are ignored (the oracle is exact)."""
-        hzz_dot = self.spec.Hzz.dot
-        w = self._w(x, y)
-        return lambda z, sample: hzz_dot(z) - w
+        """The lower-level gradient's affine map (A, w) at fixed (x, y), as
+        used by ``ll_sg``: grad_z_f3 = A z - w with A = Hzz and
+        w = Hzx x + Hzy y, computed once per cycle."""
+        return self.spec.Hzz, self._w(x, y)
 
     def hess_zz_f3(self, p, sample):
         # the same constant object on every call, so the H engine's one-entry

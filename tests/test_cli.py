@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from trilevel import config as config_module
+from trilevel import cli, config as config_module
 from trilevel.adjoint import auto_scale_bilevel, auto_scales
 from trilevel.advhpt import bundled_dataset_path
 from trilevel.cli import (
@@ -387,3 +387,30 @@ class TestGridSearch:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 27
         assert rows[0] == ["alpha_bar", "beta_bar", "gamma_bar", "final_f1"]
+
+    def test_task_built_once_and_grid_unchanged(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, n=3, m=3, t=3, ul_iters=3, repetitions=1,
+                          adaptive=False, engine="AD", neumann_q=10)
+        path = tmp_path / "cfg.ini"
+        save_config(cfg, path)
+        calls = []
+
+        def counting_auto_scales(*args, **kwargs):
+            calls.append(1)
+            return auto_scales(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "auto_scales", counting_auto_scales)
+        assert main(["grid-search", "--config", str(path)]) == 0
+        assert len(calls) == 1
+
+        # the same grid, with every point built from its own config
+        expected = ["alpha_bar,beta_bar,gamma_bar,final_f1\n"]
+        grid = (0.1, 0.01, 0.001)
+        for ab in grid:
+            for bb in grid:
+                for gb in grid:
+                    sub = replace(cfg, alpha_bar=ab, beta_bar=bb, gamma_bar=gb,
+                                  output_dir=str(tmp_path / "ref"))
+                    final = float(run_experiment(sub).mean_f1[-1])
+                    expected.append(",".join(repr(v) for v in (ab, bb, gb, final)) + "\n")
+        assert (tmp_path / "out" / "grid.csv").read_text() == "".join(expected)

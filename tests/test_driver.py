@@ -183,6 +183,58 @@ class TestLlSg:
         np.testing.assert_array_equal(z, z_manual)
         assert not np.allclose(z, ll_sg(clean, x, y, z0, gamma, 5, sampler=sampler))
 
+    def test_hook_contract_is_the_gradient_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for spec in (default_quadratic(4, 3, 6, rng=21), pure_ll_spec(3)):
+            oracle = make_oracle(spec)
+            n, m, t = oracle.dims
+            for _ in range(5):
+                x, y, z = (rng.uniform(-5, 5, d) for d in (n, m, t))
+                A, w = oracle.ll_grad(x, y)
+                np.testing.assert_array_equal(A @ z - w, oracle.grad_z_f3(Point(x, y, z), DETERMINISTIC))
+
+    def test_hook_cycle_writes_to_no_input(self):
+        spec = default_quadratic(4, 3, 6, rng=22)
+        oracle = make_oracle(spec)
+        rng = np.random.default_rng(22)
+        x, y, z0 = rng.uniform(0, 5, 4), rng.uniform(0, 5, 3), rng.uniform(0, 5, 6)
+        inputs = (x, y, z0, spec.Hzz)
+        before = [a.copy() for a in inputs]
+        for a in inputs:
+            a.flags.writeable = False
+        z = ll_sg(oracle, x, y, z0, Decaying(0.3, 0.2, 0.1).gamma, 9)
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
+        assert z.flags.writeable and not any(np.shares_memory(z, a) for a in inputs)
+
+    def test_hook_matches_per_step_at_one_step(self):
+        spec = default_quadratic(4, 3, 6, rng=23)
+        oracle = make_oracle(spec)
+
+        class PerStep(ProblemOracle):
+            def grad_z_f3(self, p, s):
+                return oracle.grad_z_f3(p, s)
+
+        rng = np.random.default_rng(23)
+        for gamma in (0.5, Decaying(0.3, 0.2, 0.1).gamma):
+            x, y, z0 = rng.uniform(0, 5, 4), rng.uniform(0, 5, 3), rng.uniform(0, 5, 6)
+            np.testing.assert_array_equal(ll_sg(oracle, x, y, z0, gamma, 1),
+                                          ll_sg(PerStep(), x, y, z0, gamma, 1))
+
+    def test_hook_cycle_non_finite_at_last_step_aborts(self):
+        oracle = make_oracle(pure_ll_spec())
+        x = y = np.zeros(2)
+        z0 = np.array([1e10, -1e10])
+        K = 4
+
+        def gamma(k):
+            # halving steps, then one whose product with the gradient overflows
+            return 0.5 if k < K else 1e308
+
+        assert np.all(np.isfinite(ll_sg(oracle, x, y, z0, gamma, K - 1)))
+        with pytest.raises(NonFiniteError, match="lower-level"), np.errstate(over="ignore"):
+            ll_sg(oracle, x, y, z0, gamma, K)
+
 
 class TestMlBsg:
     def test_single_adjoint_step(self):
