@@ -68,7 +68,7 @@ from .synthetic import (
     reduced_minimizer,
     reduced_objective,
 )
-from .verify import FdOracleConfig, engine_agreement_report, fd_grad_f
+from .verify import engine_agreement_report, fd_grad_f
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -382,12 +382,12 @@ def bilevel_adjoint_gradient(
 def auto_scales(
     oracle: ProblemOracle,
     point: Point,
-    sample: SampleSpec = DETERMINISTIC,
     neumann_q: int = 20,
     fd_eps: float = 0.1,
     c0: Optional[float] = None,
 ) -> tuple[float, float]:
-    """Estimate the Neumann scaling constants (c0, c1) at a probe point.
+    """Estimate the Neumann scaling constants (c0, c1) at a probe point,
+    on the deterministic sample.
 
     c0 doubles the max absolute row sum of a probe lower-level Hessian
     (or a power-iteration norm estimate when only HVPs are available);
@@ -396,13 +396,14 @@ def auto_scales(
     explicit ``c0`` to pin the lower-level scale and calibrate only c1;
     problems whose lower-level curvature at the probe point is degenerate
     (e.g. a cold-started adversarial perturbation problem) need this,
-    since the probe-local estimate would make 1/c0 enormous.
+    since the probe-local estimate would make 1/c0 enormous; it is
+    returned unchanged.
     """
     cfg = AdjointConfig(engine=ENGINE_AD, fd_eps=fd_eps, neumann_q=neumann_q)
-    ops = _Ops(oracle, sample, cfg, None)
+    ops = _Ops(oracle, DETERMINISTIC, cfg, None)
     if c0 is None:
         if oracle.capabilities.has_hessians:
-            Hzz = np.asarray(oracle.hess_zz_f3(point, sample), float)
+            Hzz = np.asarray(oracle.hess_zz_f3(point, DETERMINISTIC), float)
             c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
         else:
             c0 = 2.0 * _power_norm(ops.hvp_zz(point), point.z.size)
@@ -411,16 +412,12 @@ def auto_scales(
     return c0, c1
 
 
-def auto_scale_bilevel(
-    oracle: ProblemOracle,
-    point: Point,
-    sample: SampleSpec = DETERMINISTIC,
-    fd_eps: float = 0.1,
-) -> float:
+def auto_scale_bilevel(oracle: ProblemOracle, point: Point, fd_eps: float = 0.1) -> float:
     """c1 for :func:`bilevel_adjoint_gradient`: doubles a power-iteration
-    estimate of |H_yy(f2)| at a probe point."""
-    return 2.0 * _power_norm(lambda v: _fd_dir(oracle.grad_y_f2, point, sample, fd_eps, y=v),
-                             point.y.size)
+    estimate of |H_yy(f2)| at a probe point, on the deterministic sample."""
+    return 2.0 * _power_norm(
+        lambda v: _fd_dir(oracle.grad_y_f2, point, DETERMINISTIC, fd_eps, y=v), point.y.size
+    )
 
 
 def _power_norm(apply_A, dim) -> float:

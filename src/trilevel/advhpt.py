@@ -18,13 +18,16 @@ stay exact. The lower level is only strongly convex in delta while
 |theta_f|^2 < c / m; :func:`ll_convexity_margin` reports the margin, and
 the optimizer is run regardless, as the objective stays well-behaved for
 the step sizes used here.
+
+The experiment's constants are fixed, not parameters: the target is the
+CSV's last column, the split is 70/15/15 (test takes the remainder),
+c = 0.1, mu = 0.25 and every run starts cold at lam = 0.
 """
 
 import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
 
 import numpy as np
 
@@ -71,13 +74,12 @@ class TabularDataset:
         return self.features.shape[1]
 
 
-def load_csv(path, target_column: Optional[str] = None) -> TabularDataset:
+def load_csv(path) -> TabularDataset:
     """Load a comma-separated file with a header row into a raw dataset.
 
-    The target is the last column unless ``target_column`` names another.
-    Every cell must parse as a real number; a bad or missing cell raises
-    with its row and column. Standardization happens later, after the
-    train split is known.
+    The target is the last column. Every cell must parse as a real
+    number; a bad or missing cell raises with its row and column.
+    Standardization happens later, after the train split is known.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -86,12 +88,6 @@ def load_csv(path, target_column: Optional[str] = None) -> TabularDataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if target_column is None:
-            target_idx = len(header) - 1
-        else:
-            if target_column not in header:
-                raise ValueError(f"{path}: no column named {target_column!r}")
-            target_idx = header.index(target_column)
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -115,12 +111,7 @@ def load_csv(path, target_column: Optional[str] = None) -> TabularDataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=float)
-    mask = np.arange(data.shape[1]) != target_idx
-    return TabularDataset(
-        features=data[:, mask],
-        targets=data[:, target_idx],
-        feature_names=[h for i, h in enumerate(header) if i != target_idx],
-    )
+    return TabularDataset(features=data[:, :-1], targets=data[:, -1], feature_names=header[:-1])
 
 
 def bundled_dataset_path() -> str:
@@ -128,18 +119,9 @@ def bundled_dataset_path() -> str:
     return str(resources.files("trilevel").joinpath("data/tabular_200.csv"))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_frac: float = 0.70
-    val_frac: float = 0.15
-    test_frac: float = 0.15
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.train_frac, self.val_frac, self.test_frac) <= 0:
-            raise ValueError("split fractions must be positive")
-        if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise ValueError("split fractions must sum to 1")
+# shares of the rows in the train and validation splits; test takes the remainder
+TRAIN_FRAC = 0.70
+VAL_FRAC = 0.15
 
 
 @dataclass(frozen=True)
@@ -149,16 +131,16 @@ class Splits:
     test: Array
 
 
-def split_dataset(ds: TabularDataset, spec: SplitSpec) -> Splits:
+def split_dataset(ds: TabularDataset, seed: int) -> Splits:
     """Disjoint train/val/test row indices: a seeded shuffle followed by
-    floor(train_frac*N) / floor(val_frac*N) / remainder."""
+    floor(TRAIN_FRAC*N) / floor(VAL_FRAC*N) / remainder."""
     n = ds.n_rows
     if n < 10:
         raise ValueError("need at least 10 rows to form experiment splits")
-    order = stream_gen(spec.seed, 17).permutation(n)
+    order = stream_gen(seed, 17).permutation(n)
     # nudge before flooring: 0.7 * 20640 is 14447.999999999998 in binary
-    n_train = int(math.floor(spec.train_frac * n + 1e-9))
-    n_val = int(math.floor(spec.val_frac * n + 1e-9))
+    n_train = int(math.floor(TRAIN_FRAC * n + 1e-9))
+    n_val = int(math.floor(VAL_FRAC * n + 1e-9))
     return Splits(
         train=np.sort(order[:n_train]),
         val=np.sort(order[n_train : n_train + n_val]),
@@ -207,7 +189,7 @@ def smoothed_l1(theta, mu: float):
 
 @dataclass(frozen=True)
 class AdvHptProblem:
-    """Problem instance: penalty constants plus the train/val row sets.
+    """Problem instance: the train/val row sets and the penalty constants.
 
     Variable layout: x = [lam] (scalar), y = theta with the intercept as
     its last coordinate (m = d + 1), z = delta flattened row-major with
@@ -217,12 +199,10 @@ class AdvHptProblem:
     train_idx: Array
     val_idx: Array
     n_features: int
-    c: float = 0.1
-    mu: float = 0.25
+    c = 0.1  # lower-level perturbation penalty
+    mu = 0.25  # smoothed-L1 width
 
     def __post_init__(self):
-        if self.c <= 0 or self.mu <= 0:
-            raise ValueError("penalty constants must be positive")
         object.__setattr__(self, "train_idx", np.asarray(self.train_idx, dtype=int))
         object.__setattr__(self, "val_idx", np.asarray(self.val_idx, dtype=int))
 
@@ -236,10 +216,8 @@ class AdvHptProblem:
         return 1, d + 1, self.n_train * d
 
 
-def build_problem(ds: TabularDataset, splits: Splits, c: float = 0.1, mu: float = 0.25) -> AdvHptProblem:
-    return AdvHptProblem(
-        train_idx=splits.train, val_idx=splits.val, n_features=ds.n_features, c=c, mu=mu
-    )
+def build_problem(ds: TabularDataset, splits: Splits) -> AdvHptProblem:
+    return AdvHptProblem(train_idx=splits.train, val_idx=splits.val, n_features=ds.n_features)
 
 
 class AdvHptOracle(ProblemOracle):
@@ -292,10 +270,12 @@ class AdvHptOracle(ProblemOracle):
         return feats, feats @ theta_f + theta_0 - self.train_targets[batch]
 
     def _penalty(self, lam, theta_f):
+        """exp(lam)/m times smoothed_l1(theta_f): (value, gradient, the
+        scale exp(lam)/m, the unscaled Hessian-vector product)."""
         m = self.problem.n_features + 1
         value, grad, hvp = smoothed_l1(theta_f, self.problem.mu)
         scale = math.exp(lam) / m
-        return scale * value, scale * grad, scale, value
+        return scale * value, scale * grad, scale, hvp
 
     # -- values ------------------------------------------------------------
     def f1(self, p, sample):
@@ -337,13 +317,10 @@ class AdvHptOracle(ProblemOracle):
         return np.array([pen])
 
     def grad_y_f2(self, p, sample):
-        lam, theta_f, theta_0, delta = self._split(p)
-        batch = self._batch(sample)
-        feats, r = self._residuals(theta_f, theta_0, delta, batch)
-        nb = batch.size
-        mse_part = (2.0 / nb) * np.concatenate([feats.T @ r, [r.sum()]])
+        # the MSE parts of f2 and f3 are negatives of each other
+        lam, theta_f, _, _ = self._split(p)
         _, pen_grad, _, _ = self._penalty(lam, theta_f)
-        return mse_part + np.concatenate([pen_grad, [0.0]])
+        return -self.grad_y_f3(p, sample) + np.concatenate([pen_grad, [0.0]])
 
     def grad_z_f2(self, p, sample):
         _, theta_f, theta_0, delta = self._split(p)
@@ -370,17 +347,9 @@ class AdvHptOracle(ProblemOracle):
 
     # -- Hessian blocks (desk scale) ------------------------------------------
     def hess_zz_f3(self, p, sample):
-        _, theta_f, _, _ = self._split(p)
-        batch = self._batch(sample)
         n, d = self.problem.n_train, self.problem.n_features
-        t = n * d
-        m = d + 1
-        block = -(2.0 / batch.size) * np.outer(theta_f, theta_f)
-        H = np.zeros((t, t))
-        for i in batch:
-            H[i * d : (i + 1) * d, i * d : (i + 1) * d] = block
-        H += (2.0 * self.problem.c / (m * n)) * np.eye(t)
-        return H
+        diag = 2.0 * self.problem.c / ((d + 1) * n)
+        return diag * np.eye(n * d) - self.hess_zz_f2(p, sample)
 
     def hess_xz_f3(self, p, sample):
         return np.zeros((1, self.problem.dims[2]))
@@ -433,10 +402,9 @@ class AdvHptOracle(ProblemOracle):
         nb = batch.size
         A = np.hstack([feats, np.ones((nb, 1))])
         H = (2.0 / nb) * A.T @ A
-        _, _, scale, _ = self._penalty(lam, theta_f)
+        _, _, scale, pen_hvp = self._penalty(lam, theta_f)
         d = self.problem.n_features
-        root = np.sqrt(theta_f**2 + self.problem.mu**2)
-        H[:d, :d] += scale * np.diag(self.problem.mu**2 / root**3)
+        H[:d, :d] += scale * np.diag(pen_hvp(np.ones(d)))
         return H
 
     # -- Hessian-vector products ---------------------------------------------
@@ -489,10 +457,10 @@ def build_oracle(problem: AdvHptProblem, ds: TabularDataset) -> AdvHptOracle:
     return AdvHptOracle(problem, ds)
 
 
-def init_point(problem: AdvHptProblem, lam0: float = 0.0) -> Point:
-    """Cold start: zero model, zero perturbation."""
+def init_point(problem: AdvHptProblem) -> Point:
+    """Cold start: lam = 0, zero model, zero perturbation."""
     _, m, t = problem.dims
-    return Point(np.array([lam0]), np.zeros(m), np.zeros(t))
+    return Point(np.zeros(1), np.zeros(m), np.zeros(t))
 
 
 def ll_convexity_margin(problem: AdvHptProblem, theta) -> float:

@@ -44,7 +44,7 @@ from .driver import (
     TRACE_COLUMNS,
     run_bsg,
 )
-from .oracle import DETERMINISTIC, Point, wrap_gaussian_noise
+from .oracle import Point, wrap_gaussian_noise
 from .synthetic import (
     closed_form_point,
     default_init_point,
@@ -53,7 +53,7 @@ from .synthetic import (
     make_oracle,
     save_spec,
 )
-from .verify import FdOracleConfig, engine_agreement_report, fd_grad_f
+from .verify import engine_agreement_report, fd_grad_f
 
 
 def _log(msg: str):
@@ -108,7 +108,7 @@ def _build_task(cfg: ExperimentConfig) -> _Task:
                 return DeterministicSamples()
     else:  # adversarial hyperparameter tuning
         ds = ah.load_csv(cfg.csv)
-        splits = ah.split_dataset(ds, ah.SplitSpec(seed=cfg.spec_seed))
+        splits = ah.split_dataset(ds, cfg.spec_seed)
         problem = ah.build_problem(ds, splits)
         oracle = ah.build_oracle(problem, ds)
         init = ah.init_point(problem)
@@ -154,16 +154,14 @@ def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) ->
     c0, c1 = cfg.c0, cfg.c1
     if cfg.engine == "AD" and cfg.reduction == REDUCTION_WITHOUT_LL:
         if c1 is None:
-            c1 = auto_scale_bilevel(
-                oracle, init.replace(z=np.zeros_like(init.z)), DETERMINISTIC, fd_eps=cfg.fd_eps
-            )
+            c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros_like(init.z)), fd_eps=cfg.fd_eps)
             _log(f"auto scale: c1={c1:.6g}")
     elif cfg.engine == "AD" and (c0 is None or c1 is None):
-        auto_c0, auto_c1 = auto_scales(
-            oracle, init, DETERMINISTIC,
-            neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps, c0=pin_c0 if c0 is None else c0,
+        # auto_scales returns a given c0 unchanged
+        c0, auto_c1 = auto_scales(
+            oracle, init, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps,
+            c0=pin_c0 if c0 is None else c0,
         )
-        c0 = c0 if c0 is not None else auto_c0
         c1 = c1 if c1 is not None else auto_c1
         _log(f"auto scales: c0={c0:.6g} c1={c1:.6g}")
     return AdjointConfig(
@@ -326,15 +324,15 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
         AdjointConfig(engine="NFD", fd_eps=cfg.fd_eps),
         AdjointConfig(engine="AD", fd_eps=cfg.fd_eps, neumann_q=max(cfg.neumann_q, 40), c0=c0, c1=c1),
     ]
-    fd_ref = fd_grad_f(oracle, x, FdOracleConfig(use_closed_form=True), spec=spec)
+    fd_ref = fd_grad_f(oracle, x, spec=spec)
     report = engine_agreement_report(oracle, point, cfgs, labels=["H", "NFD", "AD"], fd_reference=fd_ref)
     print("quadratic agreement (relative l2):")
     print(report.render_text())
     checks.append(("quadratic_pairwise_max", report.max_error(), 1e-5, report.max_error() <= 1e-5))
 
     # FD referee self-consistency (second-order scheme)
-    g_coarse = fd_grad_f(oracle, x, FdOracleConfig(outer_eps=2e-4, use_closed_form=True), spec=spec)
-    g_fine = fd_grad_f(oracle, x, FdOracleConfig(outer_eps=1e-4, use_closed_form=True), spec=spec)
+    g_coarse = fd_grad_f(oracle, x, spec=spec, eps=2e-4)
+    g_fine = fd_grad_f(oracle, x, spec=spec, eps=1e-4)
     delta = float(np.max(np.abs(g_coarse - g_fine)))
     checks.append(("fd_referee_consistency", delta, 1e-6, delta <= 1e-6))
 
@@ -344,7 +342,7 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
     qoracle = make_oracle(qspec)
     qinit = default_init_point(qspec, rng=3)
     qpoint = closed_form_point(qspec, qinit.x)
-    qfd = fd_grad_f(qoracle, qinit.x, FdOracleConfig(), warm=qinit)
+    qfd = fd_grad_f(qoracle, qinit.x, warm=qinit)
     qc0, qc1 = auto_scales(qoracle, qpoint, neumann_q=max(cfg.neumann_q, 40), fd_eps=cfg.fd_eps)
     qcfgs = [
         AdjointConfig(engine="H"),
@@ -431,7 +429,7 @@ def main(argv=None) -> int:
 
     if args.command == "split-info":
         ds = ah.load_csv(args.csv)
-        splits = ah.split_dataset(ds, ah.SplitSpec(seed=args.seed))
+        splits = ah.split_dataset(ds, args.seed)
         print(f"rows={ds.n_rows} features={ds.n_features}")
         print(f"train={splits.train.size} val={splits.val.size} test={splits.test.size}")
         return 0

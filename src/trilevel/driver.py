@@ -294,11 +294,15 @@ def ll_sg(
     Without a sampler, an oracle with an ``ll_grad`` hook
     (:func:`oracle.hook`, which says which wrappers see it) supplies the
     cycle's affine map ``(A, w)``, and the steps z -= gamma_k (A z - w)
-    run in place in two buffers. Non-finite values are absorbing under
-    that step, so one finiteness check of the final iterate catches what
-    a check per step would. Every other oracle, and any sampled cycle,
-    gets a ``grad_z_f3(point, sample)`` call and a finiteness check per
-    step. Neither path writes to ``x``, ``y``, ``z0`` or the hook's arrays.
+    run in place in two buffers. Every other oracle, and any sampled
+    cycle, gets a ``grad_z_f3(point, sample)`` call per step. Neither path
+    writes to ``x``, ``y``, ``z0`` or the hook's arrays.
+
+    Both paths share one abort rule: a single finiteness check of the
+    final iterate, which raises NonFiniteError. Every oracle here carries
+    NaN and Inf through its gradients and the step z - gamma g keeps them,
+    so a cycle that goes non-finite at any step ends non-finite; it only
+    runs out its K steps first.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -316,17 +320,14 @@ def ll_sg(
             g -= w
             g *= gam
             z -= g
-        # any NaN/Inf entry propagates through the dot (so does an overflowing norm)
-        if not math.isfinite(z.dot(z)):
-            raise NonFiniteError(f"non-finite lower-level iterate after {K} steps")
-        return z
-
-    grad_z_f3 = oracle.grad_z_f3
-    for k in range(K):
-        g = grad_z_f3(Point(x, y, z), DETERMINISTIC if sampler is None else sampler(k))
-        if not math.isfinite(g.dot(g)):
-            raise NonFiniteError(f"non-finite lower-level gradient at step {k}")
-        z = z - gammas[k] * g
+    else:
+        grad_z_f3 = oracle.grad_z_f3
+        for k in range(K):
+            sample = DETERMINISTIC if sampler is None else sampler(k)
+            z = z - gammas[k] * grad_z_f3(Point(x, y, z), sample)
+    # any NaN/Inf entry propagates through the dot (so does an overflowing norm)
+    if not math.isfinite(z.dot(z)):
+        raise NonFiniteError(f"non-finite lower-level iterate after {K} steps")
     return z
 
 

@@ -3,10 +3,10 @@
 The main referee differentiates the reduced objective
 f(x) = f1(x, y(x), z(x)) by outer central differences, obtaining the
 inner solutions either from closed forms (quadratic synthetic family) or
-by running plain deterministic descent on the inner problems to a target
-residual. Because it only composes function values at solved inner
-points, it shares no code path with the trilevel adjoint assembly it is
-used to check.
+by running plain deterministic descent on the inner problems to a fixed
+residual (``INNER_TOL``, at most ``INNER_MAX_ITERS`` iterations). Because
+it only composes function values at solved inner points, it shares no
+code path with the trilevel adjoint assembly it is used to check.
 
 Also provides pairwise engine-agreement reports used by the acceptance
 suite and the command-line ``verify`` subcommand.
@@ -24,20 +24,15 @@ from .synthetic import QuadraticSpec, reduced_objective
 Array = np.ndarray
 
 
+# the descent referee's inner residual target and iteration cap
+INNER_TOL = 1e-10
+INNER_MAX_ITERS = 200_000
+# step of the central-difference curvature probe in solve_ll
+LL_FD_EPS = 1e-5
+
+
 class InnerSolveError(RuntimeError):
     """Inner descent failed to reach the requested residual."""
-
-
-@dataclass(frozen=True)
-class FdOracleConfig:
-    outer_eps: float = 1e-4
-    inner_tol: float = 1e-10
-    inner_max_iters: int = 200_000
-    use_closed_form: bool = False
-
-    def __post_init__(self):
-        if self.outer_eps <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 def _power_step(apply_hvp, dim: int, iters: int = 8, seed: int = 0) -> float:
@@ -64,7 +59,6 @@ def solve_ll(
     z0: Array,
     tol: float,
     max_iters: int,
-    fd_eps: float = 1e-5,
 ) -> Array:
     """Gradient descent on the lower-level objective in z until
     |grad_z f3| <= tol.
@@ -81,7 +75,7 @@ def solve_ll(
     def value(zv):
         return float(oracle.f3(Point(x, y, zv), DETERMINISTIC))
 
-    base_step = _power_step(lambda v: fd_hvp(grad, z, v, fd_eps), z.size)
+    base_step = _power_step(lambda v: fd_hvp(grad, z, v, LL_FD_EPS), z.size)
     fz = value(z)
     for it in range(max_iters):
         g = grad(z)
@@ -89,7 +83,7 @@ def solve_ll(
         if res <= tol:
             return z
         if it % 200 == 199:  # curvature changes along the path
-            base_step = _power_step(lambda v: fd_hvp(grad, z, v, fd_eps), z.size, seed=it)
+            base_step = _power_step(lambda v: fd_hvp(grad, z, v, LL_FD_EPS), z.size, seed=it)
         step = base_step
         while True:
             z_new = z - step * g
@@ -156,31 +150,32 @@ def solve_inner(
 def fd_grad_f(
     oracle: ProblemOracle,
     x,
-    cfg: FdOracleConfig = FdOracleConfig(),
     spec: Optional[QuadraticSpec] = None,
     warm: Optional[Point] = None,
+    eps: float = 1e-4,
 ) -> Array:
-    """Central-difference gradient of the reduced objective f at x.
+    """Central-difference gradient, at step ``eps``, of the reduced objective f at x.
 
-    With ``use_closed_form`` (quadratic spec required) the inner solutions
-    come from the closed forms; otherwise each of the 2n evaluations runs
-    deterministic inner descent to ``inner_tol``, warm-started from the
-    solution at x.
+    Given a ``spec`` (which must be a QuadraticSpec) the inner solutions
+    come from its closed forms; otherwise each of the 2n evaluations runs
+    deterministic inner descent to ``INNER_TOL``, warm-started from the
+    solution at x (itself solved from ``warm``, or from zeros).
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     x = np.asarray(x, float)
     n = x.size
-    h = cfg.outer_eps
     grad = np.zeros(n)
 
-    if cfg.use_closed_form:
+    if spec is not None:
         if not isinstance(spec, QuadraticSpec):
-            raise ValueError("use_closed_form requires a QuadraticSpec")
+            raise ValueError("the closed-form referee requires a QuadraticSpec")
         for a in range(n):
             e = np.zeros(n)
-            e[a] = h
+            e[a] = eps
             grad[a] = (
                 reduced_objective(spec, x + e) - reduced_objective(spec, x - e)
-            ) / (2 * h)
+            ) / (2 * eps)
         return grad
 
     if warm is not None:
@@ -188,16 +183,16 @@ def fd_grad_f(
     else:
         _, m, t = oracle.dims
         y_base, z_base = np.zeros(m), np.zeros(t)
-    y_base, z_base = solve_inner(oracle, x, y_base, z_base, cfg.inner_tol, cfg.inner_max_iters)
+    y_base, z_base = solve_inner(oracle, x, y_base, z_base, INNER_TOL, INNER_MAX_ITERS)
 
     def f_of(xv):
-        y, z = solve_inner(oracle, xv, y_base, z_base, cfg.inner_tol, cfg.inner_max_iters)
+        y, z = solve_inner(oracle, xv, y_base, z_base, INNER_TOL, INNER_MAX_ITERS)
         return float(oracle.f1(Point(xv, y, z), DETERMINISTIC))
 
     for a in range(n):
         e = np.zeros(n)
-        e[a] = h
-        grad[a] = (f_of(x + e) - f_of(x - e)) / (2 * h)
+        e[a] = eps
+        grad[a] = (f_of(x + e) - f_of(x - e)) / (2 * eps)
     return grad
 
 

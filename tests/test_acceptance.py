@@ -20,7 +20,6 @@ from trilevel.adjoint import (
     ul_adjoint_gradient,
 )
 from trilevel.advhpt import (
-    SplitSpec,
     build_oracle,
     build_problem,
     bundled_dataset_path,
@@ -54,7 +53,7 @@ from trilevel.synthetic import (
     reduced_minimizer,
     reduced_objective,
 )
-from trilevel.verify import FdOracleConfig, engine_agreement_report, fd_grad_f
+from trilevel.verify import engine_agreement_report, fd_grad_f
 
 
 def report(num, name, ok, detail=""):
@@ -79,7 +78,7 @@ def test_criterion_01_adjoint_correctness_quadratic():
         point = closed_form_point(spec, x)
         g = ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
         expected = spec.h_x + spec.h_y + 2 * spec.h_z + 7 * x
-        fd = fd_grad_f(oracle, x, FdOracleConfig(use_closed_form=True), spec=spec)
+        fd = fd_grad_f(oracle, x, spec=spec)
         scale = np.linalg.norm(expected)
         worst_formula = max(worst_formula, np.linalg.norm(g - expected) / scale)
         worst_fd = max(worst_fd, np.linalg.norm(g - fd) / scale)
@@ -296,7 +295,7 @@ def test_criterion_09_increasing_accuracy_controller():
 def test_criterion_10_adversarial_pipeline(tmp_path):
     t0 = time.perf_counter()
     ds = load_csv(bundled_dataset_path())
-    splits = split_dataset(ds, SplitSpec(seed=5))
+    splits = split_dataset(ds, 5)
     sizes_ok = (splits.train.size, splits.val.size, splits.test.size) == (140, 30, 30)
 
     problem = build_problem(ds, splits)
@@ -435,7 +434,7 @@ def test_criterion_11_derivative_cross_checks():
     # adversarial problem: the smoothed-L1 penalty carries the measurable
     # higher-order content
     ds = load_csv(bundled_dataset_path())
-    splits = split_dataset(ds, SplitSpec(seed=5))
+    splits = split_dataset(ds, 5)
     problem = build_problem(ds, splits)
     ao = build_oracle(problem, ds)
     pa = Point(np.array([0.4]), rng.normal(0, 0.5, 6), rng.normal(0, 0.05, problem.dims[2]))

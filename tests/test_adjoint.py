@@ -572,7 +572,7 @@ class TestPinned:
         # bits, so the y gradient is pinned too: it moves with the last bit
         # of an Hzz product
         ds = ah.load_csv(ah.bundled_dataset_path())
-        problem = ah.build_problem(ds, ah.split_dataset(ds, ah.SplitSpec(seed=7)))
+        problem = ah.build_problem(ds, ah.split_dataset(ds, 7))
         oracle = ah.build_oracle(problem, ds)
         gen = np.random.default_rng(7)
         _, m, t = problem.dims

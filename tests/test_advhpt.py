@@ -7,7 +7,6 @@ import pytest
 from trilevel.adjoint import AdjointConfig, _Ops
 from trilevel.advhpt import (
     AdvHptOracle,
-    SplitSpec,
     Splits,
     TabularDataset,
     build_oracle,
@@ -66,12 +65,6 @@ class TestLoadCsv:
         assert ds.feature_names == ["a", "b"]
         np.testing.assert_array_equal(ds.targets, [3, 6, 9])
 
-    def test_target_column_by_name(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", [[1, 2, 3], [4, 5, 6]])
-        ds = load_csv(path, target_column="a")
-        np.testing.assert_array_equal(ds.targets, [1, 4])
-        assert ds.feature_names == ["b", "target"]
-
     def test_missing_cell_named(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", [[1, 2, 3], [4, "", 6]])
         with pytest.raises(ValueError, match="row 3.*'b'"):
@@ -96,31 +89,27 @@ class TestLoadCsv:
 class TestSplits:
     def test_fraction_sizes(self):
         ds = toy_dataset(n=100)
-        s = split_dataset(ds, SplitSpec(seed=1))
+        s = split_dataset(ds, 1)
         assert (s.train.size, s.val.size, s.test.size) == (70, 15, 15)
 
     def test_large_dataset_floor_arithmetic(self):
         ds = TabularDataset(np.zeros((20640, 1)), np.zeros(20640), ["f"])
-        s = split_dataset(ds, SplitSpec(seed=2))
+        s = split_dataset(ds, 2)
         assert (s.train.size, s.val.size, s.test.size) == (14448, 3096, 3096)
 
     def test_disjoint_cover(self):
         ds = toy_dataset(n=53)
-        s = split_dataset(ds, SplitSpec(seed=3))
+        s = split_dataset(ds, 3)
         merged = np.concatenate([s.train, s.val, s.test])
         np.testing.assert_array_equal(np.sort(merged), np.arange(53))
 
     def test_seed_reproducibility(self):
         ds = toy_dataset(n=40)
-        a = split_dataset(ds, SplitSpec(seed=4))
-        b = split_dataset(ds, SplitSpec(seed=4))
+        a = split_dataset(ds, 4)
+        b = split_dataset(ds, 4)
         np.testing.assert_array_equal(a.train, b.train)
-        c = split_dataset(ds, SplitSpec(seed=5))
+        c = split_dataset(ds, 5)
         assert not np.array_equal(a.train, c.train)
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            SplitSpec(train_frac=0.5, val_frac=0.1, test_frac=0.1)
 
     def test_standardization_uses_train_only(self):
         ds = toy_dataset(n=30, seed=6)
@@ -437,7 +426,7 @@ class TestHvpZzOp:
         # that hides class-level hooks takes the per-call HVP path, which
         # must give the same iterates bit for bit
         ds = load_csv(bundled_dataset_path())
-        problem = build_problem(ds, split_dataset(ds, SplitSpec(seed=7)))
+        problem = build_problem(ds, split_dataset(ds, 7))
         raw = build_oracle(problem, ds)
         wrapped = _Forwarding(raw)
         cfg = AdjointConfig(engine="AD", neumann_q=4, c0=1.0, c1=30.0)

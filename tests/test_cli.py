@@ -294,6 +294,13 @@ class TestMainEntry:
         assert main(["run", "--config", str(path)]) == 0
         assert main(["split-info", bundled_dataset_path()]) == 0
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_split_info_prints_fixed_split_sizes(self, capsys, seed):
+        assert main(["split-info", bundled_dataset_path(), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "rows=200 features=5", "train=140 val=30 test=30",
+        ]
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nkind = pentalevel\n")

@@ -235,6 +235,51 @@ class TestLlSg:
         with pytest.raises(NonFiniteError, match="lower-level"), np.errstate(over="ignore"):
             ll_sg(oracle, x, y, z0, gamma, K)
 
+    def test_per_step_cycle_non_finite_at_last_step_aborts(self):
+        oracle = make_oracle(pure_ll_spec())
+
+        class PerStep(ProblemOracle):
+            def grad_z_f3(self, p, s):
+                return oracle.grad_z_f3(p, s)
+
+        x = y = np.zeros(2)
+        z0 = np.array([1e10, -1e10])
+        K = 4
+
+        def gamma(k):
+            # the same overflow at step K as the hook case above
+            return 0.5 if k < K else 1e308
+
+        assert np.all(np.isfinite(ll_sg(PerStep(), x, y, z0, gamma, K - 1)))
+        with pytest.raises(NonFiniteError, match="lower-level"), np.errstate(over="ignore"):
+            ll_sg(PerStep(), x, y, z0, gamma, K)
+
+    def test_diverging_run_aborts_alike_bare_and_forwarded(self):
+        # Hzz = 60 I against gamma_bar = 1: the lower-level cycle diverges
+        spec = QuadraticSpec(
+            n=2, m=2, t=3,
+            h_x=np.ones(2), h_y=np.ones(2), h_z=np.ones(3),
+            Hxx=np.eye(2), Hyy=4 * np.eye(2), Hzz=60 * np.eye(3),
+            Hxy=0.1 * np.eye(2), Hxz=0.1 * np.eye(2, 3), Hyz=0.1 * np.eye(2, 3),
+        )
+        bare = make_oracle(spec)
+
+        class Forwarding:
+            """Forwards every attribute, so the class-level hook is hidden."""
+
+            def __getattr__(self, name):
+                return getattr(bare, name)
+
+        init = Point(np.ones(2), np.ones(2), np.ones(3))
+        traces = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for oracle in (bare, Forwarding()):
+                traces.append(run_tsg(oracle, init, Decaying(0.1, 0.1, 1.0),
+                                      IterationBudget(200, 3, 8), H))
+        assert traces[0].aborted is not None
+        assert traces[0].aborted == traces[1].aborted
+        assert len(traces[0].records) == len(traces[1].records)
+
 
 class TestMlBsg:
     def test_single_adjoint_step(self):

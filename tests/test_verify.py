@@ -13,7 +13,6 @@ from trilevel.synthetic import (
 )
 from trilevel.verify import (
     AgreementReport,
-    FdOracleConfig,
     InnerSolveError,
     engine_agreement_report,
     fd_grad_f,
@@ -28,14 +27,14 @@ class TestFdGradF:
         oracle = make_oracle(spec)
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 20, 8)
-        g = fd_grad_f(oracle, x, FdOracleConfig(use_closed_form=True), spec=spec)
+        g = fd_grad_f(oracle, x, spec=spec)
         expected = spec.h_x + spec.h_y + 2 * spec.h_z + 7 * x
         np.testing.assert_allclose(g, expected, atol=1e-7 * max(1, np.abs(expected).max()))
 
     def test_closed_form_requires_quadratic(self):
         oracle = make_oracle(default_quartic(rng=0))
-        with pytest.raises(ValueError):
-            fd_grad_f(oracle, np.zeros(5), FdOracleConfig(use_closed_form=True), spec=None)
+        with pytest.raises(ValueError, match="QuadraticSpec"):
+            fd_grad_f(oracle, np.zeros(5), spec=default_quartic(rng=0))
 
     def test_decoupled_reduces_to_grad_x_f1(self):
         spec = QuadraticSpec(
@@ -46,7 +45,7 @@ class TestFdGradF:
         )
         oracle = make_oracle(spec)
         x = np.array([0.5, -1.0, 2.0])
-        g = fd_grad_f(oracle, x, FdOracleConfig(use_closed_form=True), spec=spec)
+        g = fd_grad_f(oracle, x, spec=spec)
         # decoupled: y(x)=0, z(x)=0, f = h_x'x + 0.5|x|^2 + const terms
         np.testing.assert_allclose(g, spec.h_x + x, atol=1e-8)
 
@@ -54,7 +53,7 @@ class TestFdGradF:
         spec = default_quartic(rng=3)
         oracle = make_oracle(spec)
         init = default_init_point(spec, rng=3)
-        g_fd = fd_grad_f(oracle, init.x, FdOracleConfig(), warm=init)
+        g_fd = fd_grad_f(oracle, init.x, warm=init)
         g_h = ul_adjoint_gradient(
             oracle, closed_form_point(spec, init.x), DETERMINISTIC, AdjointConfig(engine="H")
         )
@@ -67,9 +66,9 @@ class TestFdGradF:
         spec = default_quadratic(6, 6, 6, rng=1)
         oracle = make_oracle(spec)
         x = np.linspace(0, 5, 6)
-        g1 = fd_grad_f(oracle, x, FdOracleConfig(outer_eps=4e-4, use_closed_form=True), spec=spec)
-        g2 = fd_grad_f(oracle, x, FdOracleConfig(outer_eps=2e-4, use_closed_form=True), spec=spec)
-        g3 = fd_grad_f(oracle, x, FdOracleConfig(outer_eps=1e-4, use_closed_form=True), spec=spec)
+        g1 = fd_grad_f(oracle, x, spec=spec, eps=4e-4)
+        g2 = fd_grad_f(oracle, x, spec=spec, eps=2e-4)
+        g3 = fd_grad_f(oracle, x, spec=spec, eps=1e-4)
         change1 = np.max(np.abs(g1 - g2))
         change2 = np.max(np.abs(g2 - g3))
         assert change2 <= change1 * 4.0 + 1e-8
@@ -115,7 +114,7 @@ class TestAgreementReport:
             AdjointConfig(engine="NFD"),
             AdjointConfig(engine="AD", neumann_q=40, c0=c0, c1=c1),
         ]
-        fd = fd_grad_f(oracle, x, FdOracleConfig(use_closed_form=True), spec=spec)
+        fd = fd_grad_f(oracle, x, spec=spec)
         report = engine_agreement_report(oracle, point, cfgs, fd_reference=fd)
         assert report.max_error() <= 1e-5
         assert report.labels == ["H", "NFD", "AD", "FD"]
