@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import advhpt as ah
 from .adjoint import AdjointConfig, auto_scale_bilevel, auto_scales
@@ -44,6 +43,7 @@ from .driver import (
     TRACE_COLUMNS,
     run_bsg,
 )
+from .linalg import scipy_lapack
 from .oracle import Point, wrap_gaussian_noise
 from .synthetic import (
     closed_form_point,
@@ -82,6 +82,8 @@ class _Task:
 def _build_task(cfg: ExperimentConfig) -> _Task:
     """Assemble the experiment, raising ValueError on any value the run cannot use."""
     cfg.validate()
+    if cfg.engine == "H":
+        scipy_lapack()  # import LAPACK now, not inside the first timed LU
     budget = IterationBudget(cfg.ul_iters, cfg.j0, cfg.k0, cfg.adaptive)
     schedule = (TheoremConstant(cfg.ul_iters, cfg.j0, cfg.k0) if cfg.schedule == "theorem"
                 else Decaying(cfg.alpha_bar, cfg.beta_bar, cfg.gamma_bar))
@@ -188,6 +190,20 @@ class AggregateResult:
     traces: list
 
 
+# scipy.special.stdtrit(df, 0.975) for df = 1..30, bit for bit: runs of up
+# to 31 repetitions take their t-quantile from here without importing scipy
+T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378,
+)
+
+
 def _ci_half(values: np.ndarray) -> float:
     """95% half-width via the t-distribution (stdtrit, its quantile) over repetitions."""
     n = values.size
@@ -196,6 +212,10 @@ def _ci_half(values: np.ndarray) -> float:
     sem = values.std(ddof=1) / math.sqrt(n)
     if sem == 0.0:
         return 0.0
+    if n - 1 <= len(T975):
+        return float(T975[n - 2] * sem)
+    from scipy.special import stdtrit
+
     return float(stdtrit(n - 1, 0.975) * sem)
 
 

@@ -497,12 +497,15 @@ def run_bsg(
     if reduction == REDUCTION_TRILEVEL:
         return run_tsg(oracle, init, schedule, budget, cfg, samples)
     samples = samples or DeterministicSamples()
+    deterministic = isinstance(samples, DeterministicSamples)
 
     def without_ul_step(i, x, y, z, state, events):
-        # outer iteration i is middle-level iteration j = i-1, at step beta_i
+        # outer iteration i is middle-level iteration j = i-1, at step beta_i;
+        # deterministic runs pass no samplers, as in run_tsg
         y, z, g = _ml_iteration(
             oracle, x, y, z, schedule.beta(i), schedule.gamma, state.K, cfg, i - 1,
-            lambda j: samples.ml(0, j), lambda j, k: samples.ll(0, j, k), events,
+            None if deterministic else (lambda j: samples.ml(0, j)),
+            None if deterministic else (lambda j, k: samples.ll(0, j, k)), events,
         )
         return Point(x, y, z), g, x, (1, state.K), dict(
             J=1, K=state.K, alpha=0.0, beta=schedule.beta(i), gamma=schedule.gamma(1))

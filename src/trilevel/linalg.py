@@ -7,17 +7,21 @@ and a pivot tolerance check) with a one-entry memo that factors a matrix
 object solved repeatedly only once, and the order-3 tensor contraction
 that the synthetic problems' third-order callbacks are checked against.
 
+Only the LU routines use scipy, and :func:`scipy_lapack` imports its BLAS
+and LAPACK wrappers on the first call: a run that never factors a matrix
+(the NFD and AD engines) never pays the ~0.3 s import of scipy.linalg.
+
 Vectors, matrices, and order-3 tensors are plain float64 ndarrays of
 rank 1, 2, and 3 (row-major; packed LU factors and LU solutions of matrix
 right-hand sides are column-major). All operations are pure; inputs are
 never mutated, so a factorization may be shared across threads.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 Array = np.ndarray
 
@@ -155,6 +159,14 @@ def tensor_contract_vec(T, v) -> Array:
     return np.einsum("abc,b->ac", T, v)
 
 
+@functools.cache
+def scipy_lapack():
+    """scipy's (blas, lapack) wrapper modules, imported on the first call."""
+    from scipy.linalg import blas, lapack
+
+    return blas, lapack
+
+
 def lu_factor(A) -> tuple[Array, Array]:
     """Partial-pivot LU factorization by LAPACK ``getrf``: returns (LU, perm).
 
@@ -167,6 +179,7 @@ def lu_factor(A) -> tuple[Array, Array]:
     n, nc = A.shape
     if n != nc or n == 0:
         raise ValueError(f"matrix must be square and non-empty, got {A.shape}")
+    _, lapack = scipy_lapack()
     lu, swaps, _ = lapack.dgetrf(A)
     pivots = np.abs(np.diagonal(lu))
     if not np.all(pivots >= PIVOT_TOL):  # also catches NaN pivots
@@ -195,6 +208,7 @@ def lu_solve(lu: Array, perm: Array, B) -> Array:
     if b.shape[0] != n:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
     x = b[perm]  # P b, a fresh array
+    blas, _ = scipy_lapack()
     if x.ndim == 1:
         x = blas.dtrsv(lu, x, lower=1, diag=1, overwrite_x=1)  # L y = P b
         return blas.dtrsv(lu, x, overwrite_x=1)  # U x = y

@@ -74,7 +74,12 @@ class Deterministic:
 
 @dataclass(frozen=True)
 class MinibatchIndices:
-    """Evaluation restricted to the given dataset rows (1/|batch| scaling)."""
+    """Evaluation restricted to the given dataset rows (1/|batch| scaling).
+
+    The rows must be distinct: a derivative block that assigns per-row
+    values (``out[batch] = ...``) counts a repeated row once, while the
+    sums over the batch count it once per occurrence.
+    """
 
     indices: tuple[int, ...]
 
@@ -82,6 +87,8 @@ class MinibatchIndices:
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         if len(self.indices) == 0:
             raise ValueError("minibatch must contain at least one index")
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError("minibatch indices must be distinct")
 
 
 @dataclass(frozen=True)

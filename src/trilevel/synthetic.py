@@ -19,7 +19,9 @@ z = Hzz^{-1}(Hzx x + Hzy y).
 
 Both admit closed-form inner solutions (for the quartic, on the branch
 through the nonzero stationary point), making the reduced objective and
-its gradient available as independent test references.
+its gradient available as independent test references. The closed forms
+and the specs' positive-definiteness checks solve with numpy's own LAPACK
+(``np.linalg.solve``), so they share no solver with the H engine's LU.
 """
 
 import json
@@ -28,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, solve_dense
+from .linalg import as_matrix, as_vector
 from .oracle import OracleCapabilities, Point, ProblemOracle
 
 Array = np.ndarray
@@ -100,7 +102,7 @@ class _SyntheticSpec:
 
     def reduced_ml_hessian(self) -> Array:
         """Hessian of the reduced middle-level objective: Hyy - 2 Hyz Hzz^{-1} Hzy."""
-        return self.Hyy - 2.0 * self.Hyz @ solve_dense(self.Hzz, self.Hzy)
+        return self.Hyy - 2.0 * self.Hyz @ np.linalg.solve(self.Hzz, self.Hzy)
 
 
 @dataclass(frozen=True)
@@ -177,15 +179,15 @@ def closed_form_z(spec: SyntheticSpec, x, y) -> Array:
     """
     x = as_vector(x, "x")
     y = as_vector(y, "y")
-    return solve_dense(spec.Hzz, spec.Hzx @ x + spec.Hzy @ y)
+    return np.linalg.solve(spec.Hzz, spec.Hzx @ x + spec.Hzy @ y)
 
 
 def closed_form_y(spec: SyntheticSpec, x) -> Array:
     """Middle-level solution y(x) = (Hyy - 2 Hyz Hzz^{-1} Hzy)^{-1}
     (Hyx + Hyz Hzz^{-1} Hzx) x."""
     x = as_vector(x, "x")
-    rhs = (spec.Hyx + spec.Hyz @ solve_dense(spec.Hzz, spec.Hzx)) @ x
-    return solve_dense(spec.reduced_ml_hessian(), rhs)
+    rhs = (spec.Hyx + spec.Hyz @ np.linalg.solve(spec.Hzz, spec.Hzx)) @ x
+    return np.linalg.solve(spec.reduced_ml_hessian(), rhs)
 
 
 def closed_form_point(spec: SyntheticSpec, x) -> Point:
@@ -207,11 +209,11 @@ def reduced_gradient(spec: SyntheticSpec, x) -> Array:
     grad f = grad_x f1 + Y' grad_y f1 + Z' grad_z f1.
     """
     x = as_vector(x, "x")
-    Y = solve_dense(
+    Y = np.linalg.solve(
         spec.reduced_ml_hessian(),
-        spec.Hyx + spec.Hyz @ solve_dense(spec.Hzz, spec.Hzx),
+        spec.Hyx + spec.Hyz @ np.linalg.solve(spec.Hzz, spec.Hzx),
     )
-    Z = solve_dense(spec.Hzz, spec.Hzx + spec.Hzy @ Y)
+    Z = np.linalg.solve(spec.Hzz, spec.Hzx + spec.Hzy @ Y)
     p = closed_form_point(spec, x)
     gx = spec.h_x + spec.Hxx @ p.x + spec.Hxy @ p.y + spec.Hxz @ p.z
     gy = spec.h_y + spec.Hyx @ p.x
@@ -226,7 +228,7 @@ def reduced_minimizer(spec: SyntheticSpec) -> Array:
     H = np.column_stack(
         [reduced_gradient(spec, e) - g0 for e in np.eye(n)]
     )
-    return solve_dense(H, -g0)
+    return np.linalg.solve(H, -g0)
 
 
 def _f1(spec, p: Point) -> float:

@@ -14,6 +14,7 @@ from trilevel import cli, config as config_module
 from trilevel.adjoint import auto_scale_bilevel, auto_scales
 from trilevel.advhpt import bundled_dataset_path
 from trilevel.cli import (
+    T975,
     _build_task,
     _ci_half,
     aggregate,
@@ -381,6 +382,70 @@ class TestMainEntry:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestScipyImports:
+    """scipy is imported only where it is used: LAPACK for the H engine's LU,
+    and stdtrit for t-quantiles beyond the table. Each check runs in a
+    fresh interpreter, since this test process has imported scipy already."""
+
+    def _fresh(self, code):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src), TSG_LOG="0")
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+    def test_import_loads_no_scipy(self):
+        assert self._fresh(f"import sys, trilevel.cli; print({self.LOADED})") == "[]"
+
+    @pytest.mark.parametrize("overrides", [
+        dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="AD", mode="stochastic",
+             neumann_q=5, alpha_bar=0.1, beta_bar=0.01, gamma_bar=0.1, ul_iters=2,
+             repetitions=2, minibatch=16, noise_test_realizations=3),
+        dict(engine="NFD", mode="stochastic", std_grad=0.1, std_hess=0.01, n=3, m=3, t=3,
+             ul_iters=3, adaptive=False, repetitions=2),
+    ], ids=["adv-hpt-AD", "quadratic-NFD"])
+    def test_matrix_free_runs_load_no_scipy(self, tmp_path, overrides):
+        path = tmp_path / "cfg.ini"
+        save_config(tiny_config(tmp_path, **overrides), path)
+        out = self._fresh(f"""
+            import sys
+            from trilevel import cli
+            assert cli.main(["run", "--config", {str(path)!r}]) == 0
+            print({self.LOADED})
+        """)
+        assert out == "[]"
+        assert (tmp_path / "out" / "run_1.csv").exists()
+
+    def test_h_engine_loads_lapack_before_the_first_run(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        save_config(tiny_config(tmp_path, ul_iters=3), path)
+        out = self._fresh(f"""
+            import sys
+            from trilevel import cli
+            loaded = []
+            run_bsg = cli.run_bsg
+
+            def spy(*args, **kwargs):
+                loaded.append("scipy.linalg" in sys.modules)
+                return run_bsg(*args, **kwargs)
+
+            cli.run_bsg = spy
+            assert cli.main(["run", "--config", {str(path)!r}]) == 0
+            print(loaded)
+        """)
+        assert out == "[True, True]"
+
+    def test_t975_table_is_stdtrit_bit_for_bit(self):
+        from scipy.special import stdtrit
+
+        assert len(T975) == 30
+        for df, q in enumerate(T975, start=1):
+            assert q.hex() == float(stdtrit(df, 0.975)).hex(), df
 
 
 class TestGridSearch:

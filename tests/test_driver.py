@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from trilevel.oracle import (
     wrap_gaussian_noise,
 )
 from trilevel.synthetic import (
+    QuadraticOracle,
     QuadraticSpec,
     closed_form_y,
     closed_form_z,
@@ -532,6 +535,41 @@ class TestRunBsg:
         # x is never optimized
         for p in trace.iterates:
             np.testing.assert_array_equal(p.x, init.x)
+
+    def test_deterministic_without_ul_takes_the_ll_grad_cycle(self):
+        spec = default_quadratic(5, 5, 5, rng=16)
+
+        class Counting(QuadraticOracle):
+            calls = 0
+
+            def grad_z_f3(self, p, sample):
+                Counting.calls += 1
+                return super().grad_z_f3(p, sample)
+
+        bare = Counting(spec)
+
+        class Forwarding:
+            """Forwards every attribute, so the class-level hook is hidden."""
+
+            def __getattr__(self, name):
+                return getattr(bare, name)
+
+        init = default_init_point(spec, rng=17)
+        traces, calls = [], []
+        for oracle in (bare, Forwarding()):
+            Counting.calls = 0
+            traces.append(run_bsg("without-ul", oracle, init, Decaying(0.3, 0.2, 0.1),
+                                  IterationBudget(4, k0=5), H))
+            calls.append(Counting.calls)
+        assert calls == [0, 20]
+        hooked, forwarded = traces
+        assert forwarded.aborted is None and hooked.aborted is None
+        assert len(hooked.records) == len(forwarded.records) == 4
+        for r, q in zip(hooked.records, forwarded.records):
+            assert replace(r, wall_s=0.0) == replace(q, wall_s=0.0)
+        for p, q in zip(hooked.iterates, forwarded.iterates, strict=True):
+            for name in ("x", "y", "z"):
+                assert np.array_equal(getattr(p, name), getattr(q, name))
 
     def test_without_ll_keeps_z_zero_and_tunes_x(self):
         spec = default_quadratic(4, 4, 4, rng=13)

@@ -50,6 +50,12 @@ class TestSampleSpecs:
         s = MinibatchIndices((3, 1))
         assert s.indices == (3, 1)
 
+    def test_minibatch_rejects_repeated_rows(self):
+        # adv-hpt's per-row derivative blocks would count a repeated row once
+        # and its objective sums once per occurrence
+        with pytest.raises(ValueError, match="distinct"):
+            MinibatchIndices((0, 0, 1))
+
     def test_noise_draw_hashable(self):
         assert NoiseDraw(1, 2) == NoiseDraw(1, 2)
         assert hash(NoiseDraw(1, 2)) == hash(NoiseDraw(1, 2))
