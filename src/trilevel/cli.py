@@ -2,8 +2,8 @@
 
 Subcommands and their flags:
 
-* ``run --config C [--jobs N] [--seed S] [--out DIR]``: execute repeated
-  seeded runs of a configured experiment and write plot-ready CSVs
+* ``run --config C [--seed S] [--out DIR]``: execute repeated seeded
+  runs of a configured experiment, one after another, and write plot-ready CSVs
   (per-run traces, per-iteration and per-wall-time aggregates with 95%
   t-CIs, and -- for the adversarial problem -- a noisy-test summary).
 * ``verify [--config C]``: desk-scale engine-agreement and FD-referee
@@ -14,11 +14,11 @@ Subcommands and their flags:
 * ``split-info CSV [--seed S]``: print the train/val/test sizes for a CSV.
 
 ``--seed`` and ``--out`` override base_seed and output_dir.
+:func:`run_experiment` keeps a ``jobs`` keyword, 1 only, for callers that pass it.
 Verbosity is controlled by the TSG_LOG environment variable (0/1).
 """
 
 import argparse
-import concurrent.futures
 import configparser
 import math
 import os
@@ -265,16 +265,19 @@ def _write_trace_csv(path, run_id: int, trace: RunTrace):
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> AggregateResult:
-    """Execute ``cfg.repetitions`` independent runs and write all outputs.
+    """Execute ``cfg.repetitions`` independent runs in turn and write all outputs.
 
-    Raises ValueError for a config the run cannot use, before any output
-    is written, and RuntimeError when any run aborts (partial traces are
+    Raises ValueError, before any output is written, for a config the run
+    cannot use or for ``jobs`` other than 1 (kept for callers that pass
+    ``jobs=1``), and RuntimeError when any run aborts (partial traces are
     still written first).
     """
-    return _run_task(cfg, _build_task(cfg), jobs)
+    if jobs != 1:
+        raise ValueError(f"repetitions run serially: jobs must be 1, got {jobs!r}")
+    return _run_task(cfg, _build_task(cfg))
 
 
-def _run_task(cfg: ExperimentConfig, task: _Task, jobs: int) -> AggregateResult:
+def _run_task(cfg: ExperimentConfig, task: _Task) -> AggregateResult:
     os.makedirs(cfg.output_dir, exist_ok=True)
     save_config(cfg, os.path.join(cfg.output_dir, "config.ini"))
     if task.spec is not None:
@@ -290,12 +293,7 @@ def _run_task(cfg: ExperimentConfig, task: _Task, jobs: int) -> AggregateResult:
             task.adjoint_cfg, samples=samples,
         )
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(one, range(cfg.repetitions)))
-    else:
-        traces = [one(rep) for rep in range(cfg.repetitions)]
-
+    traces = [one(rep) for rep in range(cfg.repetitions)]
     for rep, trace in enumerate(traces):
         _write_trace_csv(os.path.join(cfg.output_dir, f"run_{rep}.csv"), rep, trace)
 
@@ -404,7 +402,7 @@ def _cmd_grid_search(cfg: ExperimentConfig, task: _Task) -> int:
                     output_dir=os.path.join(cfg.output_dir, f"grid_{ab}_{bb}_{gb}"),
                 )
                 try:
-                    agg = _run_task(sub, replace(task, schedule=Decaying(ab, bb, gb)), 1)
+                    agg = _run_task(sub, replace(task, schedule=Decaying(ab, bb, gb)))
                     final = float(agg.mean_f1[-1])
                 except RuntimeError:
                     final = float("nan")
@@ -439,7 +437,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="INI config path")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
         p.add_argument("--out", default=None, help="override output_dir")
-    run.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("split-info")
     p.add_argument("csv")
@@ -471,7 +468,7 @@ def main(argv=None) -> int:
     if args.command == "grid-search":
         return _cmd_grid_search(cfg, task)
     try:
-        _run_task(cfg, task, args.jobs)
+        _run_task(cfg, task)
     except RuntimeError as err:
         print(f"run failed: {err}", file=sys.stderr)
         return 1

@@ -28,6 +28,7 @@ from .adjoint import (
     ml_adjoint_gradient,
     ul_adjoint_gradient,
 )
+from .linalg import NonFiniteError, SingularMatrixError
 from .oracle import (
     DETERMINISTIC,
     MinibatchIndices,
@@ -46,10 +47,6 @@ REDUCTION_TRILEVEL = "trilevel"
 REDUCTION_WITHOUT_UL = "without-ul"
 REDUCTION_WITHOUT_LL = "without-ll"
 REDUCTIONS = (REDUCTION_TRILEVEL, REDUCTION_WITHOUT_UL, REDUCTION_WITHOUT_LL)
-
-
-class NonFiniteError(RuntimeError):
-    """A gradient or objective evaluation produced NaN/Inf."""
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +371,14 @@ def _ml_iteration(oracle, x, y, z, beta, gamma, K, cfg, j, ml_sampler, ll_sample
     return y - beta * g, z, g
 
 
+def _cycle_samplers(samples, i: int):
+    """Outer iteration i's (ml, ll) samplers. Deterministic runs get none, so
+    no inner step calls a sampler and ``ll_sg`` may take the ``ll_grad`` hook."""
+    if isinstance(samples, DeterministicSamples):
+        return None, None
+    return (lambda j: samples.ml(i, j)), (lambda j, k: samples.ll(i, j, k))
+
+
 def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget) -> RunTrace:
     """The outer loop every reduction runs.
 
@@ -383,9 +388,10 @@ def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget) -> Ru
     the point to record, the outer gradient, the next x, the middle- and
     lower-level work done, and the record's J, K, alpha, beta and gamma.
     The loop evaluates the objectives deterministically at the point and
-    records them and the point; a NonFiniteError or a non-finite f1 or f2
-    ends the run with ``trace.aborted`` set. With an adaptive budget, the
-    increasing-accuracy rule grows the budgets flagged in ``grows`` = (J, K).
+    records them and the point; a breakdown (NonFiniteError, SingularMatrixError,
+    a non-finite f1 or f2) ends the run with ``trace.aborted`` set. With an
+    adaptive budget, the increasing-accuracy rule grows the budgets flagged in
+    ``grows`` = (J, K).
     """
     trace = RunTrace()
     x, y, z = init.x.copy(), init.y.copy(), init.z.copy()
@@ -398,7 +404,7 @@ def _outer_loop(step, grows, oracle, init: Point, budget: IterationBudget) -> Ru
         events: list = []
         try:
             point, g, x_next, (ml_iters, ll_steps), fields = step(i, x, y, z, state, events)
-        except NonFiniteError as err:
+        except (NonFiniteError, SingularMatrixError) as err:
             trace.aborted = str(err)
             return trace
 
@@ -448,8 +454,6 @@ def run_tsg(
     inner solutions, bypassing the inner loops.
     """
     samples = samples or DeterministicSamples()
-    # deterministic runs pass no samplers, which spares a call per inner step
-    deterministic = isinstance(samples, DeterministicSamples)
 
     def step(i, x, y, z, state, events):
         J, K = state.J, state.K
@@ -457,15 +461,12 @@ def run_tsg(
             y, z = (np.asarray(v, float) for v in exact_inner(x))
             work = (0, 0)
         else:
-            y, z = ml_bsg(
-                oracle, x, y, z, schedule.beta, schedule.gamma, J, K, cfg,
-                ml_sampler=None if deterministic else (lambda j: samples.ml(i, j)),
-                ll_sampler=None if deterministic else (lambda j, k: samples.ll(i, j, k)),
-                events=events,
-            )
+            ml_sampler, ll_sampler = _cycle_samplers(samples, i)
+            y, z = ml_bsg(oracle, x, y, z, schedule.beta, schedule.gamma, J, K, cfg,
+                          ml_sampler, ll_sampler, events)
             # extra lower-level pass at the updated middle iterate
             z = ll_sg(oracle, x, y, z, schedule.gamma, K,
-                      sampler=None if deterministic else (lambda k: samples.ll(i, J, k)))
+                      sampler=ll_sampler and (lambda k: ll_sampler(J, k)))
             work = (J, K * (J + 1))
         point = Point(x, y, z)
         g = ul_adjoint_gradient(oracle, point, samples.ul(i), cfg, events)
@@ -497,16 +498,11 @@ def run_bsg(
     if reduction == REDUCTION_TRILEVEL:
         return run_tsg(oracle, init, schedule, budget, cfg, samples)
     samples = samples or DeterministicSamples()
-    deterministic = isinstance(samples, DeterministicSamples)
 
     def without_ul_step(i, x, y, z, state, events):
-        # outer iteration i is middle-level iteration j = i-1, at step beta_i;
-        # deterministic runs pass no samplers, as in run_tsg
-        y, z, g = _ml_iteration(
-            oracle, x, y, z, schedule.beta(i), schedule.gamma, state.K, cfg, i - 1,
-            None if deterministic else (lambda j: samples.ml(0, j)),
-            None if deterministic else (lambda j, k: samples.ll(0, j, k)), events,
-        )
+        # outer iteration i is middle-level iteration j = i-1, at step beta_i
+        y, z, g = _ml_iteration(oracle, x, y, z, schedule.beta(i), schedule.gamma, state.K,
+                                cfg, i - 1, *_cycle_samplers(samples, 0), events)
         return Point(x, y, z), g, x, (1, state.K), dict(
             J=1, K=state.K, alpha=0.0, beta=schedule.beta(i), gamma=schedule.gamma(1))
 

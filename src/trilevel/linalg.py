@@ -34,12 +34,18 @@ class SingularMatrixError(ValueError):
     """Raised when an LU factorization has a pivot below tolerance."""
 
 
+class NonFiniteError(RuntimeError):
+    """NaN/Inf in a gradient, objective, operator product or solver input: a
+    breakdown that aborts a run, as a SingularMatrixError does. Shape and
+    argument errors raise ValueError."""
+
+
 def as_vector(v, name: str = "vector") -> Array:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -48,7 +54,7 @@ def as_matrix(m, name: str = "matrix") -> Array:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -57,7 +63,7 @@ def as_tensor3(t, name: str = "tensor") -> Array:
     if arr.ndim != 3:
         raise ValueError(f"{name} must be 3-d, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -118,7 +124,7 @@ def cg_solve(
                 f"operator output shape {Ad.shape} does not match rhs shape {d.shape}"
             )
         if not np.all(np.isfinite(Ad)):
-            raise ValueError("operator returned non-finite values")
+            raise NonFiniteError("operator returned non-finite values")
         dAd = float(d @ Ad)
         if dAd <= CURVATURE_TOL * float(d @ d):
             res = float(np.linalg.norm(b - _apply(apply_A, x, n)))

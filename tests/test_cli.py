@@ -23,7 +23,7 @@ from trilevel.cli import (
     verify_checks,
 )
 from trilevel.config import _SECTIONS, ExperimentConfig, from_ini, load_config, save_config, to_ini
-from trilevel.driver import RunTrace, TraceRecord
+from trilevel.driver import RunTrace, TraceRecord, run_bsg
 from trilevel.synthetic import default_init_point, default_quadratic, make_oracle
 
 
@@ -198,35 +198,12 @@ class TestRunExperiment:
         agg = run_experiment(cfg)
         assert (agg.ci_hi - agg.ci_lo)[1:].max() > 0.0
 
-    def test_jobs_parallel_matches_serial(self, tmp_path):
-        cfg1 = tiny_config(tmp_path, mode="stochastic", std_grad=0.2, repetitions=3,
-                           ul_iters=5, output_dir=str(tmp_path / "serial"))
-        cfg2 = tiny_config(tmp_path, mode="stochastic", std_grad=0.2, repetitions=3,
-                           ul_iters=5, output_dir=str(tmp_path / "parallel"))
-        a = run_experiment(cfg1, jobs=1)
-        b = run_experiment(cfg2, jobs=3)
-        np.testing.assert_array_equal(a.mean_f1, b.mean_f1)
-
-    def test_jobs_noisy_traces_bit_identical(self, tmp_path):
-        # threads share no generator: each repetition's records (but wall_s)
-        # and iterates match the serial run's bit for bit
-        runs = [
-            run_experiment(tiny_config(tmp_path, mode="stochastic", std_grad=0.2, std_hess=0.05,
-                                       repetitions=3, ul_iters=5,
-                                       output_dir=str(tmp_path / f"jobs{jobs}")), jobs=jobs)
-            for jobs in (1, 3)
-        ]
-        serial, threaded = (agg.traces for agg in runs)
-        assert len(serial) == len(threaded) == 3
-        for a, b in zip(serial, threaded):
-            assert [replace(r, wall_s=0.0) for r in a.records] == \
-                [replace(r, wall_s=0.0) for r in b.records]
-            assert len(a.iterates) == len(b.iterates) == 5
-            for p, q in zip(a.iterates, b.iterates):
-                for name in ("x", "y", "z"):
-                    assert np.array_equal(getattr(p, name), getattr(q, name))
-        # the repetitions draw different noise
-        assert serial[0].records[-1].f1 != serial[1].records[-1].f1
+    def test_jobs_other_than_one_rejected_before_output(self, tmp_path):
+        # repetitions run serially; the keyword stays for callers passing jobs=1
+        cfg = tiny_config(tmp_path)
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            run_experiment(cfg, jobs=2)
+        assert not os.path.exists(cfg.output_dir)
 
     def test_adv_hpt_outputs(self, tmp_path):
         cfg = tiny_config(
@@ -352,7 +329,8 @@ class TestMainEntry:
         ["verify", "--seed", "3"],
         ["verify", "--out", "d"],
         ["grid-search", "--config", "{cfg}", "--jobs", "2"],
-    ], ids=["verify-jobs", "verify-seed", "verify-out", "grid-search-jobs"])
+        ["run", "--config", "{cfg}", "--jobs", "2"],
+    ], ids=["verify-jobs", "verify-seed", "verify-out", "grid-search-jobs", "run-jobs"])
     def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, argv):
         cfg = tiny_config(tmp_path)
         path = tmp_path / "cfg.ini"
@@ -361,6 +339,29 @@ class TestMainEntry:
             main([a.format(cfg=path) for a in argv])
         assert exc.value.code == 2
         assert not os.path.exists(cfg.output_dir)
+
+    @pytest.mark.parametrize("engine, spec_seed, alpha_bar, gamma_bar, reason", [
+        ("NFD", 5, 0.3, 1.0, "operator returned non-finite values"),
+        ("H", 3, 1.0, 0.5, "below tolerance"),
+    ], ids=["NFD-cg-non-finite", "H-singular-lu"])
+    def test_numerical_breakdown_aborts_its_repetition(self, tmp_path, capsys, engine, spec_seed,
+                                                       alpha_bar, gamma_bar, reason):
+        # quartics whose NFD CG operator goes non-finite or whose Hzz factors
+        # singular: the repetition aborts and the run exits 1 with its trace
+        cfg = tiny_config(tmp_path, problem="quartic", n=8, m=8, t=8, spec_seed=spec_seed,
+                          engine=engine, alpha_bar=alpha_bar, beta_bar=1.0, gamma_bar=gamma_bar,
+                          j0=2, k0=5, adaptive=False, repetitions=1)
+        task = _build_task(cfg)
+        with np.errstate(all="ignore"):
+            trace = run_bsg(cfg.reduction, task.oracle_for(cfg.base_seed), task.init,
+                            task.schedule, task.budget, task.adjoint_cfg,
+                            samples=task.samples_for(cfg.base_seed))
+            assert reason in trace.aborted
+            path = tmp_path / "cfg.ini"
+            save_config(cfg, path)
+            assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("run failed: aborted runs: [(0, '")
+        assert os.path.exists(os.path.join(cfg.output_dir, "run_0.csv"))
 
     def test_import_loads_no_scipy_stats(self):
         # a fresh interpreter: this test process has already imported scipy.stats

@@ -481,6 +481,30 @@ class TestRunTsg:
             assert trace.aborted is not None, reduction
             assert len(trace.records) < 10, reduction
 
+    def test_abort_on_non_finite_nfd(self):
+        # NFD solves its adjoint systems by CG: a non-finite right-hand side
+        # ends the run with trace.aborted set, as a non-finite step does
+        inner = make_oracle(default_quadratic(3, 3, 3, rng=10))
+
+        class Exploder:
+            capabilities, dims = inner.capabilities, inner.dims
+
+            def __init__(self, method):
+                self.method = method
+
+            def __getattr__(self, name):
+                if name == self.method:
+                    return lambda point, sample: np.full(3, np.inf)
+                return getattr(inner, name)
+
+        for reduction, method in (
+            ("trilevel", "grad_z_f2"), ("without-ul", "grad_z_f2"), ("without-ll", "grad_y_f1"),
+        ):
+            trace = run_bsg(reduction, Exploder(method), Point(np.ones(3), np.ones(3), np.ones(3)),
+                            Decaying(0.3, 0.2, 0.1), IterationBudget(10), AdjointConfig(engine="NFD"))
+            assert trace.aborted == "b contains non-finite entries", reduction
+            assert trace.records == [], reduction
+
     def test_ml_bias_shrinks_with_k(self):
         from trilevel.adjoint import ml_adjoint_gradient
 

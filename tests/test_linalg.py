@@ -9,6 +9,7 @@ import pytest
 
 from trilevel import linalg
 from trilevel.linalg import (
+    NonFiniteError,
     SingularMatrixError,
     cg_solve,
     lu_factor,
@@ -78,6 +79,14 @@ class TestCgSolve:
     def test_bad_tol(self):
         with pytest.raises(ValueError):
             cg_solve(lambda v: v, np.array([1.0]), tol=0.0)
+
+    def test_non_finite_rhs_or_product_is_a_breakdown(self):
+        # NonFiniteError, not ValueError: the driver aborts the run on it
+        assert not issubclass(NonFiniteError, ValueError)
+        with pytest.raises(NonFiniteError, match="b contains non-finite"):
+            cg_solve(lambda v: v, np.array([1.0, np.nan]))
+        with pytest.raises(NonFiniteError, match="operator returned non-finite"):
+            cg_solve(lambda v: np.full_like(v, np.inf), np.ones(2))
 
     def test_zero_rhs(self):
         report = cg_solve(lambda v: v, np.zeros(3))
@@ -174,6 +183,10 @@ class TestSolveDense:
     def test_non_square(self):
         with pytest.raises(ValueError):
             solve_dense(np.zeros((2, 3)), np.zeros(2))
+
+    def test_non_finite_matrix_is_a_breakdown(self):
+        with pytest.raises(NonFiniteError, match="A contains non-finite"):
+            lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_pivoting_handles_zero_leading_entry(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
