@@ -15,8 +15,8 @@ reduced middle-level objective fbar(x, y) = f2(x, y, z(x, y)).
 Backends:
 
 * ``H``   assembles Hbar_yx / Hbar_yy densely from analytic Hessians and
-  third-order contractions and uses LU solves. Reference quality; only
-  meant for desk-scale problems.
+  third-order contractions and solves directly with LAPACK. Reference
+  quality; only meant for desk-scale problems.
 * ``NFD`` solves every inverse-Hessian system with linear CG, realizing
   each Hessian-vector product as a central finite difference of the
   corresponding gradient.
@@ -264,8 +264,8 @@ def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
     if cfg.engine == ENGINE_H:
         if not oracle.capabilities.has_hessians:
             raise ValueError("H engine requires an oracle with Hessian blocks")
-        lu = lu_factor_cached(oracle.hess_zz_f3(point, sample))
-        w = lu_solve(*lu, np.asarray(oracle.grad_z_f2(point, sample), float))
+        w = _solve_zz(oracle.hess_zz_f3(point, sample),
+                      np.asarray(oracle.grad_z_f2(point, sample), float))
         return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
                 - getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w)
     return _Ops(oracle, sample, cfg, events).fbar_gradient(point, block)
@@ -299,26 +299,35 @@ def ul_adjoint_gradient(
     return np.asarray(o.grad_x_f1(point, s), float) - ops.hvp_z(point, "x", lam_z) - cross
 
 
+def _solve_zz(Hzz, B) -> Array:
+    """Hzz^{-1} B through the one-entry memo: a product with the inverse of
+    an Hzz object seen on the last call, a one-shot solve otherwise."""
+    F = lu_factor_cached(Hzz)
+    return solve_dense(Hzz, B) if F is None else lu_solve(F, B)
+
+
 def _ul_dense(oracle, point, sample, cfg) -> Array:
     """Reference backend: dense assembly of the reduced Hessians from
-    analytic Hessian blocks and third-order contractions, LU solves."""
+    analytic Hessian blocks and third-order contractions.
+
+    Hzz(f3) is solved once, against the stacked right-hand sides
+    [grad_z f1 | Hxz3^T | Hyz3^T | grad_z f2]. Hzz is a symmetric Hessian,
+    so Hyz3 Hzz^{-1} = -Jy^T, and the correction term's derivatives need no
+    second solve; only Hbar_yy is solved on its own."""
     caps = oracle.capabilities
     if not caps.has_third_order:
         raise ValueError("H engine requires an oracle with third-order contractions")
     o, p, s = oracle, point, sample
 
-    lu = lu_factor_cached(o.hess_zz_f3(p, s))
-
-    def inv(B):
-        return lu_solve(*lu, B)
-
     Hxz3 = np.asarray(o.hess_xz_f3(p, s), float)  # n x t
     Hyz3 = np.asarray(o.hess_yz_f3(p, s), float)  # m x t
-
-    lam_z = inv(np.asarray(o.grad_z_f1(p, s), float))
-    Jx = -inv(Hxz3.T)  # t x n, dz/dx on the solution manifold
-    Jy = -inv(Hyz3.T)  # t x m
-    w2 = inv(np.asarray(o.grad_z_f2(p, s), float))
+    n, m = Hxz3.shape[0], Hyz3.shape[0]
+    rhs = np.column_stack([np.asarray(o.grad_z_f1(p, s), float), Hxz3.T, Hyz3.T,
+                           np.asarray(o.grad_z_f2(p, s), float)])
+    sol = _solve_zz(o.hess_zz_f3(p, s), rhs)
+    lam_z, w2 = sol[:, 0], sol[:, -1]
+    Jx = -sol[:, 1:1 + n]  # t x n, dz/dx on the solution manifold
+    Jy = -sol[:, 1 + n:1 + n + m]  # t x m
     # the blocks that both the x and the y side use, each evaluated once
     T_zzz = o.t3_zzz_f3_contract(p, s, w2)
     T_yzz = o.t3_yzz_f3_contract(p, s, w2)
@@ -328,11 +337,11 @@ def _ul_dense(oracle, point, sample, cfg) -> Array:
     # derivative of the correction term -H_yz Hzz^{-1} grad_z f2 in x and y
     Bx = o.t3_zzx_f3_contract(p, s, w2) + T_zzz @ Jx
     Cx = np.asarray(o.hess_zx_f2(p, s), float) + Hzz2 @ Jx
-    dx = -(o.t3_yzx_f3_contract(p, s, w2) + T_yzz @ Jx) + Hyz3 @ inv(Bx - Cx)
+    dx = -(o.t3_yzx_f3_contract(p, s, w2) + T_yzz @ Jx) - Jy.T @ (Bx - Cx)
 
     By = o.t3_zzy_f3_contract(p, s, w2) + T_zzz @ Jy
     Cy = np.asarray(o.hess_zy_f2(p, s), float) + Hzz2 @ Jy
-    dy = -(o.t3_yzy_f3_contract(p, s, w2) + T_yzz @ Jy) + Hyz3 @ inv(By - Cy)
+    dy = -(o.t3_yzy_f3_contract(p, s, w2) + T_yzz @ Jy) - Jy.T @ (By - Cy)
 
     Hyx_bar = np.asarray(o.hess_yx_f2(p, s), float) + Hyz2 @ Jx + dx
     Hyy_bar = np.asarray(o.hess_yy_f2(p, s), float) + Hyz2 @ Jy + dy

@@ -43,7 +43,6 @@ from .driver import (
     TRACE_COLUMNS,
     run_bsg,
 )
-from .linalg import scipy_lapack
 from .oracle import Point, wrap_gaussian_noise
 from .synthetic import (
     closed_form_point,
@@ -82,8 +81,6 @@ class _Task:
 def _build_task(cfg: ExperimentConfig) -> _Task:
     """Assemble the experiment, raising ValueError on any value the run cannot use."""
     cfg.validate()
-    if cfg.engine == "H":
-        scipy_lapack()  # import LAPACK now, not inside the first timed LU
     budget = IterationBudget(cfg.ul_iters, cfg.j0, cfg.k0, cfg.adaptive)
     schedule = (TheoremConstant(cfg.ul_iters, cfg.j0, cfg.k0) if cfg.schedule == "theorem"
                 else Decaying(cfg.alpha_bar, cfg.beta_bar, cfg.gamma_bar))

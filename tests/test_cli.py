@@ -363,17 +363,6 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("run failed: aborted runs: [(0, '")
         assert os.path.exists(os.path.join(cfg.output_dir, "run_0.csv"))
 
-    def test_import_loads_no_scipy_stats(self):
-        # a fresh interpreter: this test process has already imported scipy.stats
-        code = ("import sys, trilevel.cli; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.sparse') "
-                "if m in sys.modules))")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-
     def test_module_invocation(self, tmp_path):
         cfg = tiny_config(tmp_path, ul_iters=3, repetitions=1)
         path = tmp_path / "cfg.ini"
@@ -386,9 +375,9 @@ class TestMainEntry:
 
 
 class TestScipyImports:
-    """scipy is imported only where it is used: LAPACK for the H engine's LU,
-    and stdtrit for t-quantiles beyond the table. Each check runs in a
-    fresh interpreter, since this test process has imported scipy already."""
+    """scipy is imported only for stdtrit, for t-quantiles beyond the table:
+    the H engine solves with numpy's LAPACK. Each check runs in a fresh
+    interpreter, since this test process has imported scipy already."""
 
     def _fresh(self, code):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -411,6 +400,14 @@ class TestScipyImports:
              ul_iters=3, adaptive=False, repetitions=2),
     ], ids=["adv-hpt-AD", "quadratic-NFD"])
     def test_matrix_free_runs_load_no_scipy(self, tmp_path, overrides):
+        assert self._run_loaded(tmp_path, overrides) == "[]"
+
+    @pytest.mark.parametrize("problem", ["quadratic", "quartic"], ids=["quadratic-H", "quartic-H"])
+    def test_h_engine_runs_load_no_scipy(self, tmp_path, problem):
+        assert self._run_loaded(tmp_path, dict(problem=problem, ul_iters=3)) == "[]"
+
+    def _run_loaded(self, tmp_path, overrides):
+        """The scipy modules loaded after a two-repetition run through cli.main."""
         path = tmp_path / "cfg.ini"
         save_config(tiny_config(tmp_path, **overrides), path)
         out = self._fresh(f"""
@@ -419,27 +416,8 @@ class TestScipyImports:
             assert cli.main(["run", "--config", {str(path)!r}]) == 0
             print({self.LOADED})
         """)
-        assert out == "[]"
         assert (tmp_path / "out" / "run_1.csv").exists()
-
-    def test_h_engine_loads_lapack_before_the_first_run(self, tmp_path):
-        path = tmp_path / "cfg.ini"
-        save_config(tiny_config(tmp_path, ul_iters=3), path)
-        out = self._fresh(f"""
-            import sys
-            from trilevel import cli
-            loaded = []
-            run_bsg = cli.run_bsg
-
-            def spy(*args, **kwargs):
-                loaded.append("scipy.linalg" in sys.modules)
-                return run_bsg(*args, **kwargs)
-
-            cli.run_bsg = spy
-            assert cli.main(["run", "--config", {str(path)!r}]) == 0
-            print(loaded)
-        """)
-        assert out == "[True, True]"
+        return out
 
     def test_t975_table_is_stdtrit_bit_for_bit(self):
         from scipy.special import stdtrit

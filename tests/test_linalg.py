@@ -179,6 +179,16 @@ class TestSolveDense:
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
             solve_dense(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        with pytest.raises(SingularMatrixError, match="below tolerance"):
+            lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_overflowing_solution_is_singular(self):
+        # a tiny but nonzero pivot passes LAPACK and overflows the solution
+        A = np.diag([1e-300, 1.0])
+        with pytest.raises(SingularMatrixError, match="not finite"):
+            solve_dense(A, np.array([1e10, 1.0]))
+        with pytest.raises(SingularMatrixError, match="not finite"):
+            lu_factor(np.diag([1e-310, 1.0]))
 
     def test_non_square(self):
         with pytest.raises(ValueError):
@@ -188,38 +198,45 @@ class TestSolveDense:
         with pytest.raises(NonFiniteError, match="A contains non-finite"):
             lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    def test_non_finite_rhs_is_a_breakdown(self):
+        with pytest.raises(NonFiniteError, match="right-hand side"):
+            solve_dense(np.eye(2), np.array([1.0, np.nan]))
+
     def test_pivoting_handles_zero_leading_entry(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(solve_dense(A, np.array([2.0, 3.0])), [3.0, 2.0])
 
     def test_cached_factorization_reused(self):
+        # an array seen once gets no inverse; its second sight inverts it,
+        # and every later call returns that same inverse
         A = random_spd(np.random.default_rng(11), 6)
+        assert lu_factor_cached(A) is None
         f1 = lu_factor_cached(A)
         f2 = lu_factor_cached(A)
-        assert f1[0] is f2[0]
-        # a distinct object with equal values is factored separately
-        f3 = lu_factor_cached(A.copy())
-        assert f3[0] is not f1[0]
+        assert f1 is not None and f2 is f1
+        # a distinct object with equal values starts over
+        assert lu_factor_cached(A.copy()) is None
 
-    def test_factorization_is_a_row_permuted_lu(self):
+    def test_factorization_is_the_inverse(self):
         rng = np.random.default_rng(12)
         for d in (1, 4, 30):
             A = rng.standard_normal((d, d))
-            lu, perm = lu_factor(A)
-            L = np.tril(lu, -1) + np.eye(d)
-            np.testing.assert_allclose(A[perm], L @ np.triu(lu), atol=1e-12)
-            assert sorted(perm) == list(range(d))
+            F = lu_factor(A)
+            np.testing.assert_array_equal(F, np.linalg.solve(A, np.eye(d)))
+            np.testing.assert_allclose(A @ F, np.eye(d), atol=1e-10)
+            b = rng.standard_normal(d)
+            np.testing.assert_allclose(lu_solve(F, b), np.linalg.solve(A, b), rtol=1e-8, atol=1e-10)
 
     def test_shared_factorization_across_threads(self):
-        # solving never writes to the factorization, so threads may share it
+        # solving never writes to the inverse, so threads may share it
         A = np.random.default_rng(13).standard_normal((10, 10))
-        lu, perm = lu_factor(A)
-        perm_before = perm.copy()
+        F = lu_factor(A)
+        F_before = F.copy()
         rhs = [np.random.default_rng(s).standard_normal((10, 3)) for s in range(8)]
-        serial = [lu_solve(lu, perm, B) for B in rhs]
+        serial = [lu_solve(F, B) for B in rhs]
 
         def work(_):
-            return [lu_solve(lu, perm, B) for _ in range(50) for B in rhs]
+            return [lu_solve(F, B) for _ in range(50) for B in rhs]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -231,7 +248,7 @@ class TestSolveDense:
         for res in results:
             for X, expected in zip(res, serial * 50):
                 np.testing.assert_array_equal(X, expected)
-        np.testing.assert_array_equal(perm, perm_before)
+        np.testing.assert_array_equal(F, F_before)
 
     def test_memo_keeps_one_array(self):
         # the memo holds only the last array, so earlier ones can be freed
@@ -246,35 +263,40 @@ class TestSolveDense:
         assert [r() is None for r in refs] == [True, True, False]
 
     def test_memo_swaps_whole_pair(self, monkeypatch):
-        # another caller replacing the entry while A is being factored
+        # another caller replacing the entry while A is being inverted
         # (here re-entrantly, as a thread switch could) must not leave A's
-        # factorization paired with B
+        # inverse paired with B
         rng = np.random.default_rng(15)
         A, B = random_spd(rng, 5), random_spd(rng, 5)
         factor = linalg.lu_factor
+        inner = []
 
         def interleaved(M):
             if M is A:
-                lu_factor_cached(B)
+                inner.extend(lu_factor_cached(B) for _ in range(2))
             return factor(M)
 
         monkeypatch.setattr(linalg, "lu_factor", interleaved)
         lu_factor_cached(A)
-        np.testing.assert_array_equal(lu_factor_cached(B)[0], factor(B)[0])
+        np.testing.assert_array_equal(lu_factor_cached(A), factor(A))
+        assert inner[0] is None
+        np.testing.assert_array_equal(inner[1], factor(B))
+        assert lu_factor_cached(B) is None
+        np.testing.assert_array_equal(lu_factor_cached(B), factor(B))
 
     def test_cache_eviction_across_threads(self):
-        # each thread factors its own array again and again for a fixed
+        # each thread looks its own array up again and again for a fixed
         # time: a call hits when no other thread replaced the memo's one
-        # entry since, and must never return another thread's factorization
+        # entry since, and must never return another thread's inverse
         arrays = [random_spd(np.random.default_rng(100 + t), 4) for t in range(4)]
         expected = [lu_factor(A) for A in arrays]
 
         def work(t):
-            (lu_ref, perm_ref), wrong, calls = expected[t], 0, 0
+            wrong, calls = 0, 0
             deadline = time.perf_counter() + 0.5
             while time.perf_counter() < deadline:
-                lu, perm = lu_factor_cached(arrays[t])
-                wrong += not (np.array_equal(lu, lu_ref) and np.array_equal(perm, perm_ref))
+                F = lu_factor_cached(arrays[t])
+                wrong += not (F is None or np.array_equal(F, expected[t]))
                 calls += 1
             return wrong, calls
 
