@@ -14,9 +14,11 @@ reduced middle-level objective fbar(x, y) = f2(x, y, z(x, y)).
 
 Backends:
 
-* ``H``   assembles Hbar_yx / Hbar_yy densely from analytic Hessians and
-  third-order contractions and solves directly with LAPACK. Reference
-  quality; only meant for desk-scale problems.
+* ``H``   assembles Hbar_yy densely from analytic Hessians and
+  third-order contractions, applies Hbar_xy to lam_y in reverse mode, and
+  solves directly with LAPACK: one (m+2)-column and one vector Hzz(f3)
+  solve per UL gradient. Reference quality; only meant for desk-scale
+  problems.
 * ``NFD`` solves every inverse-Hessian system with linear CG, realizing
   each Hessian-vector product as a central finite difference of the
   corresponding gradient.
@@ -264,8 +266,8 @@ def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
     if cfg.engine == ENGINE_H:
         if not oracle.capabilities.has_hessians:
             raise ValueError("H engine requires an oracle with Hessian blocks")
-        w = _solve_zz(oracle.hess_zz_f3(point, sample),
-                      np.asarray(oracle.grad_z_f2(point, sample), float))
+        w = _zz_solver(oracle.hess_zz_f3(point, sample))(
+            np.asarray(oracle.grad_z_f2(point, sample), float))
         return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
                 - getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w)
     return _Ops(oracle, sample, cfg, events).fbar_gradient(point, block)
@@ -299,56 +301,55 @@ def ul_adjoint_gradient(
     return np.asarray(o.grad_x_f1(point, s), float) - ops.hvp_z(point, "x", lam_z) - cross
 
 
-def _solve_zz(Hzz, B) -> Array:
-    """Hzz^{-1} B through the one-entry memo: a product with the inverse of
-    an Hzz object seen on the last call, a one-shot solve otherwise."""
+def _zz_solver(Hzz) -> Callable[[Array], Array]:
+    """B -> Hzz^{-1} B after one lookup in the one-entry memo: products
+    with the inverse of an Hzz object seen on the last lookup, one-shot
+    solves otherwise. One lookup per gradient, so a second solve against
+    the same fresh Hessian does not make the memo invert it."""
     F = lu_factor_cached(Hzz)
-    return solve_dense(Hzz, B) if F is None else lu_solve(F, B)
+    if F is None:
+        return lambda B: solve_dense(Hzz, B)
+    return lambda B: lu_solve(F, B)
 
 
 def _ul_dense(oracle, point, sample, cfg) -> Array:
-    """Reference backend: dense assembly of the reduced Hessians from
-    analytic Hessian blocks and third-order contractions.
+    """Reference backend: dense assembly of Hbar_yy from analytic Hessian
+    blocks and third-order contractions, and the x side in reverse mode.
 
-    Hzz(f3) is solved once, against the stacked right-hand sides
-    [grad_z f1 | Hxz3^T | Hyz3^T | grad_z f2]. Hzz is a symmetric Hessian,
-    so Hyz3 Hzz^{-1} = -Jy^T, and the correction term's derivatives need no
-    second solve; only Hbar_yy is solved on its own."""
+    With T_abc = T_abc(f3) contracted with w2 = Hzz^{-1} grad_z f2, the pieces
+    D = T_zzz - Hzz2 and E = Hyz2 - T_yzz, and Jx, Jy = dz/dx, dz/dy:
+      Hbar_yx = Hyx2 - T_yzx + E Jx - Jy^T (T_zzx - Hzx2 + D Jx);
+      Hzz(f3) is symmetric, so Jx^T q = -Hxz3 Hzz^{-1} q for any t-vector q;
+      with u = Jy lam_y and q = E^T lam_y - D^T u, Hbar_yx^T lam_y =
+      (Hyx2 - T_yzx)^T lam_y - (T_zzx - Hzx2)^T u - Hxz3 Hzz^{-1} q.
+    So Jx is never formed: Hzz is solved against [grad_z f1 | Hyz3^T |
+    grad_z f2], then against the one vector grad_z f1 - q."""
     caps = oracle.capabilities
     if not caps.has_third_order:
         raise ValueError("H engine requires an oracle with third-order contractions")
     o, p, s = oracle, point, sample
 
+    gz1 = np.asarray(o.grad_z_f1(p, s), float)
     Hxz3 = np.asarray(o.hess_xz_f3(p, s), float)  # n x t
     Hyz3 = np.asarray(o.hess_yz_f3(p, s), float)  # m x t
-    n, m = Hxz3.shape[0], Hyz3.shape[0]
-    rhs = np.column_stack([np.asarray(o.grad_z_f1(p, s), float), Hxz3.T, Hyz3.T,
-                           np.asarray(o.grad_z_f2(p, s), float)])
-    sol = _solve_zz(o.hess_zz_f3(p, s), rhs)
+    solve_zz = _zz_solver(o.hess_zz_f3(p, s))
+    sol = solve_zz(np.column_stack([gz1, Hyz3.T, np.asarray(o.grad_z_f2(p, s), float)]))
     lam_z, w2 = sol[:, 0], sol[:, -1]
-    Jx = -sol[:, 1:1 + n]  # t x n, dz/dx on the solution manifold
-    Jy = -sol[:, 1 + n:1 + n + m]  # t x m
-    # the blocks that both the x and the y side use, each evaluated once
-    T_zzz = o.t3_zzz_f3_contract(p, s, w2)
-    T_yzz = o.t3_yzz_f3_contract(p, s, w2)
-    Hzz2 = np.asarray(o.hess_zz_f2(p, s), float)
-    Hyz2 = np.asarray(o.hess_yz_f2(p, s), float)
+    Jy = -sol[:, 1:-1]  # t x m, dz/dy on the solution manifold
+    # D and E carry the correction term -H_yz Hzz^{-1} grad_z f2's z-derivatives
+    D = o.t3_zzz_f3_contract(p, s, w2) - np.asarray(o.hess_zz_f2(p, s), float)
+    E = np.asarray(o.hess_yz_f2(p, s), float) - o.t3_yzz_f3_contract(p, s, w2)
 
-    # derivative of the correction term -H_yz Hzz^{-1} grad_z f2 in x and y
-    Bx = o.t3_zzx_f3_contract(p, s, w2) + T_zzz @ Jx
-    Cx = np.asarray(o.hess_zx_f2(p, s), float) + Hzz2 @ Jx
-    dx = -(o.t3_yzx_f3_contract(p, s, w2) + T_yzz @ Jx) - Jy.T @ (Bx - Cx)
+    Hyy_bar = (np.asarray(o.hess_yy_f2(p, s), float) - o.t3_yzy_f3_contract(p, s, w2) + E @ Jy
+               - Jy.T @ (o.t3_zzy_f3_contract(p, s, w2) - np.asarray(o.hess_zy_f2(p, s), float) + D @ Jy))
+    lam_y = solve_dense(Hyy_bar, np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z)
 
-    By = o.t3_zzy_f3_contract(p, s, w2) + T_zzz @ Jy
-    Cy = np.asarray(o.hess_zy_f2(p, s), float) + Hzz2 @ Jy
-    dy = -(o.t3_yzy_f3_contract(p, s, w2) + T_yzz @ Jy) - Jy.T @ (By - Cy)
-
-    Hyx_bar = np.asarray(o.hess_yx_f2(p, s), float) + Hyz2 @ Jx + dx
-    Hyy_bar = np.asarray(o.hess_yy_f2(p, s), float) + Hyz2 @ Jy + dy
-
-    b = np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z
-    lam_y = solve_dense(Hyy_bar, b)
-    return np.asarray(o.grad_x_f1(p, s), float) - Hxz3 @ lam_z - Hyx_bar.T @ lam_y
+    u = Jy @ lam_y
+    v = solve_zz(gz1 - (E.T @ lam_y - D.T @ u))
+    return (np.asarray(o.grad_x_f1(p, s), float)
+            - (np.asarray(o.hess_yx_f2(p, s), float) - o.t3_yzx_f3_contract(p, s, w2)).T @ lam_y
+            + (o.t3_zzx_f3_contract(p, s, w2) - np.asarray(o.hess_zx_f2(p, s), float)).T @ u
+            - Hxz3 @ v)
 
 
 def bilevel_adjoint_gradient(

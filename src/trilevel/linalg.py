@@ -196,8 +196,7 @@ def _gesv(A: Array, B: Array) -> Array:
     try:
         X = np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
-        # LAPACK's tolerance: a pivot that is exactly zero
-        raise SingularMatrixError("singular matrix: an LU pivot is below tolerance") from None
+        raise SingularMatrixError("singular matrix: LAPACK met an exactly zero pivot") from None
     if not np.all(np.isfinite(X)):
         if not np.all(np.isfinite(B)):
             raise NonFiniteError("right-hand side contains non-finite entries")

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from trilevel import adjoint
 from trilevel import advhpt as ah
 from trilevel import linalg
 from trilevel.adjoint import (
@@ -312,6 +313,40 @@ class TestDenseSolves:
             for _ in range(2):  # a one-shot solve, then the memo's inverse
                 g = ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
                 np.testing.assert_allclose(g, ul_two_solve_reference(oracle, point), rtol=1e-10)
+
+    @pytest.mark.parametrize("cls", [QuadraticSpec, QuarticSpec], ids=["quadratic", "quartic"])
+    def test_wide_x_matches_two_solve_reference(self, cls):
+        # n >> m: the x side is a vector-Jacobian product, never a t x n Jacobian
+        n, m, t = 12, 2, 5
+        oracle = make_oracle(coupled_spec(cls, n=n, m=m, t=t, seed=4))
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            point = Point(rng.uniform(-1, 1, n), rng.uniform(-1, 1, m), rng.uniform(-1, 1, t))
+            g = ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
+            np.testing.assert_allclose(g, ul_two_solve_reference(oracle, point), rtol=1e-10)
+
+    def test_ul_gradient_solves_hzz_against_m_plus_2_columns_then_one(self, monkeypatch):
+        n, m, t = 12, 3, 5
+        cols, lookups, inversions = [], [], []
+
+        def record(solve):
+            def wrapped(A, B):
+                if np.shape(A) == (t, t):  # Hzz or its inverse, not Hbar_yy
+                    cols.append(np.shape(B)[1] if np.ndim(B) == 2 else 1)
+                return solve(A, B)
+            return wrapped
+
+        cached, factor = adjoint.lu_factor_cached, linalg.lu_factor
+        monkeypatch.setattr(adjoint, "solve_dense", record(adjoint.solve_dense))
+        monkeypatch.setattr(adjoint, "lu_solve", record(adjoint.lu_solve))
+        monkeypatch.setattr(adjoint, "lu_factor_cached", lambda A: lookups.append(A) or cached(A))
+        monkeypatch.setattr(linalg, "lu_factor", lambda A: inversions.append(A) or factor(A))
+        monkeypatch.setattr(linalg, "_LU_LAST", None)
+        oracle = make_oracle(coupled_spec(QuarticSpec, n=n, m=m, t=t))
+        point = Point(np.full(n, 0.1), np.full(m, -0.2), np.full(t, 0.3))
+        ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
+        assert cols == [m + 2, 1]
+        assert len(lookups) == 1 and inversions == []
 
     @pytest.mark.parametrize("problem, inversions", [
         (default_quadratic, 1), (default_quartic, 0),

@@ -342,7 +342,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("engine, spec_seed, alpha_bar, gamma_bar, reason", [
         ("NFD", 5, 0.3, 1.0, "operator returned non-finite values"),
-        ("H", 3, 1.0, 0.5, "below tolerance"),
+        ("H", 3, 1.0, 0.5, "exactly zero pivot"),
     ], ids=["NFD-cg-non-finite", "H-singular-lu"])
     def test_numerical_breakdown_aborts_its_repetition(self, tmp_path, capsys, engine, spec_seed,
                                                        alpha_bar, gamma_bar, reason):
