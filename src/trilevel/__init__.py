@@ -16,6 +16,7 @@ from .adjoint import (
     grad_x_fbar,
     ml_adjoint_gradient,
     neumann_inverse_apply,
+    neumann_krylov_apply,
     ul_adjoint_gradient,
 )
 from .driver import (

@@ -24,11 +24,16 @@ Backends:
   corresponding gradient.
 * ``AD``  replaces the solves with truncated Neumann series at scales
   1/c0 (lower level) and 1/c1 (reduced middle level), consuming analytic
-  Hessian-vector products where the oracle provides them.
+  Hessian-vector products where the oracle provides them. A Hzz(f3)
+  series whose products are analytic on a fixed sample is the same
+  truncated polynomial evaluated on its Krylov space
+  (:func:`neumann_krylov_apply`), in as many products as that space has
+  dimensions (at most 2 on adv-hpt) instead of Q.
 
 NFD and AD share one matrix-free class, ``_Ops``: its ``inverse`` method
-is the only place that chooses between CG and a Neumann series, and its
-f3 products are analytic only under AD with an HVP-capable oracle.
+is the only place that chooses between CG, the Neumann recurrence and its
+Krylov evaluation, and its f3 products are analytic only under AD with an
+HVP-capable oracle.
 For NFD and AD, directional derivatives of the reduced maps grad_y fbar
 and grad_x fbar along a y-direction v are taken with the lower-level
 variable moved to first order along s = (dz/dy) v; differencing at frozen
@@ -46,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import cg_solve, lu_factor_cached, lu_solve, solve_dense
-from .oracle import DETERMINISTIC, Point, ProblemOracle, SampleSpec, hook
+from .oracle import DETERMINISTIC, NoiseDraw, Point, ProblemOracle, SampleSpec, hook
 
 Array = np.ndarray
 
@@ -133,6 +138,99 @@ def neumann_inverse_apply(
     return scale * total
 
 
+# A Lanczos residual at most this multiple of |T| means the Krylov space of
+# b is invariant under the operator: the tridiagonal T then represents it
+# exactly on that space.
+LANCZOS_BREAKDOWN_TOL = 1e-12
+
+
+def neumann_krylov_apply(
+    hvp: Callable[[Array], Array],
+    b,
+    Q: int,
+    scale: float,
+    events: Optional[list] = None,
+    label: str = "neumann",
+) -> Array:
+    """:func:`neumann_inverse_apply`'s truncated sum, guard and event,
+    evaluated on the Krylov space of b, for an ``hvp`` that is an exact
+    symmetric linear map A.
+
+    Every iterate r_h = (I - scale*A)^h b lies in span{b, Ab, ..., A^h b}.
+    Lanczos from b/|b|, with full reorthogonalisation, builds an orthonormal
+    basis V of that space and the tridiagonal T = V^T A V in at most Q
+    products, and stops once the space is invariant (beta_k <=
+    LANCZOS_BREAKDOWN_TOL * |T|); when that space has dimension k, one
+    series costs k products. After p products without breakdown T has p+1
+    rows, and its last diagonal entry, which would cost product p+1, does
+    not enter (I - scale*T)^h e1 for h <= p. With T = U diag(lam) U^T,
+    c = U^T e1 and mu = 1 - scale*lam, the guard norms are
+    |r_h| = |b| |c * mu^h| for all h at once, and the sum maps back as
+    scale * |b| * V U (c * sum_h mu^h). A non-finite product at call j
+    truncates at term j, as it does in the recurrence.
+    """
+    if Q < 0:
+        raise ValueError("Q must be nonnegative")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    b = np.asarray(b, dtype=float)
+    beta0 = math.sqrt(b.dot(b))
+    if Q == 0 or beta0 == 0.0:
+        return scale * b
+    if not math.isfinite(beta0):
+        if events is not None:
+            events.append(f"neumann_truncated:{label}@1")
+        return scale * b
+    cap = NEUMANN_GROWTH_CAP * max(beta0, 1e-300)
+
+    n = b.size
+    V = np.empty((min(Q + 1, n), n))
+    V[0] = b / beta0
+    alpha, beta = [], []
+    tnorm = 0.0
+    failed = exact = False
+    for j in range(Q):
+        w = np.asarray(hvp(V[j]), dtype=float)
+        if w.shape != b.shape:
+            raise ValueError("hvp output dimension mismatch")
+        if not math.isfinite(w.dot(w)):
+            failed = True
+            break
+        basis = V[: j + 1]
+        proj = basis @ w
+        w = w - proj @ basis
+        w -= (basis @ w) @ basis
+        alpha.append(float(proj[j]))
+        beta_j = math.sqrt(w.dot(w))
+        tnorm = max(tnorm, abs(alpha[-1]) + (beta[-1] if beta else 0.0) + beta_j)
+        if beta_j <= LANCZOS_BREAKDOWN_TOL * tnorm or j + 1 == n:
+            exact = True
+            break
+        beta.append(beta_j)
+        V[j + 1] = w / beta_j
+    # p products without breakdown represent terms h <= p only; T's unknown
+    # last diagonal entry is set to its neighbour, which those terms ignore
+    last = Q if exact else len(alpha)
+    if not exact:
+        alpha.append(alpha[-1] if alpha else 0.0)
+    k = len(alpha)
+    if k == 1:  # a 1-dimensional Krylov space, adv-hpt's usual case: no LAPACK call
+        lam, U = np.array(alpha), np.ones((1, 1))
+    else:
+        lam, U = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    mu = 1.0 - scale * lam
+    # mu^h may overflow past the guard's stop; a non-finite norm is a stop
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = U[0] * mu ** np.arange(last + 1)[:, None]
+        sane = (terms * terms).sum(axis=1) <= (cap / beta0) ** 2
+    first_bad = int(sane.argmin())
+    stop = first_bad if not sane[first_bad] else (last + 1 if failed else None)
+    if stop is not None and events is not None:
+        events.append(f"neumann_truncated:{label}@{stop}")
+    coef = terms[:stop].sum(axis=0)
+    return (scale * beta0) * ((U @ coef) @ V[:k])
+
+
 # ---------------------------------------------------------------------------
 # engine plumbing
 
@@ -155,7 +253,10 @@ class _Ops:
     series at 1/c0 (Hzz) or 1/c1 (reduced middle level) under AD.
     ``analytic`` is set when the engine is AD and the oracle has HVPs; the
     f3 products H_{block,z} v then come from the oracle, otherwise they are
-    central differences of its gradients. ``block`` names the x, y or z
+    central differences of its gradients. An analytic Hzz series on a
+    sample that is not a NoiseDraw multiplies by one exact symmetric
+    matrix, so :meth:`inverse` evaluates it on its Krylov space; every
+    other series runs the recurrence. ``block`` names the x, y or z
     variable block of a product.
     """
 
@@ -184,7 +285,12 @@ class _Ops:
             raise ValueError("AD engine requires a nonnegative neumann_q")
         if scale is None or scale <= 0:
             raise ValueError(f"AD engine requires a positive {scale_name}")
-        return neumann_inverse_apply(apply_A, b, cfg.neumann_q, 1.0 / scale, events, label)
+        # Hzz products from the oracle on a fixed sample form an exact
+        # symmetric linear map; FD products and noise draws keyed by their
+        # direction do not, so those series keep the recurrence
+        exact_linear = scale_name == "c0" and self.analytic and not isinstance(self.sample, NoiseDraw)
+        apply = neumann_krylov_apply if exact_linear else neumann_inverse_apply
+        return apply(apply_A, b, cfg.neumann_q, 1.0 / scale, events, label)
 
     def hvp_z(self, point, block, v) -> Array:
         """H_{block,z}(f3) v."""

@@ -412,10 +412,13 @@ class AdvHptOracle(ProblemOracle):
         """The operator v -> Hzz(f3) v at (p, sample).
 
         The point split, the checked batch and both coefficients are fixed
-        once, so a Neumann series over one operator pays them once rather
-        than per product; the returned closure does only the per-vector
-        arithmetic. :meth:`hvp_zz_f3` is one call of it, so both paths
-        give the same bits.
+        once, so the products of one Hzz series pay them once rather than
+        per product; the returned closure does only the per-vector
+        arithmetic. Hzz has two eigenvalues (diag, and diag - coef*|theta_f|^2
+        on the batch rows' theta_f direction), so the AD engine's Krylov
+        evaluation of a series makes one or two products.
+        :meth:`hvp_zz_f3` is one call of it, so both paths give the same
+        bits.
         """
         _, theta_f, _, _ = self._split(p)
         batch = self._batch(sample)

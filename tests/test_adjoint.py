@@ -14,6 +14,7 @@ from trilevel.adjoint import (
     grad_x_fbar,
     ml_adjoint_gradient,
     neumann_inverse_apply,
+    neumann_krylov_apply,
     ul_adjoint_gradient,
 )
 from trilevel.driver import Decaying, IterationBudget, run_tsg
@@ -21,9 +22,11 @@ from trilevel.oracle import (
     DETERMINISTIC,
     Deterministic,
     MinibatchIndices,
+    NoiseDraw,
     OracleCapabilities,
     Point,
     ProblemOracle,
+    wrap_gaussian_noise,
 )
 from trilevel.synthetic import (
     QuadraticSpec,
@@ -115,6 +118,160 @@ class TestNeumannInverse:
             neumann_inverse_apply(lambda v: v, np.ones(2), -1, 0.5)
         with pytest.raises(ValueError):
             neumann_inverse_apply(lambda v: v, np.ones(2), 2, 0.0)
+
+
+def _counted(op):
+    calls = [0]
+
+    def apply(v):
+        calls[0] += 1
+        return op(v)
+
+    return apply, calls
+
+
+def _advhpt_split7():
+    ds = ah.load_csv(ah.bundled_dataset_path())
+    problem = ah.build_problem(ds, ah.split_dataset(ds, 7))
+    gen = np.random.default_rng(7)
+    _, m, t = problem.dims
+    point = Point(np.array([0.2]), gen.normal(0, 0.3, m), gen.normal(0, 0.05, t))
+    batch = MinibatchIndices(tuple(int(i) for i in gen.permutation(problem.n_train)[:20]))
+    return ah.build_oracle(problem, ds), point, batch
+
+
+class TestNeumannKrylov:
+    # the Krylov evaluator computes the recurrence's polynomial in another
+    # order: its sum agrees to rounding and its guard stops at the same term
+    RTOL = 1e-12
+
+    def run_both(self, op, b, Q, scale):
+        """(sum, events, products) of the recurrence and the Krylov evaluator."""
+        out = []
+        for fn in (neumann_inverse_apply, neumann_krylov_apply):
+            apply, calls = _counted(op)
+            events = []
+            out.append((fn(apply, b, Q, scale, events, "probe"), events, calls[0]))
+        return out
+
+    def assert_agree(self, op, b, Q, scale):
+        (ref, ref_events, ref_calls), (got, events, calls) = self.run_both(op, b, Q, scale)
+        assert np.linalg.norm(got - ref) <= self.RTOL * np.linalg.norm(ref)
+        assert events == ref_events
+        return events, calls
+
+    @pytest.mark.parametrize("minibatch", [True, False])
+    def test_matches_recurrence_on_advhpt(self, minibatch):
+        oracle, point, batch = _advhpt_split7()
+        sample = batch if minibatch else DETERMINISTIC
+        op = oracle.hvp_zz_op(point, sample)
+        gz2 = np.asarray(oracle.grad_z_f2(point, sample), float)
+        rand = np.random.default_rng(3).normal(0, 1, gz2.size)
+        truncated = 0
+        for b in (gz2, rand):
+            # at c0 = 1 no series truncates; at 0.06 and 0.01 some do
+            for c0 in (1.0, 0.06, 0.01):
+                events, calls = self.assert_agree(op, b, 30, 1.0 / c0)
+                # Hzz has two eigenvalues: the Krylov space has dimension <= 2
+                assert 1 <= calls <= 2
+                truncated += bool(events)
+        assert truncated >= 2
+
+    def test_matches_recurrence_on_synthetic(self):
+        gen = np.random.default_rng(8)
+        M = gen.normal(0, 1, (6, 6))
+        spec = replace(default_quadratic(4, 4, 6, rng=8), Hzz=M @ M.T / 6 + 0.5 * np.eye(6))
+        quartic = default_quartic(3, 3, 4, rng=5)
+        cases = [
+            (make_oracle(spec), Point(gen.uniform(0, 9, 4), gen.uniform(0, 9, 4), gen.uniform(0, 9, 6))),
+            (make_oracle(quartic), default_init_point(quartic, rng=6)),
+        ]
+        for oracle, point in cases:
+            op = lambda v: oracle.hvp_zz_f3(point, DETERMINISTIC, v)
+            b = gen.normal(0, 1, point.z.size)
+            norm = np.linalg.norm(oracle.hess_zz_f3(point, DETERMINISTIC), 2)
+            for Q in (1, 6, 30):
+                events, calls = self.assert_agree(op, b, Q, 1.0 / (2.0 * norm))
+                assert events == [] and calls <= min(Q, point.z.size)
+            # a scale past 2/|Hzz| truncates at the same term
+            events, _ = self.assert_agree(op, b, 30, 4.0 / norm)
+            assert events and events[0].startswith("neumann_truncated:probe@")
+
+    @pytest.mark.parametrize("Q", [1, 30, 100])
+    def test_matches_recurrence_on_dense_spd(self, Q):
+        gen = np.random.default_rng(150)
+        M = gen.normal(0, 1, (150, 150))
+        A = M @ M.T / 150 + 0.1 * np.eye(150)
+        scale = 1.0 / np.linalg.eigvalsh(A)[-1]
+        # the spectrum has 150 distinct eigenvalues: no breakdown before Q
+        events, calls = self.assert_agree(lambda v: A @ v, gen.normal(0, 1, 150), Q, scale)
+        assert events == [] and calls == Q
+
+    def test_edge_cases_follow_the_recurrence(self):
+        op = lambda v: np.array([1.0, 2.0, 3.0, 4.0]) * v
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        for case in [(b, 0), (np.zeros(4), 5)]:
+            (ref, ref_events, _), (got, events, calls) = self.run_both(op, *case, 0.2)
+            np.testing.assert_array_equal(got, ref)
+            assert events == ref_events == [] and calls == 0
+        for bad in (np.inf, np.nan):
+            nonfinite = b.copy()
+            nonfinite[2] = bad
+            ref_events, events = [], []
+            with np.errstate(invalid="ignore"):  # the recurrence's inf - inf
+                ref = neumann_inverse_apply(op, nonfinite, 5, 0.2, ref_events, "probe")
+            got = neumann_krylov_apply(op, nonfinite, 5, 0.2, events, "probe")
+            np.testing.assert_array_equal(got, ref)
+            assert events == ref_events == ["neumann_truncated:probe@1"]
+
+    def test_non_finite_product_truncates_at_its_call(self):
+        def breaks_on_third_call():
+            calls = [0]
+
+            def apply(v):
+                calls[0] += 1
+                return np.array([1.0, 2.0, 3.0, 4.0]) * v if calls[0] < 3 else np.full(4, np.inf)
+
+            return apply
+
+        # four distinct eigenvalues: Lanczos reaches its third product too
+        b = np.array([1.0, -2.0, 0.5, 3.0])
+        ref_events, events = [], []
+        ref = neumann_inverse_apply(breaks_on_third_call(), b, 6, 0.2, ref_events, "probe")
+        got = neumann_krylov_apply(breaks_on_third_call(), b, 6, 0.2, events, "probe")
+        assert np.linalg.norm(got - ref) <= self.RTOL * np.linalg.norm(ref)
+        assert events == ref_events == ["neumann_truncated:probe@3"]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            neumann_krylov_apply(lambda v: v, np.ones(2), -1, 0.5)
+        with pytest.raises(ValueError):
+            neumann_krylov_apply(lambda v: v, np.ones(2), 2, 0.0)
+        with pytest.raises(ValueError):
+            neumann_krylov_apply(lambda v: v[:1], np.ones(2), 2, 0.5)
+
+    def routes(self, monkeypatch, oracle, point, sample, cfg):
+        """Labels of the series the UL gradient sends to each evaluator."""
+        seen = {"krylov": [], "recurrence": []}
+        for name, key in (("neumann_krylov_apply", "krylov"), ("neumann_inverse_apply", "recurrence")):
+            def spy(hvp, b, Q, scale, events, label, _fn=getattr(adjoint, name), _key=key):
+                seen[_key].append(label)
+                return _fn(hvp, b, Q, scale, events, label)
+            monkeypatch.setattr(adjoint, name, spy)
+        ul_adjoint_gradient(oracle, point, sample, cfg)
+        return {key: sorted(set(labels)) for key, labels in seen.items()}
+
+    def test_ops_routes_only_exact_hzz_series_to_krylov(self, monkeypatch):
+        spec = default_quadratic(3, 3, 3, rng=9)
+        point = closed_form_point(spec, np.ones(3))
+        cfg = AdjointConfig(engine="AD", neumann_q=6, c0=2.0, c1=3.0)
+        hzz = ["gx_w", "lam_z", "ml_w", "track"]
+        routes = self.routes(monkeypatch, make_oracle(spec), point, DETERMINISTIC, cfg)
+        assert routes == {"krylov": hzz, "recurrence": ["lam_y"]}
+        # a NoiseDraw sample keys fresh noise by each product's direction
+        noisy = wrap_gaussian_noise(make_oracle(spec), 0.1, 0.1, seed=1)
+        routes = self.routes(monkeypatch, noisy, point, NoiseDraw(stream=1, counter=2), cfg)
+        assert routes == {"krylov": [], "recurrence": sorted(hzz + ["lam_y"])}
 
 
 class TestMlAdjoint:
@@ -583,11 +740,11 @@ class TestPinned:
             [],
         ),
         ("quadratic", "ml", "AD"): (
-            ["-0x1.979f6a7fb2fe8p+1", "-0x1.8e0478910a83bp+2", "0x1.53464d96e95bfp+2"],
+            ["-0x1.979f6a7fb2fe7p+1", "-0x1.8e0478910a83bp+2", "0x1.53464d96e95bep+2"],
             [],
         ),
         ("quadratic", "ml", "AD-stale"): (
-            ["-0x1.979f6a7fb2fe8p+1", "-0x1.8e0478910a83bp+2", "0x1.53464d96e95bfp+2"],
+            ["-0x1.979f6a7fb2fe7p+1", "-0x1.8e0478910a83bp+2", "0x1.53464d96e95bep+2"],
             [],
         ),
         ("quadratic", "ul", "NFD"): (
@@ -595,11 +752,11 @@ class TestPinned:
             [],
         ),
         ("quadratic", "ul", "AD"): (
-            ["0x1.aefa5271e28e6p+5", "0x1.399181acfc80cp+5", "0x1.0147280019914p+5"],
+            ["0x1.aefa5271e28e7p+5", "0x1.399181acfc80cp+5", "0x1.0147280019914p+5"],
             [],
         ),
         ("quadratic", "ul", "AD-stale"): (
-            ["0x1.40bb0ce910529p+9", "0x1.d1330453ad9eap+8", "0x1.955fc75e5d6d4p+8"],
+            ["0x1.40bb0ce91052fp+9", "0x1.d1330453ad9ecp+8", "0x1.955fc75e5d6dap+8"],
             ["neumann_truncated:lam_y@3"],
         ),
         ("quadratic", "bilevel", "NFD"): (
@@ -633,11 +790,11 @@ class TestPinned:
              "cg_capped:track", "cg_capped:gx_w", "cg_capped:gx_w"],
         ),
         ("quartic", "ul", "AD"): (
-            ["-0x1.337215933536dp-1", "-0x1.e55e202ecd702p-1", "-0x1.4fb0c8a9be02cp-2"],
+            ["-0x1.337215933536fp-1", "-0x1.e55e202ecd706p-1", "-0x1.4fb0c8a9be02cp-2"],
             [],
         ),
         ("quartic", "ul", "AD-stale"): (
-            ["0x1.0f31c2ed36051p+1", "0x1.d331c313d1890p+1", "0x1.25a68d9ad805ap+1"],
+            ["0x1.0f31c2ed36050p+1", "0x1.d331c313d188dp+1", "0x1.25a68d9ad805ap+1"],
             ["neumann_truncated:lam_y@2"],
         ),
         ("quartic", "bilevel", "NFD"): (
@@ -698,7 +855,7 @@ class TestPinned:
                           "neumann_truncated:ml_w@5", "neumann_truncated:ml_w@6",
                           "neumann_truncated:ml_w@6"]
         g = ml_adjoint_gradient(oracle, point, batch, cfg, events=events)
-        expected = ["0x1.073749c494a26p+1", "0x1.f505c735a4b5bp+5", "-0x1.d187ca38e84b3p+5",
-                    "-0x1.4de22c2a6ea6cp+7", "-0x1.1e526d4f51528p+6", "0x1.db806e5e01b74p+3"]
+        expected = ["0x1.073749c494a28p+1", "0x1.f505c735a4b5dp+5", "-0x1.d187ca38e84b6p+5",
+                    "-0x1.4de22c2a6ea6cp+7", "-0x1.1e526d4f51528p+6", "0x1.db806e5e01b76p+3"]
         np.testing.assert_array_equal(g, [float.fromhex(h) for h in expected])
         assert len(events) == 5
