@@ -51,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import cg_solve, lu_factor_cached, lu_solve, solve_dense
-from .oracle import DETERMINISTIC, NoiseDraw, Point, ProblemOracle, SampleSpec, hook
+from .oracle import DETERMINISTIC, NoiseDraw, Point, ProblemOracle, SampleSpec
 
 Array = np.ndarray
 
@@ -238,10 +238,12 @@ def neumann_krylov_apply(
 def _fd_dir(method, point: Point, sample, eps: float, **dirs: Array) -> Array:
     """Central difference of ``method(point, sample)`` at step eps along the
     direction that moves each named variable block by ``dirs[block]``."""
-    steps = {block: eps * d for block, d in dirs.items()}
-    pp = point.replace(**{block: getattr(point, block) + s for block, s in steps.items()})
-    pm = point.replace(**{block: getattr(point, block) - s for block, s in steps.items()})
-    return (np.asarray(method(pp, sample), float) - np.asarray(method(pm, sample), float)) / (2.0 * eps)
+    plus, minus = {}, {}
+    for block, d in dirs.items():
+        at, step = getattr(point, block), eps * d
+        plus[block], minus[block] = at + step, at - step
+    gp = np.asarray(method(point.replace(**plus), sample), float)
+    return (gp - np.asarray(method(point.replace(**minus), sample), float)) / (2.0 * eps)
 
 
 class _Ops:
@@ -299,17 +301,8 @@ class _Ops:
         method = getattr(self.oracle, f"grad_{block}_f3")
         return _fd_dir(method, point, self.sample, self.cfg.fd_eps, z=v)
 
-    def hvp_zz(self, point) -> Callable[[Array], Array]:
-        """The operator v -> Hzz(f3) v at point: the oracle's own
-        ``hvp_zz_op`` hook (:func:`oracle.hook`) when analytic and the
-        oracle has one, otherwise one :meth:`hvp_z` call per product."""
-        op = hook(self.oracle, "hvp_zz_op") if self.analytic else None
-        if op is not None:
-            return op(point, self.sample)
-        return lambda v: self.hvp_z(point, "z", v)
-
     def inv_zz(self, point, b, label) -> Array:
-        return self.inverse(self.hvp_zz(point), b, "c0", label)
+        return self.inverse(lambda v: self.hvp_z(point, "z", v), b, "c0", label)
 
     def hvp_zy(self, point, v) -> Array:
         # transposed cross product H_zy(f3) v; no oracle surface for it,
@@ -522,7 +515,7 @@ def auto_scales(
             Hzz = np.asarray(oracle.hess_zz_f3(point, DETERMINISTIC), float)
             c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
         else:
-            c0 = 2.0 * _power_norm(ops.hvp_zz(point), point.z.size)
+            c0 = 2.0 * _power_norm(lambda v: ops.hvp_z(point, "z", v), point.z.size)
     cfg.c0 = c0
     c1 = 2.0 * _power_norm(lambda v: ops.reduced_apply(point, "y", v), point.y.size)
     return c0, c1

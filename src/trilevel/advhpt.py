@@ -249,10 +249,9 @@ class AdvHptOracle(ProblemOracle):
     def _batch(self, sample) -> Array:
         n = self.problem.n_train
         if isinstance(sample, MinibatchIndices):
-            idx = np.asarray(sample.indices, dtype=int)
-            if idx.min() < 0 or idx.max() >= n:
+            if sample.lo < 0 or sample.hi >= n:
                 raise IndexError(f"batch index out of range [0, {n})")
-            return idx
+            return sample.rows
         if isinstance(sample, Deterministic):
             return np.arange(n)
         raise ValueError(f"unsupported sample kind for this problem: {type(sample).__name__}")
@@ -408,37 +407,18 @@ class AdvHptOracle(ProblemOracle):
         return H
 
     # -- Hessian-vector products ---------------------------------------------
-    def hvp_zz_op(self, p, sample):
-        """The operator v -> Hzz(f3) v at (p, sample).
-
-        The point split, the checked batch and both coefficients are fixed
-        once, so the products of one Hzz series pay them once rather than
-        per product; the returned closure does only the per-vector
-        arithmetic. Hzz has two eigenvalues (diag, and diag - coef*|theta_f|^2
-        on the batch rows' theta_f direction), so the AD engine's Krylov
-        evaluation of a series makes one or two products.
-        :meth:`hvp_zz_f3` is one call of it, so both paths give the same
-        bits.
-        """
+    def hvp_zz_f3(self, p, sample, v):
+        # Hzz has two eigenvalues (diag, and diag - coef*|theta_f|^2 on the
+        # batch rows' theta_f direction), so the AD engine's Krylov
+        # evaluation of a series makes one or two products
         _, theta_f, _, _ = self._split(p)
         batch = self._batch(sample)
         n, d = self.problem.n_train, self.problem.n_features
-        m = d + 1
-        diag = 2.0 * self.problem.c / (m * n)
-        coef = 2.0 / batch.size
-        row = theta_f[None, :]
-
-        def apply(v):
-            V = np.asarray(v, dtype=float).reshape(n, d)
-            out = diag * V
-            s = V.take(batch, axis=0) @ theta_f
-            out[batch] = out.take(batch, axis=0) - coef * (s[:, None] * row)
-            return out.ravel()
-
-        return apply
-
-    def hvp_zz_f3(self, p, sample, v):
-        return self.hvp_zz_op(p, sample)(v)
+        V = np.asarray(v, dtype=float).reshape(n, d)
+        out = (2.0 * self.problem.c / ((d + 1) * n)) * V
+        s = V.take(batch, axis=0) @ theta_f
+        out[batch] = out.take(batch, axis=0) - (2.0 / batch.size) * (s[:, None] * theta_f[None, :])
+        return out.ravel()
 
     def hvp_xz_f3(self, p, sample, v):
         return np.zeros(1)

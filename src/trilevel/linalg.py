@@ -13,6 +13,7 @@ rank 1, 2, and 3. All operations are pure; inputs are never mutated, so
 an inverse may be shared across threads.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,31 +36,25 @@ class NonFiniteError(RuntimeError):
     argument errors raise ValueError."""
 
 
-def as_vector(v, name: str = "vector") -> Array:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
+def _as_finite(value, ndim: int, name: str) -> Array:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_vector(v, name: str = "vector") -> Array:
+    return _as_finite(v, 1, name)
 
 
 def as_matrix(m, name: str = "matrix") -> Array:
-    arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return arr
+    return _as_finite(m, 2, name)
 
 
 def as_tensor3(t, name: str = "tensor") -> Array:
-    arr = np.asarray(t, dtype=float)
-    if arr.ndim != 3:
-        raise ValueError(f"{name} must be 3-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"{name} contains non-finite entries")
-    return arr
+    return _as_finite(t, 3, name)
 
 
 @dataclass(frozen=True)
@@ -109,8 +104,8 @@ def cg_solve(
     rs = float(r @ r)
     threshold = tol * max(1.0, float(np.linalg.norm(b)))
 
-    if np.sqrt(rs) <= threshold:
-        return CgReport(x, 0, float(np.sqrt(rs)), False, True)
+    if math.sqrt(rs) <= threshold:
+        return CgReport(x, 0, math.sqrt(rs), False, True)
 
     for k in range(max_iters):
         Ad = np.asarray(apply_A(d), dtype=float)
@@ -118,9 +113,10 @@ def cg_solve(
             raise ValueError(
                 f"operator output shape {Ad.shape} does not match rhs shape {d.shape}"
             )
-        if not np.all(np.isfinite(Ad)):
-            raise NonFiniteError("operator returned non-finite values")
+        # NaN or Inf anywhere in Ad makes d'Ad non-finite (0 * Inf is NaN)
         dAd = float(d @ Ad)
+        if not math.isfinite(dAd):
+            raise NonFiniteError("operator returned non-finite values")
         if dAd <= CURVATURE_TOL * float(d @ d):
             res = float(np.linalg.norm(b - _apply(apply_A, x, n)))
             return CgReport(x, k, res, True, False)
@@ -131,12 +127,12 @@ def cg_solve(
         else:
             r = r - alpha * Ad
         rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= threshold:
-            return CgReport(x, k + 1, float(np.sqrt(rs_new)), False, True)
+        if math.sqrt(rs_new) <= threshold:
+            return CgReport(x, k + 1, math.sqrt(rs_new), False, True)
         d = r + (rs_new / rs) * d
         rs = rs_new
 
-    return CgReport(x, max_iters, float(np.sqrt(rs)), False, False)
+    return CgReport(x, max_iters, math.sqrt(rs), False, False)
 
 
 def _apply(apply_A, x, n):

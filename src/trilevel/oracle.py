@@ -50,21 +50,27 @@ class Point:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _block(name, getattr(self, name)))
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.x.size, self.y.size, self.z.size
 
     def replace(self, x=None, y=None, z=None) -> "Point":
-        return Point(
-            self.x if x is None else x,
-            self.y if y is None else y,
-            self.z if z is None else z,
-        )
+        """A copy with the given blocks swapped in. Only those are converted
+        and checked; the kept blocks are shared, as they already are 1-d
+        float arrays."""
+        new = object.__new__(Point)
+        for name, arr in (("x", x), ("y", y), ("z", z)):
+            object.__setattr__(new, name, getattr(self, name) if arr is None else _block(name, arr))
+        return new
+
+
+def _block(name: str, value) -> Array:
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,8 @@ class MinibatchIndices:
 
     The rows must be distinct: a derivative block that assigns per-row
     values (``out[batch] = ...``) counts a repeated row once, while the
-    sums over the batch count it once per occurrence.
+    sums over the batch count it once per occurrence. ``rows`` is the
+    indices as a read-only int array, ``lo`` and ``hi`` their extremes.
     """
 
     indices: tuple[int, ...]
@@ -89,6 +96,11 @@ class MinibatchIndices:
             raise ValueError("minibatch must contain at least one index")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("minibatch indices must be distinct")
+        rows = np.array(self.indices, dtype=int)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "lo", min(self.indices))
+        object.__setattr__(self, "hi", max(self.indices))
 
 
 @dataclass(frozen=True)
@@ -124,13 +136,11 @@ class ProblemOracle:
     ``capabilities``. All evaluations take (point, sample) and must be
     deterministic functions of their arguments.
 
-    A subclass may also define the fast-path hooks named in :data:`HOOKS`
+    A subclass may also define the fast-path hook named in :data:`HOOKS`
     (see :func:`hook`). ``ll_grad(x, y)`` is for a lower level whose
     gradient is affine in z: it returns float64 arrays ``(A, w)`` with
     ``A @ z - w == grad_z_f3(Point(x, y, z), DETERMINISTIC)`` bit for bit
-    for every z; callers must not write to them. ``hvp_zz_op(point,
-    sample)`` returns the ``v -> hvp_zz_f3(point, sample, v)`` operator
-    with the per-point work done once.
+    for every z; callers must not write to them.
     """
 
     capabilities = OracleCapabilities()
@@ -237,8 +247,8 @@ class ProblemOracle:
         raise NotImplementedError
 
 
-# the fast paths of driver.ll_sg and of the AD engine's Hzz(f3) products
-HOOKS = ("ll_grad", "hvp_zz_op")
+# the fast path of driver.ll_sg
+HOOKS = ("ll_grad",)
 
 
 def hook(oracle: ProblemOracle, name: str) -> Optional[Callable]:
@@ -365,25 +375,29 @@ class GaussianNoiseOracle(ProblemOracle):
         return self.inner.dims
 
     def _draw(self, sample: NoiseDraw, block: str, point: Point, extra: int, std, shape) -> Array:
-        """N(0, std^2) noise of the given shape, drawn by this thread's re-keyed Philox."""
-        key = np.array([self.seed & _MASK64, splitmix64(sample.stream, _BLOCK_TAGS[block])],
-                       dtype=np.uint64)
-        counter = np.array(
-            [int(sample.counter) & _MASK64, _digest(point.x, point.y, point.z), int(extra) & _MASK64, 0],
-            dtype=np.uint64,
-        )
-        gen = getattr(self._local, "gen", None)
-        if gen is None:
-            gen = self._local.gen = np.random.Generator(np.random.Philox())
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": key},
-            "buffer": _EMPTY_BUFFER,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen.normal(0.0, std, size=shape)
+        """N(0, std^2) noise of the given shape, drawn by this thread's re-keyed Philox.
+
+        The thread's Philox and its complete state dict are built once; each
+        draw fills the dict's key and counter words in place and assigns it
+        whole. ``tagged`` is the one (stream, block) whose key word it holds.
+        """
+        local = self._local
+        if not hasattr(local, "state"):
+            local.gen, local.tagged = np.random.Generator(np.random.Philox()), None
+            local.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, 0, 0, 0], "key": [self.seed & _MASK64, 0]},
+                "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+        key, counter = local.state["state"]["key"], local.state["state"]["counter"]
+        if local.tagged != (sample.stream, block):
+            key[1] = splitmix64(sample.stream, _BLOCK_TAGS[block])
+            local.tagged = (sample.stream, block)
+        counter[0] = int(sample.counter) & _MASK64
+        counter[1] = _digest(point.x, point.y, point.z)
+        counter[2] = int(extra) & _MASK64
+        local.gen.bit_generator.state = local.state
+        return local.gen.normal(0.0, std, size=shape)
 
     def _noisy(self, name: str, std: float, point, sample, *v):
         clean = getattr(self.inner, name)(point, sample, *v)

@@ -507,16 +507,32 @@ def lyapunov_diag(spec: QuadraticSpec, point: Point) -> LyapunovDiag:
 
 
 def save_spec(spec: SyntheticSpec, path, seed=None):
-    """Write a spec to a structured text file for run reproducibility."""
+    """Write a spec to a structured text file for run reproducibility: the
+    bytes of ``json.dump(payload, fh, indent=1)`` with the arrays as nested
+    lists, whose finite floats JSON writes by ``float.__repr__``."""
     payload = {
         "kind": "quartic" if isinstance(spec, QuarticSpec) else "quadratic",
         "n": spec.n, "m": spec.m, "t": spec.t,
         "seed": seed,
     }
     for nm in ("h_x", "h_y", "h_z", "Hxx", "Hyy", "Hzz", "Hxy", "Hxz", "Hyz"):
-        payload[nm] = getattr(spec, nm).tolist()
+        payload[nm] = getattr(spec, nm)
+    body = ",\n".join(f" {json.dumps(k)}: {_json_value(v, 1)}" for k, v in payload.items())
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        fh.write("{\n" + body + "\n}")
+
+
+def _json_value(value, depth: int) -> str:
+    """``value`` as ``json.dump(indent=1)`` writes it at nesting ``depth``:
+    a scalar by ``json.dumps``, a float array as nested lists."""
+    if not isinstance(value, np.ndarray):
+        return json.dumps(value)
+    pad = "\n" + " " * (depth + 1)
+    if value.ndim == 1:
+        items = map(float.__repr__, value.tolist())
+    else:
+        items = (_json_value(row, depth + 1) for row in value)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
 
 def load_spec(path) -> SyntheticSpec:

@@ -164,7 +164,7 @@ class TestNeumannKrylov:
     def test_matches_recurrence_on_advhpt(self, minibatch):
         oracle, point, batch = _advhpt_split7()
         sample = batch if minibatch else DETERMINISTIC
-        op = oracle.hvp_zz_op(point, sample)
+        op = lambda v: oracle.hvp_zz_f3(point, sample, v)
         gz2 = np.asarray(oracle.grad_z_f2(point, sample), float)
         rand = np.random.default_rng(3).normal(0, 1, gz2.size)
         truncated = 0
@@ -836,7 +836,7 @@ class TestPinned:
 
     def test_advhpt_ad_gradients_pinned(self):
         # adv-hpt split 7 on an unsorted minibatch: the AD engine's nested
-        # Neumann series run on the oracle's hvp_zz_op operator. The x
+        # Neumann series run on the oracle's hvp_zz_f3 products. The x
         # gradient is a difference of penalty gradients that cancels most
         # bits, so the y gradient is pinned too: it moves with the last bit
         # of an Hzz product

@@ -339,7 +339,7 @@ class TestOracleStructure:
 
 
 def reference_hvp_zz_f3(oracle, p, sample, v):
-    """The per-call Hzz(f3) v formula that hvp_zz_op must reproduce bit for bit."""
+    """The reference Hzz(f3) v formula that hvp_zz_f3 must reproduce bit for bit."""
     n, d = oracle.problem.n_train, oracle.problem.n_features
     theta_f = p.y[:d]
     batch = (np.asarray(sample.indices) if isinstance(sample, MinibatchIndices)
@@ -379,6 +379,8 @@ class _AcceptsNoiseDraws(AdvHptOracle):
 
 
 class TestHvpZzOp:
+    """The adv-hpt Hzz(f3) operator, v -> hvp_zz_f3(p, sample, v)."""
+
     def _point(self, problem, seed):
         gen = np.random.default_rng(seed)
         _, m, t = problem.dims
@@ -389,42 +391,40 @@ class TestHvpZzOp:
         p = self._point(problem, 8)
         gen = np.random.default_rng(9)
         unsorted = MinibatchIndices((17, 3, 25, 0, 9, 14, 1))
-        assert hasattr(AdvHptOracle, "hvp_zz_op")
         for sample in (DETERMINISTIC, unsorted):
-            op = oracle.hvp_zz_op(p, sample)
             for _ in range(5):
                 v = gen.normal(0, 1, problem.dims[2])
                 expected = reference_hvp_zz_f3(oracle, p, sample, v)
-                assert np.array_equal(op(v), expected)
                 assert np.array_equal(oracle.hvp_zz_f3(p, sample, v), expected)
 
-    def test_out_of_range_batch_raises_when_built(self):
+    def test_out_of_range_batch_raises(self):
         ds, splits, problem, oracle = toy_setup()
         p = init_point(problem)
-        with pytest.raises(IndexError):
-            oracle.hvp_zz_op(p, MinibatchIndices((0, problem.n_train)))
+        v = np.zeros(problem.dims[2])
+        for rows in ((0, problem.n_train), (-1, 0)):
+            with pytest.raises(IndexError):
+                oracle.hvp_zz_f3(p, MinibatchIndices(rows), v)
 
-    def test_noise_wrapper_hides_the_hook_and_adds_noise(self):
+    def test_noise_wrapper_adds_noise_to_every_product(self):
         ds = toy_dataset(n=12, d=3, seed=0)
         splits = Splits(train=np.arange(8), val=np.arange(8, 10), test=np.arange(10, 12))
         problem = build_problem(ds, splits)
         inner = _AcceptsNoiseDraws(problem, ds)
         noisy = wrap_gaussian_noise(inner, 0.0, 0.5, seed=3)
-        assert getattr(type(noisy), "hvp_zz_op", None) is None
         p = self._point(problem, 10)
         v = np.random.default_rng(11).normal(0, 1, problem.dims[2])
         draw = NoiseDraw(stream=1, counter=2)
-        clean = inner.hvp_zz_op(p, draw)(v)
+        clean = inner.hvp_zz_f3(p, draw, v)
         noisy_hv = noisy.hvp_zz_f3(p, draw, v)
         assert not np.array_equal(noisy_hv, clean)
         # the AD engine's Hzz operator goes through the noisy per-call method
         cfg = AdjointConfig(engine="AD", neumann_q=3, c0=1.0, c1=1.0)
-        assert np.array_equal(_Ops(noisy, draw, cfg, None).hvp_zz(p)(v), noisy_hv)
+        assert np.array_equal(_Ops(noisy, draw, cfg, None).hvp_z(p, "z", v), noisy_hv)
 
     def test_short_ad_run_identical_through_forwarding_wrapper(self):
         # tier-1 stand-in for the benchmark's traced-digest gate: a wrapper
-        # that hides class-level hooks takes the per-call HVP path, which
-        # must give the same iterates bit for bit
+        # that forwards every method call must give the same iterates bit
+        # for bit
         ds = load_csv(bundled_dataset_path())
         problem = build_problem(ds, split_dataset(ds, 7))
         raw = build_oracle(problem, ds)
@@ -435,7 +435,7 @@ class TestHvpZzOp:
                     IterationBudget(2, 2, 3), cfg, MinibatchSamples(problem.n_train, 64, 5))
             for oracle in (raw, wrapped)
         ]
-        assert wrapped.calls["hvp_zz_f3"] > 0 and wrapped.calls["hvp_zz_op"] == 0
+        assert wrapped.calls["hvp_zz_f3"] > 0
         assert [r.flags for r in traces[0].records] == [r.flags for r in traces[1].records]
         assert len(traces[0].iterates) == 2 and traces[0].iterates[-1].x[0] != 0.0
         for a, b in zip(traces[0].iterates, traces[1].iterates):

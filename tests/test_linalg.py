@@ -88,6 +88,19 @@ class TestCgSolve:
         with pytest.raises(NonFiniteError, match="operator returned non-finite"):
             cg_solve(lambda v: np.full_like(v, np.inf), np.ones(2))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_product_entry_where_direction_is_zero(self, bad):
+        # d'Ad is the check: 0 * Inf and 0 * NaN are NaN, so one bad entry
+        # of Ad is caught even where the direction d (here b) is zero
+        def apply(v):
+            out = v.copy()
+            out[1] = bad
+            return out
+
+        with pytest.raises(NonFiniteError, match="operator returned non-finite"):
+            cg_solve(apply, np.array([1.0, 0.0, 2.0]))
+
     def test_zero_rhs(self):
         report = cg_solve(lambda v: v, np.zeros(3))
         assert report.iterations == 0

@@ -38,6 +38,14 @@ class TestPoint:
         q = p.replace(z=np.array([9.0]))
         assert q.z[0] == 9.0 and q.x is p.x
 
+    def test_replace_checks_only_the_new_blocks(self):
+        p = Point([1.0], [2.0, 3.0], [4.0])
+        q = p.replace(y=[5, 6])
+        assert q.x is p.x and q.z is p.z
+        assert q.y.dtype == float and q.y.tolist() == [5.0, 6.0]
+        with pytest.raises(ValueError, match="z must be 1-d"):
+            p.replace(z=np.zeros((1, 1)))
+
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             Point(np.zeros((2, 2)), [1.0], [1.0])
@@ -49,6 +57,10 @@ class TestSampleSpecs:
             MinibatchIndices(())
         s = MinibatchIndices((3, 1))
         assert s.indices == (3, 1)
+        assert s.rows.tolist() == [3, 1] and (s.lo, s.hi) == (1, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            s.rows[0] = 0
+        assert s == MinibatchIndices([3, 1]) and hash(s) == hash(MinibatchIndices((3, 1)))
 
     def test_minibatch_rejects_repeated_rows(self):
         # adv-hpt's per-row derivative blocks would count a repeated row once
@@ -69,7 +81,6 @@ class TestHook:
     def test_class_hooks_bound_and_wrappers_hide_them(self):
         inner = make_oracle(default_quadratic(3, 3, 3, rng=0))
         assert hook(inner, "ll_grad").__self__ is inner
-        assert hook(inner, "hvp_zz_op") is None
         # the noise wrapper forwards no hook, so its noise reaches every call
         assert all(hook(wrap_gaussian_noise(inner, 0.1, 0.1, seed=0), name) is None
                    for name in HOOKS)
@@ -312,6 +323,27 @@ class TestNoiseWrapper:
                                                        counter=np.array(counter, dtype=np.uint64)))
             assert np.array_equal(drawn, clean + gen.normal(0.0, std, size=np.shape(clean)))
         assert large == {False, True}
+
+    def test_draws_alternating_streams_and_blocks_match_fresh_philox(self):
+        # one wrapper on one thread: runs of a repeated (stream, block) re-key
+        # from the memoized key word, a change of either re-keys afresh; every
+        # draw equals a Philox built from its documented key and counter
+        tags = {"grad_z_f3": 8, "grad_y_f3": 7}
+        wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=2**63 + 5)
+        order = [(1, "grad_z_f3"), (1, "grad_z_f3"), (2, "grad_z_f3"), (2, "grad_y_f3"),
+                 (2, "grad_y_f3"), (1, "grad_y_f3"), (1, "grad_z_f3"), (2, "grad_z_f3")]
+        for k, (stream, block) in enumerate(order):
+            point = self.point.replace(z=self.point.z + 0.5 * k)
+            s = NoiseDraw(stream, counter=k % 3)
+            drawn = getattr(wrapped, block)(point, s)
+            h = hashlib.blake2b(digest_size=8)
+            for arr in (point.x, point.y, point.z):
+                h.update(arr)
+            key = np.array([2**63 + 5, splitmix64(stream, tags[block])], dtype=np.uint64)
+            counter = np.array([k % 3, int.from_bytes(h.digest(), "little"), 0, 0], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            clean = getattr(self.inner, block)(point, s)
+            assert np.array_equal(drawn, clean + gen.normal(0.0, 0.3, size=clean.shape))
 
     def test_counters_above_2_63_draw_distinct_noise(self):
         # counter words are exact uint64: neighbours above 2**63 must not

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -338,3 +340,22 @@ class TestSerialization:
         path = tmp_path / "spec.json"
         save_spec(spec, path)
         assert isinstance(load_spec(path), QuarticSpec)
+
+    @pytest.mark.parametrize("spec, seed", [
+        (default_quadratic(1, 1, 1, rng=0), None),
+        (random_quadratic(np.random.default_rng(3)), 11),
+        (default_quartic(4, 3, 2, rng=5), 0),
+    ], ids=["quadratic-n1-seed-none", "quadratic", "quartic"])
+    def test_bytes_equal_json_dump_indent_1(self, tmp_path, spec, seed):
+        path = tmp_path / "spec.json"
+        save_spec(spec, path, seed=seed)
+        payload = {"kind": "quartic" if isinstance(spec, QuarticSpec) else "quadratic",
+                   "n": spec.n, "m": spec.m, "t": spec.t, "seed": seed}
+        for nm in ("h_x", "h_y", "h_z", "Hxx", "Hyy", "Hzz", "Hxy", "Hxz", "Hyz"):
+            payload[nm] = getattr(spec, nm).tolist()
+        assert path.read_bytes() == json.dumps(payload, indent=1).encode()
+        loaded = load_spec(path)
+        assert type(loaded) is type(spec)
+        assert (loaded.n, loaded.m, loaded.t) == (spec.n, spec.m, spec.t)
+        for nm in ("h_x", "h_y", "h_z", "Hxx", "Hyy", "Hzz", "Hxy", "Hxz", "Hyz"):
+            np.testing.assert_array_equal(getattr(loaded, nm), getattr(spec, nm))
