@@ -450,7 +450,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig(n=10, m=10, t=10)
-        if args.command != "verify":
+        if args.command == "verify":  # it runs every engine, whatever [engine] kind is
+            replace(cfg, engine="AD").validate()
+        else:
             if args.seed is not None:
                 cfg.base_seed = args.seed
             if args.out is not None:

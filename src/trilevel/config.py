@@ -111,6 +111,10 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.noise_test_realizations < 1:
             raise ValueError("noise_test_realizations must be at least 1")
+        if min(self.n, self.m, self.t) < 1:
+            raise ValueError(f"n, m and t must be at least 1, got {self.n}, {self.m}, {self.t}")
+        if not self.fd_eps > 0:
+            raise ValueError(f"fd_eps must be positive, got {self.fd_eps}")
         if self.engine == "AD" and self.neumann_q < 0:
             raise ValueError(f"the AD engine needs a nonnegative neumann_q, got {self.neumann_q}")
         for name in ("c0", "c1"):

@@ -36,7 +36,6 @@ from .oracle import (
     Point,
     ProblemOracle,
     SampleSpec,
-    hook,
     splitmix64,
     stream_gen,
 )
@@ -288,12 +287,13 @@ def ll_sg(
     ``sampler`` maps the 0-based step index to a SampleSpec. The K step sizes
     are evaluated once, up front.
 
-    Without a sampler, an oracle with an ``ll_grad`` hook
-    (:func:`oracle.hook`, which says which wrappers see it) supplies the
-    cycle's affine map ``(A, w)``, and the steps z -= gamma_k (A z - w)
-    run in place in two buffers. Every other oracle, and any sampled
-    cycle, gets a ``grad_z_f3(point, sample)`` call per step. Neither path
-    writes to ``x``, ``y``, ``z0`` or the hook's arrays.
+    Without a sampler, an oracle whose capabilities declare ``affine_ll``
+    gives the cycle's gradient map once: A = hess_zz_f3 and g0 = grad_z_f3
+    at (x, y, 0). The steps z -= gamma_k (A z + g0) then run in place in
+    two buffers. Every other oracle, and any sampled cycle, gets a
+    ``grad_z_f3(point, sample)`` call per step, so noise reaches every
+    step. Neither path writes to ``x``, ``y``, ``z0`` or the oracle's
+    arrays.
 
     Both paths share one abort rule: a single finiteness check of the
     final iterate, which raises NonFiniteError. Every oracle here carries
@@ -308,13 +308,14 @@ def ll_sg(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.array(z0, dtype=float)
-    ll_grad = hook(oracle, "ll_grad") if sampler is None else None
-    if ll_grad is not None:
-        A, w = ll_grad(x, y)
+    if sampler is None and oracle.capabilities.affine_ll:
+        p0 = Point(x, y, np.zeros_like(z))
+        A = oracle.hess_zz_f3(p0, DETERMINISTIC)
+        g0 = oracle.grad_z_f3(p0, DETERMINISTIC)
         g = np.empty_like(z)
         for gam in gammas:
             A.dot(z, g)
-            g -= w
+            g += g0
             g *= gam
             z -= g
     else:
@@ -373,7 +374,7 @@ def _ml_iteration(oracle, x, y, z, beta, gamma, K, cfg, j, ml_sampler, ll_sample
 
 def _cycle_samplers(samples, i: int):
     """Outer iteration i's (ml, ll) samplers. Deterministic runs get none, so
-    no inner step calls a sampler and ``ll_sg`` may take the ``ll_grad`` hook."""
+    no inner step calls a sampler and ``ll_sg`` may take its affine cycle."""
     if isinstance(samples, DeterministicSamples):
         return None, None
     return (lambda j: samples.ml(i, j)), (lambda j, k: samples.ll(i, j, k))

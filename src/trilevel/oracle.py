@@ -19,7 +19,7 @@ re-keys it to that key and counter before every draw.
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -118,13 +118,21 @@ DETERMINISTIC = Deterministic()
 
 @dataclass(frozen=True)
 class OracleCapabilities:
+    """Optional blocks an oracle supplies. ``affine_ll``: on deterministic
+    samples, ``grad_z_f3(Point(x, y, z)) == hess_zz_f3(p) @ z +
+    grad_z_f3(Point(x, y, 0))`` bit for bit (``np.array_equal``) for every z
+    and any p at (x, y); ``driver.ll_sg`` then takes both once per cycle."""
+
     has_hessians: bool = False
     has_third_order: bool = False
     has_hvp: bool = False
+    affine_ll: bool = False
 
     def __post_init__(self):
         if self.has_third_order and not self.has_hessians:
             raise ValueError("third-order capability requires Hessian capability")
+        if self.affine_ll and not self.has_hessians:
+            raise ValueError("affine lower-level capability requires Hessian capability")
 
 
 class ProblemOracle:
@@ -134,13 +142,8 @@ class ProblemOracle:
     methods (Hessian blocks, HVPs, third-order contractions) raise
     NotImplementedError unless the subclass advertises them via
     ``capabilities``. All evaluations take (point, sample) and must be
-    deterministic functions of their arguments.
-
-    A subclass may also define the fast-path hook named in :data:`HOOKS`
-    (see :func:`hook`). ``ll_grad(x, y)`` is for a lower level whose
-    gradient is affine in z: it returns float64 arrays ``(A, w)`` with
-    ``A @ z - w == grad_z_f3(Point(x, y, z), DETERMINISTIC)`` bit for bit
-    for every z; callers must not write to them.
+    deterministic functions of their arguments. Callers must not write to
+    the arrays an oracle returns.
     """
 
     capabilities = OracleCapabilities()
@@ -245,25 +248,6 @@ class ProblemOracle:
 
     def t3_zzy_f3_contract(self, point, sample, v) -> Array:
         raise NotImplementedError
-
-
-# the fast path of driver.ll_sg
-HOOKS = ("ll_grad",)
-
-
-def hook(oracle: ProblemOracle, name: str) -> Optional[Callable]:
-    """The oracle's bound ``name`` hook, or None if its class defines none.
-
-    The hook is looked up on the class, so a wrapper that forwards
-    attribute reads to an inner oracle (noise, a spy, a counting proxy)
-    never picks up the inner oracle's hook and still sees every per-call
-    method call. A hook must give the per-call methods' values bit for bit.
-    """
-    if name not in HOOKS:
-        raise ValueError(f"unknown oracle hook {name!r}; expected one of {HOOKS}")
-    if getattr(type(oracle), name, None) is None:
-        return None
-    return getattr(oracle, name)
 
 
 def fd_hvp(grad: Callable[[Array], Array], at, v, eps: float) -> Array:

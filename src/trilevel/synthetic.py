@@ -14,18 +14,21 @@ residual scalar g = z'Hzz z - z'(Hzx x + Hzy y):
 
     f3(x,y,z) = 0.5 * g^2
 
-whose lower level has the two stationary points z = 0 and
-z = Hzz^{-1}(Hzx x + Hzy y).
+whose lower-level minimizers are the ellipsoid {g = 0} through z = 0 and
+z = Hzz^{-1}(Hzx x + Hzy y): just those two points at t = 1; for t >= 2 a
+non-unique solution set, on which Hzz(f3) = u u' (u = 2 Hzz z - Hzx x -
+Hzy y) has rank one.
 
-Both admit closed-form inner solutions (for the quartic, on the branch
-through the nonzero stationary point), making the reduced objective and
-its gradient available as independent test references. The closed forms
-and the specs' positive-definiteness checks call ``np.linalg.solve``
-directly, so they share neither the H engine's assembly nor its memo.
+Both admit closed-form inner solutions (for the quartic, the point
+z = Hzz^{-1}(Hzx x + Hzy y) of the lower level's solution set), making the
+reduced objective and its gradient available as independent test
+references. The closed forms and the specs' positive-definiteness checks
+call ``np.linalg.solve`` directly, so they share neither the H engine's
+assembly nor its memo.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -174,8 +177,9 @@ def default_init_point(spec: SyntheticSpec, rng=0) -> Point:
 def closed_form_z(spec: SyntheticSpec, x, y) -> Array:
     """Lower-level solution z(x, y) = Hzz^{-1} (Hzx x + Hzy y).
 
-    For the quartic family this is the nonzero stationary point of the
-    lower level (the branch the benchmark methods converge to).
+    For the quartic family this is one lower-level minimizer: at t = 1 the
+    nonzero one (the branch the benchmark methods converge to); for t >= 2
+    one point of the ellipsoid {g = 0} of global minimizers.
     """
     x = as_vector(x, "x")
     y = as_vector(y, "y")
@@ -307,7 +311,10 @@ class _SyntheticOracle(ProblemOracle):
 
 
 class QuadraticOracle(_SyntheticOracle):
-    """Quadratic lower level; all third-order derivatives vanish."""
+    """Quadratic lower level, so its gradient is affine in z; all third-order
+    derivatives vanish."""
+
+    capabilities = replace(_SyntheticOracle.capabilities, affine_ll=True)
 
     def f3(self, p, sample):
         s = self.spec
@@ -321,12 +328,6 @@ class QuadraticOracle(_SyntheticOracle):
 
     def grad_z_f3(self, p, sample):
         return self.spec.Hzz @ p.z - self._w(p.x, p.y)
-
-    def ll_grad(self, x, y):
-        """The lower-level gradient's affine map (A, w) at fixed (x, y), as
-        used by ``ll_sg``: grad_z_f3 = A z - w with A = Hzz and
-        w = Hzx x + Hzy y, computed once per cycle."""
-        return self.spec.Hzz, self._w(x, y)
 
     def hess_zz_f3(self, p, sample):
         # the same constant object on every call, so the H engine's one-entry

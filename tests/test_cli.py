@@ -324,6 +324,21 @@ class TestMainEntry:
         assert main(["verify"]) == 0
         assert "quadratic_pairwise_max" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(n=0), "n, m and t"),
+        (dict(fd_eps=-1.0), "fd_eps"),
+        # verify runs the AD engine, whatever the [engine] kind is
+        (dict(engine="H", neumann_q=-1), "neumann_q"),
+    ], ids=["n", "fd_eps", "neumann_q"])
+    def test_verify_config_errors_exit_2_before_any_check(self, tmp_path, capsys, overrides,
+                                                          message):
+        path = tmp_path / "cfg.ini"
+        save_config(tiny_config(tmp_path, **overrides), path)
+        assert main(["verify", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: ") and message in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--jobs", "2"],
         ["verify", "--seed", "3"],

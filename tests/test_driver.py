@@ -141,7 +141,7 @@ class TestLlSg:
             ll_sg(BadOracle(), np.zeros(2), np.zeros(2), np.zeros(2), 0.5, 1)
 
     def test_ll_grad_hook_matches_per_step_gradient(self):
-        # a non-identity Hzz, so the hook's hoisted product is really exercised
+        # a non-identity Hzz, so the affine cycle's in-place product is really exercised
         rng = np.random.default_rng(12)
         R = rng.standard_normal((5, 5))
         spec = QuadraticSpec(
@@ -153,7 +153,7 @@ class TestLlSg:
             Hyz=0.3 * rng.standard_normal((3, 5)),
         )
         oracle = make_oracle(spec)
-        assert hasattr(type(oracle), "ll_grad")
+        assert oracle.capabilities.affine_ll
 
         class PerStep(ProblemOracle):
             def grad_z_f3(self, p, s):
@@ -186,15 +186,45 @@ class TestLlSg:
         np.testing.assert_array_equal(z, z_manual)
         assert not np.allclose(z, ll_sg(clean, x, y, z0, gamma, 5, sampler=sampler))
 
+    def test_noise_wrapper_takes_the_affine_cycle_when_unsampled(self):
+        # the wrapper forwards capabilities and adds no noise on deterministic
+        # samples, so an unsampled cycle is the bare oracle's, bit for bit
+        spec = default_quadratic(4, 3, 6, rng=24)
+
+        class Counting(QuadraticOracle):
+            calls = 0
+
+            def grad_z_f3(self, p, sample):
+                Counting.calls += 1
+                return super().grad_z_f3(p, sample)
+
+        bare = Counting(spec)
+        noisy = wrap_gaussian_noise(bare, std_grad=0.5, std_hess=0.5, seed=3)
+        assert noisy.capabilities.affine_ll
+        rng = np.random.default_rng(24)
+        gamma = Decaying(0.3, 0.2, 0.1).gamma
+        z_bare = z_noisy = rng.uniform(0, 5, 6)
+        for _ in range(3):
+            x, y = rng.uniform(0, 5, 4), rng.uniform(0, 5, 3)
+            z_bare = ll_sg(bare, x, y, z_bare, gamma, 7)
+            Counting.calls = 0
+            z_noisy = ll_sg(noisy, x, y, z_noisy, gamma, 7)
+            assert Counting.calls == 1
+            np.testing.assert_array_equal(z_noisy, z_bare)
+
     def test_hook_contract_is_the_gradient_bit_for_bit(self):
+        # the affine_ll contract: grad_z_f3(x, y, z) == Hzz z + grad_z_f3(x, y, 0)
         rng = np.random.default_rng(21)
         for spec in (default_quadratic(4, 3, 6, rng=21), pure_ll_spec(3)):
             oracle = make_oracle(spec)
+            assert oracle.capabilities.affine_ll
             n, m, t = oracle.dims
             for _ in range(5):
                 x, y, z = (rng.uniform(-5, 5, d) for d in (n, m, t))
-                A, w = oracle.ll_grad(x, y)
-                np.testing.assert_array_equal(A @ z - w, oracle.grad_z_f3(Point(x, y, z), DETERMINISTIC))
+                p = Point(x, y, z)
+                affine = (oracle.hess_zz_f3(p, DETERMINISTIC) @ z
+                          + oracle.grad_z_f3(Point(x, y, np.zeros(t)), DETERMINISTIC))
+                assert np.array_equal(affine, oracle.grad_z_f3(p, DETERMINISTIC))
 
     def test_hook_cycle_writes_to_no_input(self):
         spec = default_quadratic(4, 3, 6, rng=22)
@@ -250,7 +280,7 @@ class TestLlSg:
         K = 4
 
         def gamma(k):
-            # the same overflow at step K as the hook case above
+            # the same overflow at step K as the affine case above
             return 0.5 if k < K else 1e308
 
         assert np.all(np.isfinite(ll_sg(PerStep(), x, y, z0, gamma, K - 1)))
@@ -268,7 +298,7 @@ class TestLlSg:
         bare = make_oracle(spec)
 
         class Forwarding:
-            """Forwards every attribute, so the class-level hook is hidden."""
+            """Forwards every attribute, capabilities included."""
 
             def __getattr__(self, name):
                 return getattr(bare, name)
@@ -345,7 +375,8 @@ class TestRunTsg:
 
         class Spy:
             def __init__(self):
-                self.capabilities = inner.capabilities
+                # without affine_ll, so every lower-level step calls grad_z_f3
+                self.capabilities = replace(inner.capabilities, affine_ll=False)
                 self.dims = inner.dims
 
             def __getattr__(self, name):
@@ -573,7 +604,7 @@ class TestRunBsg:
         bare = Counting(spec)
 
         class Forwarding:
-            """Forwards every attribute, so the class-level hook is hidden."""
+            """Forwards every attribute, capabilities included."""
 
             def __getattr__(self, name):
                 return getattr(bare, name)
@@ -585,13 +616,14 @@ class TestRunBsg:
             traces.append(run_bsg("without-ul", oracle, init, Decaying(0.3, 0.2, 0.1),
                                   IterationBudget(4, k0=5), H))
             calls.append(Counting.calls)
-        assert calls == [0, 20]
-        hooked, forwarded = traces
-        assert forwarded.aborted is None and hooked.aborted is None
-        assert len(hooked.records) == len(forwarded.records) == 4
-        for r, q in zip(hooked.records, forwarded.records):
+        # both take the affine cycle: one grad_z_f3 call per cycle, one cycle per iteration
+        assert calls == [4, 4]
+        direct, forwarded = traces
+        assert forwarded.aborted is None and direct.aborted is None
+        assert len(direct.records) == len(forwarded.records) == 4
+        for r, q in zip(direct.records, forwarded.records):
             assert replace(r, wall_s=0.0) == replace(q, wall_s=0.0)
-        for p, q in zip(hooked.iterates, forwarded.iterates, strict=True):
+        for p, q in zip(direct.iterates, forwarded.iterates, strict=True):
             for name in ("x", "y", "z"):
                 assert np.array_equal(getattr(p, name), getattr(q, name))
 

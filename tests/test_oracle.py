@@ -8,14 +8,12 @@ import pytest
 
 from trilevel.oracle import (
     DETERMINISTIC,
-    HOOKS,
     MinibatchIndices,
     NoiseDraw,
     OracleCapabilities,
     Point,
     ProblemOracle,
     fd_hvp,
-    hook,
     splitmix64,
     stream_gen,
     wrap_gaussian_noise,
@@ -75,25 +73,8 @@ class TestSampleSpecs:
     def test_capability_implication(self):
         with pytest.raises(ValueError):
             OracleCapabilities(has_hessians=False, has_third_order=True)
-
-
-class TestHook:
-    def test_class_hooks_bound_and_wrappers_hide_them(self):
-        inner = make_oracle(default_quadratic(3, 3, 3, rng=0))
-        assert hook(inner, "ll_grad").__self__ is inner
-        # the noise wrapper forwards no hook, so its noise reaches every call
-        assert all(hook(wrap_gaussian_noise(inner, 0.1, 0.1, seed=0), name) is None
-                   for name in HOOKS)
-
-    def test_instance_attribute_is_not_a_hook(self):
-        inner = make_oracle(default_quadratic(3, 3, 3, rng=0))
-        plain = ProblemOracle()
-        plain.ll_grad = inner.ll_grad
-        assert hook(plain, "ll_grad") is None
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="ll_cycle"):
-            hook(ProblemOracle(), "ll_cycle")
+        with pytest.raises(ValueError, match="affine lower-level"):
+            OracleCapabilities(has_hessians=False, affine_ll=True)
 
 
 class TestFdHvp:
