@@ -28,7 +28,7 @@ from .adjoint import (
     ml_adjoint_gradient,
     ul_adjoint_gradient,
 )
-from .linalg import NonFiniteError, SingularMatrixError
+from .linalg import NonFiniteError, SingularMatrixError, eigh_cached
 from .oracle import (
     DETERMINISTIC,
     MinibatchIndices,
@@ -288,18 +288,21 @@ def ll_sg(
     are evaluated once, up front.
 
     Without a sampler, an oracle whose capabilities declare ``affine_ll``
-    gives the cycle's gradient map once: A = hess_zz_f3 and g0 = grad_z_f3
-    at (x, y, 0). The steps z -= gamma_k (A z + g0) then run in place in
-    two buffers. Every other oracle, and any sampled cycle, gets a
-    ``grad_z_f3(point, sample)`` call per step, so noise reaches every
-    step. Neither path writes to ``x``, ``y``, ``z0`` or the oracle's
-    arrays.
+    has its K steps z -= gamma_k (A z + g0) computed in closed form from
+    A = hess_zz_f3 = V diag(lam) V' and one gradient g = grad_z_f3 at the
+    start point z0: z_K = z0 - V diag(d) V' g with
+    d_i = sum_k gamma_k prod_{j>k} (1 - gamma_j lam_i). d needs no division
+    by lam, so it holds for any symmetric A; (lam, V) come from
+    :func:`linalg.eigh_cached`, so a constant A is decomposed once. Every
+    other oracle, and any sampled cycle, gets a ``grad_z_f3(point, sample)``
+    call per step, so noise reaches every step. Neither path writes to
+    ``x``, ``y``, ``z0`` or the oracle's arrays.
 
     Both paths share one abort rule: a single finiteness check of the
     final iterate, which raises NonFiniteError. Every oracle here carries
     NaN and Inf through its gradients and the step z - gamma g keeps them,
-    so a cycle that goes non-finite at any step ends non-finite; it only
-    runs out its K steps first.
+    and a diverging closed form overflows its factors, so a cycle that
+    goes non-finite at any step ends non-finite.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -309,15 +312,16 @@ def ll_sg(
     y = np.asarray(y, dtype=float)
     z = np.array(z0, dtype=float)
     if sampler is None and oracle.capabilities.affine_ll:
-        p0 = Point(x, y, np.zeros_like(z))
-        A = oracle.hess_zz_f3(p0, DETERMINISTIC)
-        g0 = oracle.grad_z_f3(p0, DETERMINISTIC)
-        g = np.empty_like(z)
-        for gam in gammas:
-            A.dot(z, g)
-            g += g0
-            g *= gam
-            z -= g
+        p = Point(x, y, z)
+        lam, V = eigh_cached(oracle.hess_zz_f3(p, DETERMINISTIC))
+        g = oracle.grad_z_f3(p, DETERMINISTIC)
+        rev = gammas[::-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # rows 1 - gamma_j lam for j = K+1 (gamma_{K+1} = 0), K, ..., 2: the
+            # cumulative product's row K-k is prod_{j>k} (1 - gamma_j lam)
+            F = 1.0 - np.multiply.outer([0.0] + rev[:-1], lam)
+            d = np.dot(rev, F.cumprod(axis=0))
+            z = z - V @ (d * (g @ V))
     else:
         grad_z_f3 = oracle.grad_z_f3
         for k in range(K):

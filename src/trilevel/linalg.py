@@ -4,7 +4,8 @@ Minimal numerics used by the adjoint engines and the synthetic problems:
 a linear conjugate-gradient solver with non-positive-curvature detection,
 direct solves by numpy's own LAPACK (``gesv``, a partial-pivot LU) with a
 one-entry memo that inverts a matrix object solved repeatedly once and
-gives an array seen once a one-shot solve, and the order-3 tensor
+gives an array seen once a one-shot solve, a one-entry memo of the
+symmetric eigendecomposition of a matrix object, and the order-3 tensor
 contraction that the synthetic problems' third-order callbacks are
 checked against. Nothing here imports scipy.
 
@@ -222,3 +223,20 @@ def lu_factor_cached(A) -> Optional[Array]:
     if last[1] is None:
         last = _LU_LAST = (A, lu_factor(A))
     return last[1]
+
+
+# One-entry eigendecomposition memo, an (array, eigenvalues, eigenvectors)
+# triple swapped whole as the inverse memo above is. Every caller uses the
+# decomposition, so it is computed on first sight.
+_EIGH_LAST: Optional[tuple] = None
+
+
+def eigh_cached(A) -> tuple[Array, Array]:
+    """(lam, V) with A = V diag(lam) V' for the symmetric matrix A, by
+    LAPACK through ``np.linalg.eigh``; reused while the last call saw this
+    same array object. Raises NonFiniteError on NaN/Inf entries."""
+    global _EIGH_LAST
+    last = _EIGH_LAST
+    if last is None or last[0] is not A:
+        last = _EIGH_LAST = (A, *np.linalg.eigh(_square(A)))
+    return last[1], last[2]

@@ -121,7 +121,9 @@ class OracleCapabilities:
     """Optional blocks an oracle supplies. ``affine_ll``: on deterministic
     samples, ``grad_z_f3(Point(x, y, z)) == hess_zz_f3(p) @ z +
     grad_z_f3(Point(x, y, 0))`` bit for bit (``np.array_equal``) for every z
-    and any p at (x, y); ``driver.ll_sg`` then takes both once per cycle."""
+    and any p at (x, y), with ``hess_zz_f3`` symmetric. ``driver.ll_sg`` then
+    takes ``hess_zz_f3`` and one ``grad_z_f3`` per cycle and computes the
+    cycle's K steps in closed form, in the eigenbasis of ``hess_zz_f3``."""
 
     has_hessians: bool = False
     has_third_order: bool = False

@@ -52,6 +52,27 @@ def pure_ll_spec(t=2):
     )
 
 
+def coupled_spec(rng, Hzz):
+    """A 4/3/5 quadratic with the given Hzz and random couplings into z."""
+    return QuadraticSpec(
+        n=4, m=3, t=5,
+        h_x=np.zeros(4), h_y=np.zeros(3), h_z=np.zeros(5),
+        Hxx=np.eye(4), Hyy=4 * np.eye(3), Hzz=Hzz,
+        Hxy=np.zeros((4, 3)),
+        Hxz=0.3 * rng.standard_normal((4, 5)),
+        Hyz=0.3 * rng.standard_normal((3, 5)),
+    )
+
+
+def reference_cycle(oracle, x, y, z0, gamma, K):
+    """The paper's K lower-level steps, one gradient call per step."""
+    gamma_fn = gamma if callable(gamma) else (lambda _k: gamma)
+    z = np.array(z0, dtype=float)
+    for k in range(1, K + 1):
+        z = z - gamma_fn(k) * oracle.grad_z_f3(Point(x, y, z), DETERMINISTIC)
+    return z
+
+
 class TestSchedules:
     def test_theorem_constant_relations(self):
         s = TheoremConstant(I=16, J=4, K=9)
@@ -141,31 +162,31 @@ class TestLlSg:
             ll_sg(BadOracle(), np.zeros(2), np.zeros(2), np.zeros(2), 0.5, 1)
 
     def test_ll_grad_hook_matches_per_step_gradient(self):
-        # a non-identity Hzz, so the affine cycle's in-place product is really exercised
+        # a non-identity Hzz, so the closed form's eigenbasis is really exercised
         rng = np.random.default_rng(12)
         R = rng.standard_normal((5, 5))
-        spec = QuadraticSpec(
-            n=4, m=3, t=5,
-            h_x=np.zeros(4), h_y=np.zeros(3), h_z=np.zeros(5),
-            Hxx=np.eye(4), Hyy=4 * np.eye(3), Hzz=R @ R.T / 5 + np.eye(5),
-            Hxy=np.zeros((4, 3)),
-            Hxz=0.3 * rng.standard_normal((4, 5)),
-            Hyz=0.3 * rng.standard_normal((3, 5)),
-        )
-        oracle = make_oracle(spec)
+        oracle = make_oracle(coupled_spec(rng, R @ R.T / 5 + np.eye(5)))
         assert oracle.capabilities.affine_ll
+        for gamma in (Decaying(0.3, 0.2, 0.1).gamma, 0.05):
+            for K in (1, 7, 233):
+                z_form = z_ref = rng.uniform(0, 5, 5)
+                for _ in range(4):
+                    x, y = rng.uniform(0, 5, 4), rng.uniform(0, 5, 3)
+                    z_form = ll_sg(oracle, x, y, z_form, gamma, K)
+                    z_ref = reference_cycle(oracle, x, y, z_ref, gamma, K)
+                    np.testing.assert_allclose(z_form, z_ref, rtol=1e-12)
 
-        class PerStep(ProblemOracle):
-            def grad_z_f3(self, p, s):
-                return oracle.grad_z_f3(p, s)
-
-        gamma = Decaying(0.3, 0.2, 0.1).gamma
-        z_hook = z_step = rng.uniform(0, 5, 5)
-        for _ in range(4):
-            x, y = rng.uniform(0, 5, 4), rng.uniform(0, 5, 3)
-            z_hook = ll_sg(oracle, x, y, z_hook, gamma, 7)
-            z_step = ll_sg(PerStep(), x, y, z_step, gamma, 7)
-            np.testing.assert_array_equal(z_hook, z_step)
+    def test_closed_form_matches_reference_ill_conditioned_and_expanding(self):
+        # kappa = 1e4, and steps with |1 - gamma lam| > 1 for the top eigenvalues
+        rng = np.random.default_rng(31)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        oracle = make_oracle(coupled_spec(rng, (Q * np.logspace(0, 4, 5)) @ Q.T))
+        x, y, z0 = rng.uniform(0, 5, 4), rng.uniform(0, 5, 3), rng.uniform(0, 5, 5)
+        for gamma in (1e-4, 2.5e-4, lambda k: 3e-4 / k):
+            for K in (1, 7, 233):
+                np.testing.assert_allclose(ll_sg(oracle, x, y, z0, gamma, K),
+                                           reference_cycle(oracle, x, y, z0, gamma, K),
+                                           rtol=1e-12)
 
     def test_noise_wrapper_keeps_per_step_noise(self):
         spec = default_quadratic(3, 3, 3, rng=6)
@@ -243,16 +264,32 @@ class TestLlSg:
     def test_hook_matches_per_step_at_one_step(self):
         spec = default_quadratic(4, 3, 6, rng=23)
         oracle = make_oracle(spec)
-
-        class PerStep(ProblemOracle):
-            def grad_z_f3(self, p, s):
-                return oracle.grad_z_f3(p, s)
-
         rng = np.random.default_rng(23)
         for gamma in (0.5, Decaying(0.3, 0.2, 0.1).gamma):
             x, y, z0 = rng.uniform(0, 5, 4), rng.uniform(0, 5, 3), rng.uniform(0, 5, 6)
-            np.testing.assert_array_equal(ll_sg(oracle, x, y, z0, gamma, 1),
-                                          ll_sg(PerStep(), x, y, z0, gamma, 1))
+            np.testing.assert_allclose(ll_sg(oracle, x, y, z0, gamma, 1),
+                                       reference_cycle(oracle, x, y, z0, gamma, 1),
+                                       rtol=1e-12)
+
+    def test_non_finite_hzz_aborts_before_the_eigendecomposition(self, monkeypatch):
+        spec = default_quadratic(3, 3, 3, rng=32)
+
+        class NanHzz(QuadraticOracle):
+            def hess_zz_f3(self, p, sample):
+                return np.full((3, 3), np.nan)
+
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+        oracle = NanHzz(spec)
+        x = y = z0 = np.ones(3)
+        with pytest.raises(NonFiniteError, match="A contains non-finite"):
+            ll_sg(oracle, x, y, z0, 0.1, 5)
+        trace = run_tsg(oracle, Point(x, y, z0), Decaying(0.3, 0.2, 0.1),
+                        IterationBudget(3), H)
+        assert trace.aborted == "A contains non-finite entries"
+        assert len(trace.records) == 0
+        assert calls == []
 
     def test_hook_cycle_non_finite_at_last_step_aborts(self):
         oracle = make_oracle(pure_ll_spec())
@@ -400,6 +437,30 @@ class TestRunTsg:
         z_after = ll_sg(inner, init.x, y0, seen[0][1], Decaying(0.3, 0.2, 0.1).gamma, 3)
         np.testing.assert_allclose(z_next, z_after, atol=1e-12)
         assert not np.allclose(y0, y1)
+
+    def test_adaptive_trajectory_matches_per_step_cycles(self):
+        # the criterion-03 instance over 160 UL iterations, as the benchmark
+        # runs it: rounding in the closed-form cycle must flip no adaptive
+        # J/K decision against one gradient call per lower-level step
+        spec = default_quadratic(10, 10, 10, rng=42)
+        bare = make_oracle(spec)
+
+        class PerStep:
+            def __init__(self):
+                self.capabilities = replace(bare.capabilities, affine_ll=False)
+
+            def __getattr__(self, name):
+                return getattr(bare, name)
+
+        init = default_init_point(spec, rng=43)
+        traces = [run_tsg(oracle, init, Decaying(0.3, 0.2, 0.1),
+                          IterationBudget(160, adaptive=True), H)
+                  for oracle in (bare, PerStep())]
+        assert [t.aborted for t in traces] == [None, None]
+        for name in ("J", "K", "cum_ll"):
+            np.testing.assert_array_equal(*(t.column(name) for t in traces))
+        np.testing.assert_allclose(*(t.column("f1") for t in traces), rtol=1e-9)
+        assert traces[0].records[-1].K > traces[0].records[0].K
 
     def test_exact_inner_contraction(self):
         spec = default_quadratic(6, 6, 6, rng=5)

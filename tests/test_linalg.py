@@ -8,16 +8,20 @@ import numpy as np
 import pytest
 
 from trilevel import linalg
+from trilevel.adjoint import AdjointConfig
+from trilevel.driver import Decaying, IterationBudget, run_tsg
 from trilevel.linalg import (
     NonFiniteError,
     SingularMatrixError,
     cg_solve,
+    eigh_cached,
     lu_factor,
     lu_factor_cached,
     lu_solve,
     solve_dense,
     tensor_contract_vec,
 )
+from trilevel.synthetic import default_init_point, default_quadratic, make_oracle
 
 
 def random_spd(rng, d):
@@ -310,6 +314,96 @@ class TestSolveDense:
             while time.perf_counter() < deadline:
                 F = lu_factor_cached(arrays[t])
                 wrong += not (F is None or np.array_equal(F, expected[t]))
+                calls += 1
+            return wrong, calls
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(work, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [wrong for wrong, _ in results] == [0] * 4
+        assert min(calls for _, calls in results) > 0
+
+
+class TestEighCached:
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(A):
+            calls.append(A)
+            return eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_decomposes_the_matrix(self):
+        A = random_spd(np.random.default_rng(40), 6)
+        lam, V = eigh_cached(A)
+        np.testing.assert_allclose((V * lam) @ V.T, A, rtol=0, atol=1e-12 * np.abs(A).max())
+        np.testing.assert_allclose(V.T @ V, np.eye(6), rtol=0, atol=1e-14 * 6)
+
+    def test_one_eigh_per_deterministic_run(self, eigh_calls):
+        spec = default_quadratic(5, 5, 5, rng=41)
+        trace = run_tsg(make_oracle(spec), default_init_point(spec, rng=42),
+                        Decaying(0.3, 0.2, 0.1), IterationBudget(20, j0=2, k0=3),
+                        AdjointConfig(engine="H"))
+        assert trace.aborted is None and len(trace.records) == 20
+        assert len(eigh_calls) == 1 and eigh_calls[0] is spec.Hzz
+
+    def test_recomputes_for_another_array(self, eigh_calls):
+        A = random_spd(np.random.default_rng(43), 5)
+        first = eigh_cached(A)
+        again = eigh_cached(A)
+        assert again[0] is first[0] and again[1] is first[1]
+        assert len(eigh_calls) == 1
+        # a distinct object with equal values is decomposed anew
+        copy = eigh_cached(A.copy())
+        assert len(eigh_calls) == 2
+        np.testing.assert_array_equal(copy[0], first[0])
+
+    def test_memo_swaps_whole_pair(self, monkeypatch):
+        # another caller replacing the entry while A is being decomposed
+        # (here re-entrantly, as a thread switch could) must not leave A
+        # paired with B's decomposition
+        rng = np.random.default_rng(44)
+        A, B = random_spd(rng, 5), random_spd(rng, 5)
+        eigh = np.linalg.eigh
+        inner, calls = [], []
+
+        def interleaved(M):
+            calls.append(M)
+            if M is A:
+                inner.extend(eigh_cached(B) for _ in range(2))
+            return eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", interleaved)
+        eigh_cached(A)
+        for lam, V in inner:
+            np.testing.assert_array_equal(lam, eigh(B)[0])
+            np.testing.assert_array_equal(V, eigh(B)[1])
+        np.testing.assert_array_equal(eigh_cached(A)[0], eigh(A)[0])
+        assert [M is A for M in calls] == [True, False]
+        np.testing.assert_array_equal(eigh_cached(B)[0], eigh(B)[0])
+        assert len(calls) == 3
+
+    def test_lookup_across_threads(self):
+        # each thread looks its own array up again and again for a fixed
+        # time: the memo's one entry changes hands, and a lookup must never
+        # return another thread's decomposition
+        arrays = [random_spd(np.random.default_rng(110 + t), 4) for t in range(4)]
+        expected = [np.linalg.eigh(A)[0] for A in arrays]
+
+        def work(t):
+            wrong, calls = 0, 0
+            deadline = time.perf_counter() + 0.5
+            while time.perf_counter() < deadline:
+                lam, _ = eigh_cached(arrays[t])
+                wrong += not np.array_equal(lam, expected[t])
                 calls += 1
             return wrong, calls
 
