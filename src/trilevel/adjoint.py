@@ -418,8 +418,11 @@ def _ul_dense(oracle, point, sample, cfg) -> Array:
     With T_abc = T_abc(f3) contracted with w2 = Hzz^{-1} grad_z f2, the pieces
     D = T_zzz - Hzz2 and E = Hyz2 - T_yzz, and Jx, Jy = dz/dx, dz/dy:
       Hbar_yx = Hyx2 - T_yzx + E Jx - Jy^T (T_zzx - Hzx2 + D Jx);
-      Hzz(f3) is symmetric, so Jx^T q = -Hxz3 Hzz^{-1} q for any t-vector q;
-      with u = Jy lam_y and q = E^T lam_y - D^T u, Hbar_yx^T lam_y =
+      Hbar_yy = Hyy2 - T_yzy + S + S^T - Jy^T D Jy, with S = E Jy.
+    Hbar_yy is Hbar_yx with y for x: mixed derivatives are symmetric, so
+    T_zzy - Hzy2 = -E^T, and the oracle supplies no zy blocks.
+    Hzz(f3) is symmetric, so Jx^T q = -Hxz3 Hzz^{-1} q for any t-vector q;
+    with u = Jy lam_y and q = E^T lam_y - D^T u, Hbar_yx^T lam_y =
       (Hyx2 - T_yzx)^T lam_y - (T_zzx - Hzx2)^T u - Hxz3 Hzz^{-1} q.
     So Jx is never formed: Hzz is solved against [grad_z f1 | Hyz3^T |
     grad_z f2], then against the one vector grad_z f1 - q."""
@@ -439,8 +442,9 @@ def _ul_dense(oracle, point, sample, cfg) -> Array:
     D = o.t3_zzz_f3_contract(p, s, w2) - np.asarray(o.hess_zz_f2(p, s), float)
     E = np.asarray(o.hess_yz_f2(p, s), float) - o.t3_yzz_f3_contract(p, s, w2)
 
-    Hyy_bar = (np.asarray(o.hess_yy_f2(p, s), float) - o.t3_yzy_f3_contract(p, s, w2) + E @ Jy
-               - Jy.T @ (o.t3_zzy_f3_contract(p, s, w2) - np.asarray(o.hess_zy_f2(p, s), float) + D @ Jy))
+    S = E @ Jy
+    Hyy_bar = (np.asarray(o.hess_yy_f2(p, s), float) - o.t3_yzy_f3_contract(p, s, w2) + S + S.T
+               - Jy.T @ (D @ Jy))
     lam_y = solve_dense(Hyy_bar, np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z)
 
     u = Jy @ lam_y

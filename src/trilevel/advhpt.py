@@ -373,9 +373,6 @@ class AdvHptOracle(ProblemOracle):
         # penalties are theta- or delta-only, so the cross block flips sign
         return -self.hess_yz_f3(p, sample)
 
-    def hess_zy_f2(self, p, sample):
-        return self.hess_yz_f2(p, sample).T
-
     def hess_zx_f2(self, p, sample):
         return np.zeros((self.problem.dims[2], 1))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import advhpt as ah
-from .adjoint import AdjointConfig, auto_scale_bilevel, auto_scales
+from .adjoint import ENGINE_AD, ENGINE_H, ENGINE_NFD, AdjointConfig, auto_scale_bilevel, auto_scales
 from .config import ExperimentConfig, load_config, save_config
 from .driver import (
     Decaying,
@@ -146,16 +146,16 @@ def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) ->
     reduced Hessian Hbar_yy, or H_yy(f2) at z = 0 for ``without-ll``, whose
     gradient uses no c0.
     """
-    if (cfg.engine == "H" and cfg.reduction == REDUCTION_TRILEVEL
+    if (cfg.engine == ENGINE_H and cfg.reduction == REDUCTION_TRILEVEL
             and not oracle.capabilities.has_third_order):
         raise ValueError(f"the H engine's trilevel gradient needs third-order contractions, "
                          f"which the {cfg.problem} oracle does not supply")
     c0, c1 = cfg.c0, cfg.c1
-    if cfg.engine == "AD" and cfg.reduction == REDUCTION_WITHOUT_LL:
+    if cfg.engine == ENGINE_AD and cfg.reduction == REDUCTION_WITHOUT_LL:
         if c1 is None:
             c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros_like(init.z)), fd_eps=cfg.fd_eps)
             _log(f"auto scale: c1={c1:.6g}")
-    elif cfg.engine == "AD" and (c0 is None or c1 is None):
+    elif cfg.engine == ENGINE_AD and (c0 is None or c1 is None):
         # auto_scales returns a given c0 unchanged
         c0, auto_c1 = auto_scales(
             oracle, init, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps,
@@ -335,9 +335,9 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
     point = closed_form_point(spec, x)
     c0, c1 = auto_scales(oracle, point, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps)
     cfgs = [
-        AdjointConfig(engine="H"),
-        AdjointConfig(engine="NFD", fd_eps=cfg.fd_eps),
-        AdjointConfig(engine="AD", fd_eps=cfg.fd_eps, neumann_q=max(cfg.neumann_q, 40), c0=c0, c1=c1),
+        AdjointConfig(engine=ENGINE_H),
+        AdjointConfig(engine=ENGINE_NFD, fd_eps=cfg.fd_eps),
+        AdjointConfig(engine=ENGINE_AD, fd_eps=cfg.fd_eps, neumann_q=max(cfg.neumann_q, 40), c0=c0, c1=c1),
     ]
     fd_ref = fd_grad_f(oracle, x, spec=spec)
     report = engine_agreement_report(oracle, point, cfgs, labels=["H", "NFD", "AD"], fd_reference=fd_ref)
@@ -360,9 +360,9 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
     qfd = fd_grad_f(qoracle, qinit.x, warm=qinit)
     qc0, qc1 = auto_scales(qoracle, qpoint, neumann_q=max(cfg.neumann_q, 40), fd_eps=cfg.fd_eps)
     qcfgs = [
-        AdjointConfig(engine="H"),
-        AdjointConfig(engine="NFD", fd_eps=cfg.fd_eps),
-        AdjointConfig(engine="AD", fd_eps=cfg.fd_eps, neumann_q=max(cfg.neumann_q, 40), c0=qc0, c1=qc1),
+        AdjointConfig(engine=ENGINE_H),
+        AdjointConfig(engine=ENGINE_NFD, fd_eps=cfg.fd_eps),
+        AdjointConfig(engine=ENGINE_AD, fd_eps=cfg.fd_eps, neumann_q=max(cfg.neumann_q, 40), c0=qc0, c1=qc1),
     ]
     qreport = engine_agreement_report(qoracle, qpoint, qcfgs, labels=["H", "NFD", "AD"], fd_reference=qfd)
     print("quartic agreement (relative l2):")
@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig(n=10, m=10, t=10)
         if args.command == "verify":  # it runs every engine, whatever [engine] kind is
-            replace(cfg, engine="AD").validate()
+            replace(cfg, engine=ENGINE_AD).validate()
         else:
             if args.seed is not None:
                 cfg.base_seed = args.seed

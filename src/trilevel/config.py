@@ -50,7 +50,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
 
-from .adjoint import ENGINES
+from .adjoint import ENGINE_AD, ENGINE_H, ENGINE_NFD, ENGINES
 from .driver import REDUCTIONS
 
 PROBLEMS = ("quadratic", "quartic", "adv-hpt")
@@ -68,7 +68,7 @@ class ExperimentConfig:
     spec_seed: int = 0
     csv: Optional[str] = None
     # [engine]
-    engine: str = "NFD"
+    engine: str = ENGINE_NFD
     fd_eps: float = 0.1
     cg_max_iters: Optional[int] = None
     neumann_q: int = 30
@@ -115,7 +115,7 @@ class ExperimentConfig:
             raise ValueError(f"n, m and t must be at least 1, got {self.n}, {self.m}, {self.t}")
         if not self.fd_eps > 0:
             raise ValueError(f"fd_eps must be positive, got {self.fd_eps}")
-        if self.engine == "AD" and self.neumann_q < 0:
+        if self.engine == ENGINE_AD and self.neumann_q < 0:
             raise ValueError(f"the AD engine needs a nonnegative neumann_q, got {self.neumann_q}")
         for name in ("c0", "c1"):
             value = getattr(self, name)
@@ -123,7 +123,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive or auto, got {value}")
         if self.problem == "adv-hpt" and not self.csv:
             raise ValueError("adv-hpt requires a csv path")
-        if self.mode == "stochastic" and self.engine == "H" and self.std_hess > 0.1:
+        if self.mode == "stochastic" and self.engine == ENGINE_H and self.std_hess > 0.1:
             # degradation, not failure: warn and continue
             warnings.warn(
                 "H engine with Hessian noise above 0.1 is known to degrade badly",

@@ -143,9 +143,12 @@ class ProblemOracle:
     Required: f1/f2/f3 values and all nine gradient blocks. Optional
     methods (Hessian blocks, HVPs, third-order contractions) raise
     NotImplementedError unless the subclass advertises them via
-    ``capabilities``. All evaluations take (point, sample) and must be
-    deterministic functions of their arguments. Callers must not write to
-    the arrays an oracle returns.
+    ``capabilities``. Mixed derivatives are symmetric, so each mixed block
+    is supplied once and the engines transpose it: H_zy(f2) is
+    ``hess_yz_f2(...).T`` and the (z, z, y) contraction is
+    ``t3_yzz_f3_contract(...).T``. All evaluations take (point, sample)
+    and must be deterministic functions of their arguments. Callers must
+    not write to the arrays an oracle returns.
     """
 
     capabilities = OracleCapabilities()
@@ -205,9 +208,6 @@ class ProblemOracle:
     def hess_zx_f2(self, point, sample) -> Array:
         raise NotImplementedError
 
-    def hess_zy_f2(self, point, sample) -> Array:
-        raise NotImplementedError
-
     def hess_zz_f2(self, point, sample) -> Array:
         raise NotImplementedError
 
@@ -246,9 +246,6 @@ class ProblemOracle:
         raise NotImplementedError
 
     def t3_yzy_f3_contract(self, point, sample, v) -> Array:
-        raise NotImplementedError
-
-    def t3_zzy_f3_contract(self, point, sample, v) -> Array:
         raise NotImplementedError
 
 
@@ -306,7 +303,8 @@ def _digest(*arrays: Array) -> int:
 # the output buffer of a fresh Philox; with buffer_pos = 4 no word of it is used
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
-# block tags keep noise draws independent across derivative blocks
+# block tags keep noise draws independent across derivative blocks; the
+# None slot (13) keeps each later block's tag, and so its draws, unchanged
 _BLOCK_TAGS = {
     name: idx
     for idx, name in enumerate(
@@ -315,11 +313,12 @@ _BLOCK_TAGS = {
             "grad_x_f2", "grad_y_f2", "grad_z_f2",
             "grad_x_f3", "grad_y_f3", "grad_z_f3",
             "hess_zz_f3", "hess_xz_f3", "hess_yz_f3",
-            "hess_zx_f2", "hess_zy_f2", "hess_zz_f2",
+            "hess_zx_f2", None, "hess_zz_f2",
             "hess_yx_f2", "hess_yy_f2", "hess_yz_f2",
             "hvp_zz_f3", "hvp_xz_f3", "hvp_yz_f3",
         ]
     )
+    if name is not None
 }
 
 
@@ -421,10 +420,7 @@ def _install_noise_methods():
 
     for block in _BLOCK_TAGS:
         setattr(GaussianNoiseOracle, block, noisy_method(block))
-    for t3 in [
-        "t3_yzx_f3_contract", "t3_yzz_f3_contract", "t3_zzx_f3_contract",
-        "t3_zzz_f3_contract", "t3_yzy_f3_contract", "t3_zzy_f3_contract",
-    ]:
+    for t3 in [name for name in vars(ProblemOracle) if name.startswith("t3_")]:
         setattr(GaussianNoiseOracle, t3, passthrough(t3))
 
 

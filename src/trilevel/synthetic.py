@@ -303,9 +303,6 @@ class _SyntheticOracle(ProblemOracle):
     def hess_zx_f2(self, p, sample):
         return np.zeros((self.spec.t, self.spec.n))
 
-    def hess_zy_f2(self, p, sample):
-        return -self.spec.Hzy
-
     def hess_zz_f2(self, p, sample):
         return np.zeros((self.spec.t, self.spec.t))
 
@@ -332,7 +329,9 @@ class QuadraticOracle(_SyntheticOracle):
     def hess_zz_f3(self, p, sample):
         # the same constant object on every call, so the H engine's one-entry
         # memo (linalg.lu_factor_cached) inverts it once and turns every
-        # later solve into a product; callers must not mutate oracle outputs
+        # later solve into a product, and the lower-level cycle's memo
+        # (linalg.eigh_cached) decomposes it once; callers must not mutate
+        # oracle outputs
         return self.spec.Hzz
 
     def hess_xz_f3(self, p, sample):
@@ -364,9 +363,6 @@ class QuadraticOracle(_SyntheticOracle):
 
     def t3_yzy_f3_contract(self, p, sample, v):
         return np.zeros((self.spec.m, self.spec.m))
-
-    def t3_zzy_f3_contract(self, p, sample, v):
-        return np.zeros((self.spec.t, self.spec.m))
 
 
 class QuarticOracle(_SyntheticOracle):
@@ -444,15 +440,6 @@ class QuarticOracle(_SyntheticOracle):
             -(u @ v) * s.Hzx
             - np.outer(u, s.Hxz @ v)
             - 2.0 * np.outer(s.Hzz @ v, s.Hxz @ p.z)
-        )
-
-    def t3_zzy_f3_contract(self, p, sample, v):
-        s = self.spec
-        _, u = self._parts(p)
-        return (
-            -(u @ v) * s.Hzy
-            - np.outer(u, s.Hyz @ v)
-            - 2.0 * np.outer(s.Hzz @ v, s.Hyz @ p.z)
         )
 
     def t3_zzz_f3_contract(self, p, sample, v):

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adjoint import AdjointConfig, ml_adjoint_gradient, ul_adjoint_gradient
+from .adjoint import ENGINE_H, AdjointConfig, ml_adjoint_gradient, ul_adjoint_gradient
 from .oracle import DETERMINISTIC, Point, ProblemOracle, fd_hvp
 from .synthetic import QuadraticSpec, reduced_objective
 
@@ -120,7 +120,7 @@ def solve_inner(
     """
     y = np.asarray(y0, float).copy()
     z = np.asarray(z0, float).copy()
-    h_cfg = AdjointConfig(engine="H")
+    h_cfg = AdjointConfig(engine=ENGINE_H)
 
     def ml_grad(yv, zv):
         zs = solve_ll(oracle, x, yv, zv, tol, max_iters)

@@ -378,16 +378,19 @@ def test_criterion_11_derivative_cross_checks():
             scale_hint=float(np.abs(analytic).max()),
         )
 
-    # quartic third-order contractions against differenced Hessian blocks
-    for t3_name, hess_name, axis in [
-        ("t3_zzz_f3_contract", "hess_zz_f3", "z"),
-        ("t3_yzz_f3_contract", "hess_yz_f3", "z"),
-        ("t3_zzy_f3_contract", "hess_zz_f3", "y"),
-        ("t3_yzy_f3_contract", "hess_yz_f3", "y"),
-        ("t3_zzx_f3_contract", "hess_zz_f3", "x"),
-        ("t3_yzx_f3_contract", "hess_yz_f3", "x"),
+    # quartic third-order contractions against differenced Hessian blocks;
+    # the (z, z, y) contraction is the transposed (y, z, z) one
+    for t3_name, hess_name, axis, transpose in [
+        ("t3_zzz_f3_contract", "hess_zz_f3", "z", False),
+        ("t3_yzz_f3_contract", "hess_yz_f3", "z", False),
+        ("t3_yzz_f3_contract", "hess_zz_f3", "y", True),
+        ("t3_yzy_f3_contract", "hess_yz_f3", "y", False),
+        ("t3_zzx_f3_contract", "hess_zz_f3", "x", False),
+        ("t3_yzx_f3_contract", "hess_yz_f3", "x", False),
     ]:
         analytic = getattr(qo, t3_name)(p, S, v)
+        if transpose:
+            analytic, t3_name = analytic.T, t3_name + ".T"
 
         def fd_contract(eps, hn=hess_name, ax=axis):
             dim = {"x": 4, "y": 3, "z": 2}[ax]
@@ -405,29 +408,20 @@ def test_criterion_11_derivative_cross_checks():
         ratio_check(f"quartic {t3_name}", analytic, fd_contract,
                     scale_hint=float(np.abs(analytic).max()))
 
-    # quadratic instance: Hessians against (exact) differenced gradients
+    # quadratic instance: Hessians against (exact) differenced gradients;
+    # H_zy(f2) is the transposed H_yz(f2)
     spec = default_quadratic(4, 4, 4, rng=3)
     o = make_oracle(spec)
     pq = Point(rng.uniform(0, 5, 4), rng.uniform(0, 5, 4), rng.uniform(0, 5, 4))
     vq = rng.standard_normal(4)
-    for grad_name, hess_name in [
-        ("grad_z_f3", "hess_zz_f3"), ("grad_y_f2", "hess_yz_f2"), ("grad_z_f2", "hess_zy_f2"),
+    for hess_name, analytic, grad, axis in [
+        ("hess_zz_f3", o.hess_zz_f3(pq, S) @ vq, o.grad_z_f3, "z"),
+        ("hess_yz_f2", o.hess_yz_f2(pq, S) @ vq, o.grad_y_f2, "z"),
+        ("hess_yz_f2.T", o.hess_yz_f2(pq, S).T @ vq, o.grad_z_f2, "y"),
     ]:
-        if hess_name.endswith("_f2") and "zy" in hess_name:
-            analytic = o.hess_zy_f2(pq, S) @ vq
-            fd_at = lambda eps: fd_hvp(
-                lambda y: o.grad_z_f2(pq.replace(y=y), S), pq.y, vq, eps
-            )
-        elif hess_name == "hess_yz_f2":
-            analytic = o.hess_yz_f2(pq, S) @ vq
-            fd_at = lambda eps: fd_hvp(
-                lambda z: o.grad_y_f2(pq.replace(z=z), S), pq.z, vq, eps
-            )
-        else:
-            analytic = o.hess_zz_f3(pq, S) @ vq
-            fd_at = lambda eps: fd_hvp(
-                lambda z: o.grad_z_f3(pq.replace(z=z), S), pq.z, vq, eps
-            )
+        fd_at = lambda eps, g=grad, ax=axis: fd_hvp(
+            lambda w: g(pq.replace(**{ax: w}), S), getattr(pq, ax), vq, eps
+        )
         ratio_check(f"quadratic {hess_name}", analytic, fd_at,
                     scale_hint=float(np.abs(analytic).max()))
 

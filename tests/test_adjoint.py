@@ -449,8 +449,8 @@ def ul_two_solve_reference(o, p, s=DETERMINISTIC):
     Bx = o.t3_zzx_f3_contract(p, s, w2) + T_zzz @ Jx
     Cx = o.hess_zx_f2(p, s) + Hzz2 @ Jx
     dx = -(o.t3_yzx_f3_contract(p, s, w2) + T_yzz @ Jx) + Hyz3 @ inv(Bx - Cx)
-    By = o.t3_zzy_f3_contract(p, s, w2) + T_zzz @ Jy
-    Cy = o.hess_zy_f2(p, s) + Hzz2 @ Jy
+    By = T_yzz.T + T_zzz @ Jy
+    Cy = o.hess_yz_f2(p, s).T + Hzz2 @ Jy
     dy = -(o.t3_yzy_f3_contract(p, s, w2) + T_yzz @ Jy) + Hyz3 @ inv(By - Cy)
     Hyx_bar = o.hess_yx_f2(p, s) + o.hess_yz_f2(p, s) @ Jx + dx
     Hyy_bar = o.hess_yy_f2(p, s) + o.hess_yz_f2(p, s) @ Jy + dy

@@ -277,7 +277,7 @@ class TestOracleStructure:
             (oracle.hess_yy_f2, lambda q: oracle.grad_y_f2(q, S), set_y, 3),
             (oracle.hess_yz_f2, lambda q: oracle.grad_y_f2(q, S), set_z, t),
             (oracle.hess_zz_f2, lambda q: oracle.grad_z_f2(q, S), set_z, t),
-            (oracle.hess_zy_f2, lambda q: oracle.grad_z_f2(q, S), set_y, 3),
+            (lambda q, s: oracle.hess_yz_f2(q, s).T, lambda q: oracle.grad_z_f2(q, S), set_y, 3),
             (oracle.hess_zx_f2, lambda q: oracle.grad_z_f2(q, S), set_x, 1),
             (oracle.hess_yx_f2, lambda q: oracle.grad_y_f2(q, S), set_x, 1),
             (oracle.hess_zz_f3, lambda q: oracle.grad_z_f3(q, S), set_z, t),

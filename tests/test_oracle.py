@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from trilevel.oracle import (
+    _BLOCK_TAGS,
     DETERMINISTIC,
+    GaussianNoiseOracle,
     MinibatchIndices,
     NoiseDraw,
     OracleCapabilities,
@@ -304,6 +306,26 @@ class TestNoiseWrapper:
                                                        counter=np.array(counter, dtype=np.uint64)))
             assert np.array_equal(drawn, clean + gen.normal(0.0, std, size=np.shape(clean)))
         assert large == {False, True}
+
+    def test_block_tags_and_wrapper_surface_are_pinned(self):
+        # a block's tag is in its Philox key, so renumbering one changes all
+        # its draws; tag 13 stays unused. The wrapper adds no derivative
+        # method the contract lacks, nor lacks one the contract has
+        assert _BLOCK_TAGS == {
+            "grad_x_f1": 0, "grad_y_f1": 1, "grad_z_f1": 2,
+            "grad_x_f2": 3, "grad_y_f2": 4, "grad_z_f2": 5,
+            "grad_x_f3": 6, "grad_y_f3": 7, "grad_z_f3": 8,
+            "hess_zz_f3": 9, "hess_xz_f3": 10, "hess_yz_f3": 11,
+            "hess_zx_f2": 12, "hess_zz_f2": 14,
+            "hess_yx_f2": 15, "hess_yy_f2": 16, "hess_yz_f2": 17,
+            "hvp_zz_f3": 18, "hvp_xz_f3": 19, "hvp_yz_f3": 20,
+        }
+
+        def derivative_methods(cls):
+            return {name for name, attr in vars(cls).items()
+                    if name.startswith(("grad_", "hess_", "hvp_", "t3_")) and callable(attr)}
+
+        assert derivative_methods(GaussianNoiseOracle) == derivative_methods(ProblemOracle)
 
     def test_draws_alternating_streams_and_blocks_match_fresh_philox(self):
         # one wrapper on one thread: runs of a repeated (stream, block) re-key

