@@ -14,7 +14,7 @@ reduced middle-level objective fbar(x, y) = f2(x, y, z(x, y)).
 
 Backends:
 
-* ``H``   assembles Hbar_yy densely from analytic Hessians and
+* ``H``   assembles Hbar_yy densely from analytic Hessians, products and
   third-order contractions, applies Hbar_xy to lam_y in reverse mode, and
   solves directly with LAPACK: one (m+2)-column and one vector Hzz(f3)
   solve per UL gradient. Reference quality; only meant for desk-scale
@@ -28,17 +28,24 @@ Backends:
   series whose products are analytic on a fixed sample is the same
   truncated polynomial evaluated on its Krylov space
   (:func:`neumann_krylov_apply`), in as many products as that space has
-  dimensions (at most 2 on adv-hpt) instead of Q.
+  dimensions (at most 2 on adv-hpt) instead of Q. When the oracle also
+  has third-order contractions and the sample is not a NoiseDraw, the UL
+  gradient runs H's reduced-Hessian algebra (:func:`_ul_reduced`): one
+  Hzz series per column of [grad_z f1 | Hyz3^T | grad_z f2] and one for
+  the x side, and the outer series on the dense m x m Hbar_yy, so m+3
+  inner series per gradient instead of about 3Q.
 
 NFD and AD share one matrix-free class, ``_Ops``: its ``inverse`` method
 is the only place that chooses between CG, the Neumann recurrence and its
 Krylov evaluation, and its f3 products are analytic only under AD with an
 HVP-capable oracle.
-For NFD and AD, directional derivatives of the reduced maps grad_y fbar
-and grad_x fbar along a y-direction v are taken with the lower-level
-variable moved to first order along s = (dz/dy) v; differencing at frozen
-z would converge to the partial (fixed-z) Hessian instead of the reduced
-one, which is a different matrix whenever f2 or f3 couples y and z.
+On NFD, on noise draws and for oracles without third-order contractions,
+directional derivatives of the reduced maps grad_y fbar and grad_x fbar
+along a y-direction v are taken with the lower-level variable moved to
+first order along s = (dz/dy) v; differencing at frozen z would converge
+to the partial (fixed-z) Hessian instead of the reduced one, which is a
+different matrix whenever f2 or f3 couples y and z. AD's scale c1 comes
+from these products too (:func:`auto_scales`).
 
 All evaluations inside one gradient computation receive the caller's
 SampleSpec unchanged (fixed-sample contract).
@@ -259,7 +266,9 @@ class _Ops:
     sample that is not a NoiseDraw multiplies by one exact symmetric
     matrix, so :meth:`inverse` evaluates it on its Krylov space; every
     other series runs the recurrence. ``block`` names the x, y or z
-    variable block of a product.
+    variable block of a product. :meth:`reduced_apply` is the FD reduced
+    product of the UL gradients that do not run :func:`_ul_reduced`, and
+    of :func:`auto_scales`.
     """
 
     def __init__(self, oracle, sample, cfg, events):
@@ -386,12 +395,32 @@ def ul_adjoint_gradient(
     (``cg_curvature:<label>``) or at the iteration cap above tolerance
     (``cg_capped:<label>``) are appended to ``events`` when a list is
     supplied.
+
+    H, and AD with an oracle that has HVPs and third-order contractions on
+    a sample that is not a NoiseDraw, run the reduced-Hessian algebra of
+    :func:`_ul_reduced`. Every other NFD and AD gradient takes Hbar_yy
+    and Hbar_xy products as central differences (:meth:`_Ops.reduced_apply`).
     """
     cfg = cfg or AdjointConfig()
+    caps = oracle.capabilities
     if cfg.engine == ENGINE_H:
-        return _ul_dense(oracle, point, sample, cfg)
+        if not caps.has_third_order:
+            raise ValueError("H engine requires an oracle with third-order contractions")
+        solve = _zz_solver(oracle.hess_zz_f3(point, sample))
+        return _ul_reduced(oracle, point, sample, lambda B, labels: solve(B), solve_dense)
     ops = _Ops(oracle, sample, cfg, events)
     o, s = oracle, sample
+    if ops.analytic and caps.has_third_order and not isinstance(sample, NoiseDraw):
+        def solve_zz(B, labels):
+            # one Hzz series per column, each labelled as its FD-path twin
+            if B.ndim == 1:
+                return ops.inv_zz(point, B, labels)
+            return np.column_stack([ops.inv_zz(point, b, label) for b, label in zip(B.T, labels)])
+
+        def solve_yy(Hyy_bar, b):
+            return ops.inverse(lambda v: Hyy_bar @ v, b, "c1", "lam_y")
+
+        return _ul_reduced(o, point, s, solve_zz, solve_yy)
 
     lam_z = ops.inv_zz(point, np.asarray(o.grad_z_f1(point, s), float), "lam_z")
     b = np.asarray(o.grad_y_f1(point, s), float) - ops.hvp_z(point, "y", lam_z)
@@ -411,9 +440,15 @@ def _zz_solver(Hzz) -> Callable[[Array], Array]:
     return lambda B: lu_solve(F, B)
 
 
-def _ul_dense(oracle, point, sample, cfg) -> Array:
-    """Reference backend: dense assembly of Hbar_yy from analytic Hessian
-    blocks and third-order contractions, and the x side in reverse mode.
+def _ul_reduced(oracle, point, sample, solve_zz, solve_yy) -> Array:
+    """The reduced-Hessian algebra of the upper-level gradient: Hbar_yy
+    assembled densely from Hessian blocks, products and third-order
+    contractions, and the x side in reverse mode. The engine supplies the
+    two solvers: ``solve_zz(B, labels)`` applies Hzz(f3)^{-1} to a t-vector
+    (one label) or to the columns of a t x k block (one label per column),
+    and ``solve_yy(Hbar_yy, b)`` applies Hbar_yy^{-1}. H solves both with
+    LAPACK; AD applies truncated Neumann series at 1/c0 and 1/c1, so its
+    gradient is the FD path's Q-term estimate built from exact products.
 
     With T_abc = T_abc(f3) contracted with w2 = Hzz^{-1} grad_z f2, the pieces
     D = T_zzz - Hzz2 and E = Hyz2 - T_yzz, and Jx, Jy = dz/dx, dz/dy:
@@ -422,33 +457,32 @@ def _ul_dense(oracle, point, sample, cfg) -> Array:
     Hbar_yy is Hbar_yx with y for x: mixed derivatives are symmetric, so
     T_zzy - Hzy2 = -E^T, and the oracle supplies no zy blocks.
     Hzz(f3) is symmetric, so Jx^T q = -Hxz3 Hzz^{-1} q for any t-vector q;
-    with u = Jy lam_y and q = E^T lam_y - D^T u, Hbar_yx^T lam_y =
+    with u = Jy lam_y and q = E^T lam_y - D u, Hbar_yx^T lam_y =
       (Hyx2 - T_yzx)^T lam_y - (T_zzx - Hzx2)^T u - Hxz3 Hzz^{-1} q.
     So Jx is never formed: Hzz is solved against [grad_z f1 | Hyz3^T |
-    grad_z f2], then against the one vector grad_z f1 - q."""
-    caps = oracle.capabilities
-    if not caps.has_third_order:
-        raise ValueError("H engine requires an oracle with third-order contractions")
+    grad_z f2], then against the one vector grad_z f1 - q. D is symmetric
+    and is only applied to Jy, as products, so D u = (D Jy) lam_y and no
+    t x t array is formed beyond the H engine's Hzz(f3)."""
     o, p, s = oracle, point, sample
 
     gz1 = np.asarray(o.grad_z_f1(p, s), float)
     Hxz3 = np.asarray(o.hess_xz_f3(p, s), float)  # n x t
     Hyz3 = np.asarray(o.hess_yz_f3(p, s), float)  # m x t
-    solve_zz = _zz_solver(o.hess_zz_f3(p, s))
-    sol = solve_zz(np.column_stack([gz1, Hyz3.T, np.asarray(o.grad_z_f2(p, s), float)]))
+    sol = solve_zz(np.column_stack([gz1, Hyz3.T, np.asarray(o.grad_z_f2(p, s), float)]),
+                   ["lam_z"] + ["track"] * Hyz3.shape[0] + ["ml_w"])
     lam_z, w2 = sol[:, 0], sol[:, -1]
     Jy = -sol[:, 1:-1]  # t x m, dz/dy on the solution manifold
     # D and E carry the correction term -H_yz Hzz^{-1} grad_z f2's z-derivatives
-    D = o.t3_zzz_f3_contract(p, s, w2) - np.asarray(o.hess_zz_f2(p, s), float)
+    DJy = o.t3_zzz_f3_contract(p, s, w2, Jy) - np.asarray(o.hvp_zz_f2(p, s, Jy), float)
     E = np.asarray(o.hess_yz_f2(p, s), float) - o.t3_yzz_f3_contract(p, s, w2)
 
     S = E @ Jy
     Hyy_bar = (np.asarray(o.hess_yy_f2(p, s), float) - o.t3_yzy_f3_contract(p, s, w2) + S + S.T
-               - Jy.T @ (D @ Jy))
-    lam_y = solve_dense(Hyy_bar, np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z)
+               - Jy.T @ DJy)
+    lam_y = solve_yy(Hyy_bar, np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z)
 
     u = Jy @ lam_y
-    v = solve_zz(gz1 - (E.T @ lam_y - D.T @ u))
+    v = solve_zz(gz1 - (E.T @ lam_y - DJy @ lam_y), "gx_w")
     return (np.asarray(o.grad_x_f1(p, s), float)
             - (np.asarray(o.hess_yx_f2(p, s), float) - o.t3_yzx_f3_contract(p, s, w2)).T @ lam_y
             + (o.t3_zzx_f3_contract(p, s, w2) - np.asarray(o.hess_zx_f2(p, s), float)).T @ u

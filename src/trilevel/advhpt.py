@@ -224,12 +224,15 @@ class AdvHptOracle(ProblemOracle):
     """Analytic derivatives of the linear-model / MSE formulation.
 
     Deterministic samples use the full training split; MinibatchIndices
-    index rows of the training split. Hessian blocks are exposed densely
-    for desk-scale cross-checks; the practical path is the HVPs, which
-    exploit the block structure of the delta coordinates.
+    index rows of the training split. The HVPs, Hzz(f2) products and
+    third-order contractions exploit the per-row block structure of the
+    delta coordinates, so the AD engine forms no t x t array; only
+    ``hess_zz_f3``, which the H engine factors, is t x t. f3 has no x and
+    its Hzz does not depend on delta, so the x and zzz contractions are
+    zero.
     """
 
-    capabilities = OracleCapabilities(has_hessians=True, has_third_order=False, has_hvp=True)
+    capabilities = OracleCapabilities(has_hessians=True, has_third_order=True, has_hvp=True)
 
     def __init__(self, problem: AdvHptProblem, ds: TabularDataset):
         self.problem = problem
@@ -344,29 +347,33 @@ class AdvHptOracle(ProblemOracle):
         scale = 2.0 * self.problem.c / (m * self.problem.n_train)
         return -self.grad_z_f2(p, sample) + scale * p.z
 
-    # -- Hessian blocks (desk scale) ------------------------------------------
+    # -- Hessian blocks and the Hzz(f2) product --------------------------------
     def hess_zz_f3(self, p, sample):
+        # diag I minus the block (2/|B|) theta_f theta_f' of each batch row
+        _, theta_f, _, _ = self._split(p)
+        batch = self._batch(sample)
         n, d = self.problem.n_train, self.problem.n_features
-        diag = 2.0 * self.problem.c / ((d + 1) * n)
-        return diag * np.eye(n * d) - self.hess_zz_f2(p, sample)
+        H = (2.0 * self.problem.c / ((d + 1) * n)) * np.eye(n * d)
+        H.reshape(n, d, n, d)[batch, :, batch, :] -= (2.0 / batch.size) * np.outer(theta_f, theta_f)
+        return H
 
     def hess_xz_f3(self, p, sample):
         return np.zeros((1, self.problem.dims[2]))
 
     def hess_yz_f3(self, p, sample):
+        # batch row i's m x d block is -(2/|B|)(a_i theta_f' + r_i [I; 0]),
+        # with a_i = [feats_i, 1]
         _, theta_f, theta_0, delta = self._split(p)
         batch = self._batch(sample)
         n, d = self.problem.n_train, self.problem.n_features
-        m = d + 1
         feats, r = self._residuals(theta_f, theta_0, delta, batch)
-        H = np.zeros((m, n * d))
-        coef = 2.0 / batch.size
-        for row, i in enumerate(batch):
-            a = np.concatenate([feats[row], [1.0]])
-            block = np.outer(a, theta_f)
-            block[:d] += r[row] * np.eye(d)
-            H[:, i * d : (i + 1) * d] = -coef * block
-        return H
+        A = np.hstack([feats, np.ones((batch.size, 1))])
+        blocks = A[:, :, None] * theta_f[None, None, :]  # (|B|, m, d)
+        diag = np.arange(d)
+        blocks[:, diag, diag] += r[:, None]
+        H = np.zeros((d + 1, n, d))
+        H[:, batch, :] = -(2.0 / batch.size) * blocks.transpose(1, 0, 2)
+        return H.reshape(d + 1, n * d)
 
     def hess_yz_f2(self, p, sample):
         # the MSE parts of f2 and f3 are negatives of each other and the
@@ -376,15 +383,17 @@ class AdvHptOracle(ProblemOracle):
     def hess_zx_f2(self, p, sample):
         return np.zeros((self.problem.dims[2], 1))
 
-    def hess_zz_f2(self, p, sample):
+    def hvp_zz_f2(self, p, sample, V):
+        # Hzz(f2) is block diagonal: (2/|B|) theta_f theta_f' on each batch row
         _, theta_f, _, _ = self._split(p)
         batch = self._batch(sample)
         n, d = self.problem.n_train, self.problem.n_features
-        block = (2.0 / batch.size) * np.outer(theta_f, theta_f)
-        H = np.zeros((n * d, n * d))
-        for i in batch:
-            H[i * d : (i + 1) * d, i * d : (i + 1) * d] = block
-        return H
+        V = np.asarray(V, dtype=float)
+        Vr = V.reshape(n, d, -1)
+        s = np.einsum("j,ijk->ik", theta_f, Vr[batch])
+        out = np.zeros_like(Vr)
+        out[batch] = (2.0 / batch.size) * theta_f[None, :, None] * s[:, None, :]
+        return out.reshape(V.shape)
 
     def hess_yx_f2(self, p, sample):
         lam, theta_f, _, _ = self._split(p)
@@ -431,6 +440,44 @@ class AdvHptOracle(ProblemOracle):
         out = A.T @ s
         out[:d] += V.T @ r
         return -(2.0 / batch.size) * out
+
+    # -- third-order contractions ----------------------------------------------
+    # f3 has no x, and its Hzz does not depend on delta: T_yzx, T_zzx and
+    # T_zzz vanish
+    def t3_yzx_f3_contract(self, p, sample, w):
+        return np.zeros((self.problem.n_features + 1, 1))
+
+    def t3_zzx_f3_contract(self, p, sample, w):
+        return np.zeros((self.problem.dims[2], 1))
+
+    def t3_zzz_f3_contract(self, p, sample, w, V):
+        return np.zeros(np.shape(V))
+
+    def t3_yzz_f3_contract(self, p, sample, w):
+        # batch row i's m x d block is -(2/|B|)[(theta_f.w_i) I + w_i theta_f']
+        # on the theta_f rows; the intercept row is zero
+        _, theta_f, _, _ = self._split(p)
+        batch = self._batch(sample)
+        n, d = self.problem.n_train, self.problem.n_features
+        W = np.asarray(w, dtype=float).reshape(n, d)[batch]
+        blocks = W[:, :, None] * theta_f[None, None, :]  # (|B|, d, d)
+        diag = np.arange(d)
+        blocks[:, diag, diag] += (W @ theta_f)[:, None]
+        T = np.zeros((d + 1, n, d))
+        T[:d, batch, :] = -(2.0 / batch.size) * blocks.transpose(1, 0, 2)
+        return T.reshape(d + 1, n * d)
+
+    def t3_yzy_f3_contract(self, p, sample, w):
+        # -(2/|B|)(A'W + W'A), with A's rows [feats_i, 1] and W's [w_i, 0]
+        _, theta_f, theta_0, delta = self._split(p)
+        batch = self._batch(sample)
+        n, d = self.problem.n_train, self.problem.n_features
+        feats, _ = self._residuals(theta_f, theta_0, delta, batch)
+        A = np.hstack([feats, np.ones((batch.size, 1))])
+        W = np.zeros((batch.size, d + 1))
+        W[:, :d] = np.asarray(w, dtype=float).reshape(n, d)[batch]
+        AW = A.T @ W
+        return -(2.0 / batch.size) * (AW + AW.T)
 
 
 def build_oracle(problem: AdvHptProblem, ds: TabularDataset) -> AdvHptOracle:

@@ -36,7 +36,6 @@ from .driver import (
     IterationBudget,
     MinibatchSamples,
     NoiseSamples,
-    REDUCTION_TRILEVEL,
     REDUCTION_WITHOUT_LL,
     RunTrace,
     TheoremConstant,
@@ -140,16 +139,12 @@ def _build_task(cfg: ExperimentConfig) -> _Task:
 
 
 def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) -> AdjointConfig:
-    """Check the oracle has the H engine's terms; fill in auto AD c0/c1 at the initial point.
+    """Fill in auto AD c0/c1 at the initial point.
 
     c1 bounds the operator that the reduction's Neumann series inverts: the
     reduced Hessian Hbar_yy, or H_yy(f2) at z = 0 for ``without-ll``, whose
     gradient uses no c0.
     """
-    if (cfg.engine == ENGINE_H and cfg.reduction == REDUCTION_TRILEVEL
-            and not oracle.capabilities.has_third_order):
-        raise ValueError(f"the H engine's trilevel gradient needs third-order contractions, "
-                         f"which the {cfg.problem} oracle does not supply")
     c0, c1 = cfg.c0, cfg.c1
     if cfg.engine == ENGINE_AD and cfg.reduction == REDUCTION_WITHOUT_LL:
         if c1 is None:

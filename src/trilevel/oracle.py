@@ -146,9 +146,12 @@ class ProblemOracle:
     ``capabilities``. Mixed derivatives are symmetric, so each mixed block
     is supplied once and the engines transpose it: H_zy(f2) is
     ``hess_yz_f2(...).T`` and the (z, z, y) contraction is
-    ``t3_yzz_f3_contract(...).T``. All evaluations take (point, sample)
-    and must be deterministic functions of their arguments. Callers must
-    not write to the arrays an oracle returns.
+    ``t3_yzz_f3_contract(...).T``. The zz blocks of the reduced Hessian,
+    Hzz(f2) and T_zzz(f3)[w], are products with a t-vector or a t x k
+    block V, so no engine needs a t x t array beyond Hzz(f3) itself. All
+    evaluations take (point, sample) and must be deterministic functions
+    of their arguments. Callers must not write to the arrays an oracle
+    returns.
     """
 
     capabilities = OracleCapabilities()
@@ -208,9 +211,6 @@ class ProblemOracle:
     def hess_zx_f2(self, point, sample) -> Array:
         raise NotImplementedError
 
-    def hess_zz_f2(self, point, sample) -> Array:
-        raise NotImplementedError
-
     def hess_yx_f2(self, point, sample) -> Array:
         raise NotImplementedError
 
@@ -218,6 +218,10 @@ class ProblemOracle:
         raise NotImplementedError
 
     def hess_yz_f2(self, point, sample) -> Array:
+        raise NotImplementedError
+
+    def hvp_zz_f2(self, point, sample, V) -> Array:
+        """Hzz(f2) V for V of shape (t,) or (t, k)."""
         raise NotImplementedError
 
     # Hessian-vector products (optional; capabilities.has_hvp) ------------
@@ -232,7 +236,8 @@ class ProblemOracle:
 
     # third-order contractions (optional; capabilities.has_third_order) ---
     # Each contracts the middle (lower-level) index of the named tensor
-    # with a t-vector and returns the resulting matrix.
+    # with a t-vector w and returns the resulting matrix; the zzz one is
+    # returned applied to V, of shape (t,) or (t, k).
     def t3_yzx_f3_contract(self, point, sample, v) -> Array:
         raise NotImplementedError
 
@@ -242,7 +247,7 @@ class ProblemOracle:
     def t3_zzx_f3_contract(self, point, sample, v) -> Array:
         raise NotImplementedError
 
-    def t3_zzz_f3_contract(self, point, sample, v) -> Array:
+    def t3_zzz_f3_contract(self, point, sample, w, V) -> Array:
         raise NotImplementedError
 
     def t3_yzy_f3_contract(self, point, sample, v) -> Array:
@@ -304,7 +309,7 @@ def _digest(*arrays: Array) -> int:
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 # block tags keep noise draws independent across derivative blocks; the
-# None slot (13) keeps each later block's tag, and so its draws, unchanged
+# None slots (13, 14) keep each later block's tag, and so its draws, unchanged
 _BLOCK_TAGS = {
     name: idx
     for idx, name in enumerate(
@@ -313,9 +318,10 @@ _BLOCK_TAGS = {
             "grad_x_f2", "grad_y_f2", "grad_z_f2",
             "grad_x_f3", "grad_y_f3", "grad_z_f3",
             "hess_zz_f3", "hess_xz_f3", "hess_yz_f3",
-            "hess_zx_f2", None, "hess_zz_f2",
+            "hess_zx_f2", None, None,
             "hess_yx_f2", "hess_yy_f2", "hess_yz_f2",
             "hvp_zz_f3", "hvp_xz_f3", "hvp_yz_f3",
+            "hvp_zz_f2",
         ]
     )
     if name is not None
@@ -333,12 +339,12 @@ class GaussianNoiseOracle(ProblemOracle):
     Each call draws from a Philox stream with key
     (seed, SplitMix64(stream, block tag)) and counter (sample counter,
     BLAKE2b-64 of the C-contiguous float64 bytes of x||y||z, BLAKE2b-64 of
-    v for HVPs or 0 otherwise, 0). The oracle's fixed dims make the
-    concatenation unambiguous, and the digest ignores memory layout. So
-    repeated evaluation of the same block at the same point and sample is
-    bit-identical, while distinct points, directions or blocks draw
-    independent noise (a finite difference of noisy gradients is itself
-    noisy, as it would be with sampled data).
+    the direction v or block V for HVPs or 0 otherwise, 0). The oracle's
+    fixed dims make the concatenation unambiguous, and the digest ignores
+    memory layout. So repeated evaluation of the same block at the same
+    point and sample is bit-identical, while distinct points, directions
+    or blocks draw independent noise (a finite difference of noisy
+    gradients is itself noisy, as it would be with sampled data).
 
     Each thread owns one Philox per wrapper. Before every draw the call
     assigns it the complete state (key, counter, empty buffer), so nothing
@@ -412,8 +418,8 @@ def _install_noise_methods():
         return method
 
     def passthrough(name):
-        def method(self, point, sample, v):
-            return getattr(self.inner, name)(point, sample, v)
+        def method(self, point, sample, *args):
+            return getattr(self.inner, name)(point, sample, *args)
 
         method.__name__ = name
         return method

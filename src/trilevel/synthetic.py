@@ -303,8 +303,8 @@ class _SyntheticOracle(ProblemOracle):
     def hess_zx_f2(self, p, sample):
         return np.zeros((self.spec.t, self.spec.n))
 
-    def hess_zz_f2(self, p, sample):
-        return np.zeros((self.spec.t, self.spec.t))
+    def hvp_zz_f2(self, p, sample, V):
+        return np.zeros(np.shape(V))
 
 
 class QuadraticOracle(_SyntheticOracle):
@@ -358,8 +358,8 @@ class QuadraticOracle(_SyntheticOracle):
     def t3_zzx_f3_contract(self, p, sample, v):
         return np.zeros((self.spec.t, self.spec.n))
 
-    def t3_zzz_f3_contract(self, p, sample, v):
-        return np.zeros((self.spec.t, self.spec.t))
+    def t3_zzz_f3_contract(self, p, sample, w, V):
+        return np.zeros(np.shape(V))
 
     def t3_yzy_f3_contract(self, p, sample, v):
         return np.zeros((self.spec.m, self.spec.m))
@@ -442,11 +442,13 @@ class QuarticOracle(_SyntheticOracle):
             - 2.0 * np.outer(s.Hzz @ v, s.Hxz @ p.z)
         )
 
-    def t3_zzz_f3_contract(self, p, sample, v):
+    def t3_zzz_f3_contract(self, p, sample, w, V):
+        # 2[(u.w) Hzz + u (Hzz w)' + (Hzz w) u'] applied to V
         s = self.spec
         _, u = self._parts(p)
-        Hv = s.Hzz @ v
-        return 2.0 * ((u @ v) * s.Hzz + np.outer(u, Hv) + np.outer(Hv, u))
+        Hw = s.Hzz @ w
+        return 2.0 * ((u @ w) * (s.Hzz @ V) + np.multiply.outer(u, Hw @ V)
+                      + np.multiply.outer(Hw, u @ V))
 
 
 def make_oracle(spec: SyntheticSpec) -> ProblemOracle:

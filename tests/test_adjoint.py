@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -444,13 +445,12 @@ def ul_two_solve_reference(o, p, s=DETERMINISTIC):
     Hxz3, Hyz3 = np.asarray(o.hess_xz_f3(p, s)), np.asarray(o.hess_yz_f3(p, s))
     lam_z, w2 = inv(o.grad_z_f1(p, s)), inv(o.grad_z_f2(p, s))
     Jx, Jy = -inv(Hxz3.T), -inv(Hyz3.T)
-    T_zzz, T_yzz = o.t3_zzz_f3_contract(p, s, w2), o.t3_yzz_f3_contract(p, s, w2)
-    Hzz2 = o.hess_zz_f2(p, s)
-    Bx = o.t3_zzx_f3_contract(p, s, w2) + T_zzz @ Jx
-    Cx = o.hess_zx_f2(p, s) + Hzz2 @ Jx
+    T_yzz = o.t3_yzz_f3_contract(p, s, w2)
+    Bx = o.t3_zzx_f3_contract(p, s, w2) + o.t3_zzz_f3_contract(p, s, w2, Jx)
+    Cx = o.hess_zx_f2(p, s) + o.hvp_zz_f2(p, s, Jx)
     dx = -(o.t3_yzx_f3_contract(p, s, w2) + T_yzz @ Jx) + Hyz3 @ inv(Bx - Cx)
-    By = T_yzz.T + T_zzz @ Jy
-    Cy = o.hess_yz_f2(p, s).T + Hzz2 @ Jy
+    By = T_yzz.T + o.t3_zzz_f3_contract(p, s, w2, Jy)
+    Cy = o.hess_yz_f2(p, s).T + o.hvp_zz_f2(p, s, Jy)
     dy = -(o.t3_yzy_f3_contract(p, s, w2) + T_yzz @ Jy) + Hyz3 @ inv(By - Cy)
     Hyx_bar = o.hess_yx_f2(p, s) + o.hess_yz_f2(p, s) @ Jx + dx
     Hyy_bar = o.hess_yy_f2(p, s) + o.hess_yz_f2(p, s) @ Jy + dy
@@ -547,6 +547,18 @@ class CountingOracle:
             return target(point, sample, *rest)
 
         return wrapper
+
+
+class WithoutThirdOrder:
+    """Delegates to an inner oracle but declares no third-order
+    contractions, so AD's UL gradient takes its FD reduced products."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.capabilities = replace(inner.capabilities, has_third_order=False)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 class TestContracts:
@@ -729,11 +741,114 @@ class TestBilevelGradient:
             np.testing.assert_allclose(g, fd, atol=2e-5)
 
 
+class TestReducedPath:
+    """AD's UL gradient on an oracle with HVPs and third-order contractions,
+    on a sample that is not a NoiseDraw, runs the H engine's reduced-Hessian
+    algebra with truncated Neumann solves; every other input keeps the FD
+    reduced products."""
+
+    @staticmethod
+    def paths(monkeypatch):
+        taken = []
+        reduced, fd = adjoint._ul_reduced, adjoint._Ops.reduced_apply
+
+        def spy_reduced(*args):
+            taken.append("exact")
+            return reduced(*args)
+
+        def spy_fd(self, *args):
+            taken.append("fd")
+            return fd(self, *args)
+
+        monkeypatch.setattr(adjoint, "_ul_reduced", spy_reduced)
+        monkeypatch.setattr(adjoint._Ops, "reduced_apply", spy_fd)
+        return taken
+
+    @pytest.mark.parametrize("family", ["quadratic", "quartic"])
+    def test_matches_h_with_q_sized_as_criterion_02(self, family):
+        if family == "quadratic":
+            spec = default_quadratic(10, 10, 10, rng=0)
+            x = np.random.default_rng(1).uniform(0.0, 20.0, 10)
+        else:  # t = 1
+            spec = default_quartic(rng=0)
+            x = np.random.default_rng(2).uniform(-0.4, -0.1, 5)
+        oracle = make_oracle(spec)
+        point = closed_form_point(spec, x)
+        c0, c1 = auto_scales(oracle, point)
+        # Hbar_yy as the H engine assembles it, for the outer series' rate
+        hbar = []
+        solve = adjoint._zz_solver(oracle.hess_zz_f3(point, DETERMINISTIC))
+        adjoint._ul_reduced(oracle, point, DETERMINISTIC, lambda B, labels: solve(B),
+                            lambda H, b: hbar.append(H) or np.linalg.solve(H, b))
+        rho = max(float(np.max(np.abs(1.0 - np.linalg.eigvalsh(A) / c)))
+                  for A, c in ((oracle.hess_zz_f3(point, DETERMINISTIC), c0), (hbar[0], c1)))
+        # Q from the geometric truncation bound rho^{Q+1}/(1-rho) <= 1e-8
+        q = max(0, math.ceil(math.log(1e-8 * (1 - rho)) / math.log(rho)) - 1)
+        events = []
+        g_ad = ul_adjoint_gradient(oracle, point, DETERMINISTIC,
+                                   AdjointConfig(engine="AD", neumann_q=q, c0=c0, c1=c1), events)
+        g_h = ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
+        assert events == []
+        assert np.linalg.norm(g_ad - g_h) <= 1e-8 * np.linalg.norm(g_h)
+
+    def test_noise_draws_and_nfd_take_the_fd_path(self, monkeypatch):
+        spec = default_quadratic(3, 3, 3, rng=9)
+        point = closed_form_point(spec, np.ones(3))
+        cfg = AdjointConfig(engine="AD", neumann_q=6, c0=2.0, c1=3.0)
+        noisy = wrap_gaussian_noise(make_oracle(spec), 0.1, 0.1, seed=1)
+        taken = self.paths(monkeypatch)
+        ul_adjoint_gradient(noisy, point, NoiseDraw(stream=1, counter=2), cfg)
+        assert taken and set(taken) == {"fd"}
+        taken.clear()
+        ul_adjoint_gradient(noisy, point, DETERMINISTIC, cfg)
+        assert taken == ["exact"]
+        taken.clear()
+        ul_adjoint_gradient(noisy, point, DETERMINISTIC, AdjointConfig(engine="NFD"))
+        assert taken and set(taken) == {"fd"}
+        taken.clear()
+        ul_adjoint_gradient(WithoutThirdOrder(make_oracle(spec)), point, DETERMINISTIC, cfg)
+        assert taken and set(taken) == {"fd"}
+
+    def test_advhpt_forms_no_t_by_t_array(self, monkeypatch):
+        ds = ah.load_csv(ah.bundled_dataset_path())
+        problem = ah.build_problem(ds, ah.split_dataset(ds, 7))
+        inner = ah.build_oracle(problem, ds)
+        gen = np.random.default_rng(3)
+        _, m, t = problem.dims
+        point = Point(np.array([0.1]), gen.normal(0, 0.3, m), gen.normal(0, 0.05, t))
+        batch = MinibatchIndices(tuple(int(i) for i in gen.permutation(problem.n_train)[:16]))
+        shapes = {}
+
+        class ShapeSpy:
+            capabilities = inner.capabilities
+
+            def __getattr__(self, name):
+                fn = getattr(inner, name)
+
+                def call(*args):
+                    out = fn(*args)
+                    shapes.setdefault(name, set()).add(np.shape(out))
+                    return out
+
+                return call
+
+        taken = self.paths(monkeypatch)
+        cfg = AdjointConfig(engine="AD", neumann_q=30, c0=1.0, c1=3e5)
+        g = ul_adjoint_gradient(ShapeSpy(), point, batch, cfg)
+        assert taken == ["exact"] and np.all(np.isfinite(g))
+        assert "t3_yzz_f3_contract" in shapes and "hess_zz_f3" not in shapes
+        for name, seen in shapes.items():
+            for shape in seen:
+                assert sum(d == t for d in shape) < 2, (name, shape)
+
+
 class TestPinned:
     # recorded gradients and events of the matrix-free engines: any
     # reordering of their float operations, or a renamed event, shows here.
     # The quartic point has nonzero third-order terms and FD error; on the
-    # quadratic the AD engine takes the oracle's analytic HVPs
+    # quadratic the AD engine takes the oracle's analytic HVPs. AD's UL
+    # gradient runs the reduced-Hessian algebra; through a view that hides
+    # the third-order contractions ("-no-t3") it takes the FD products
     RECORDED = {
         ("quadratic", "ml", "NFD"): (
             ["-0x1.9a31e70314aa3p+1", "-0x1.8e429960bbec1p+2", "0x1.518ca981919bep+2"],
@@ -752,10 +867,18 @@ class TestPinned:
             [],
         ),
         ("quadratic", "ul", "AD"): (
-            ["0x1.aefa5271e28e7p+5", "0x1.399181acfc80cp+5", "0x1.0147280019914p+5"],
+            ["0x1.aefa5271e28e6p+5", "0x1.399181acfc80bp+5", "0x1.0147280019913p+5"],
             [],
         ),
         ("quadratic", "ul", "AD-stale"): (
+            ["0x1.40bb0ce91052ep+9", "0x1.d1330453ad9f2p+8", "0x1.955fc75e5d6d8p+8"],
+            ["neumann_truncated:lam_y@3"],
+        ),
+        ("quadratic-no-t3", "ul", "AD"): (
+            ["0x1.aefa5271e28e7p+5", "0x1.399181acfc80cp+5", "0x1.0147280019914p+5"],
+            [],
+        ),
+        ("quadratic-no-t3", "ul", "AD-stale"): (
             ["0x1.40bb0ce91052fp+9", "0x1.d1330453ad9ecp+8", "0x1.955fc75e5d6dap+8"],
             ["neumann_truncated:lam_y@3"],
         ),
@@ -790,10 +913,18 @@ class TestPinned:
              "cg_capped:track", "cg_capped:gx_w", "cg_capped:gx_w"],
         ),
         ("quartic", "ul", "AD"): (
-            ["-0x1.337215933536fp-1", "-0x1.e55e202ecd706p-1", "-0x1.4fb0c8a9be02cp-2"],
+            ["-0x1.34c42486105f0p-1", "-0x1.e6d6991ed028ap-1", "-0x1.4fb0c8a9be02cp-2"],
             [],
         ),
         ("quartic", "ul", "AD-stale"): (
+            ["0x1.33630daa5cf08p+1", "0x1.e3804f69ff744p+1", "0x1.25a68d9ad805cp+1"],
+            ["neumann_truncated:lam_y@2"],
+        ),
+        ("quartic-no-t3", "ul", "AD"): (
+            ["-0x1.337215933536fp-1", "-0x1.e55e202ecd706p-1", "-0x1.4fb0c8a9be02cp-2"],
+            [],
+        ),
+        ("quartic-no-t3", "ul", "AD-stale"): (
             ["0x1.0f31c2ed36050p+1", "0x1.d331c313d188dp+1", "0x1.25a68d9ad805ap+1"],
             ["neumann_truncated:lam_y@2"],
         ),
@@ -819,6 +950,9 @@ class TestPinned:
                           Point(gen.uniform(0, 9, 3), gen.uniform(0, 9, 3), gen.uniform(0, 9, 3))),
             "quartic": (make_oracle(quartic), default_init_point(quartic, rng=6)),
         }
+        for problem in ("quadratic", "quartic"):
+            oracle, point = cases[problem]
+            cases[f"{problem}-no-t3"] = (WithoutThirdOrder(oracle), point)
         cfgs = {
             "NFD": AdjointConfig(engine="NFD", fd_eps=0.1, cg_max_iters=2),
             "AD": AdjointConfig(engine="AD", fd_eps=0.1, neumann_q=6, c0=2.0, c1=3.0),
@@ -850,12 +984,10 @@ class TestPinned:
         cfg = AdjointConfig(engine="AD", neumann_q=6, c0=0.06, c1=3e5)
         events = []
         g = ul_adjoint_gradient(oracle, point, batch, cfg, events=events)
-        np.testing.assert_array_equal(g, [float.fromhex("0x1.69ca2ac440000p-19")])
-        assert events == ["neumann_truncated:ml_w@6", "neumann_truncated:ml_w@5",
-                          "neumann_truncated:ml_w@5", "neumann_truncated:ml_w@6",
-                          "neumann_truncated:ml_w@6"]
+        np.testing.assert_array_equal(g, [float.fromhex("0x1.916bbecad6badp-19")])
+        assert events == []
         g = ml_adjoint_gradient(oracle, point, batch, cfg, events=events)
         expected = ["0x1.073749c494a28p+1", "0x1.f505c735a4b5dp+5", "-0x1.d187ca38e84b6p+5",
                     "-0x1.4de22c2a6ea6cp+7", "-0x1.1e526d4f51528p+6", "0x1.db806e5e01b76p+3"]
         np.testing.assert_array_equal(g, [float.fromhex(h) for h in expected])
-        assert len(events) == 5
+        assert events == []

@@ -219,7 +219,7 @@ class TestOracleStructure:
         gen = np.random.default_rng(3)
         d, n = problem.n_features, problem.n_train
         p = Point(np.array([0.1]), gen.normal(0, 1, d + 1), gen.normal(0, 0.1, n * d))
-        Hf2 = oracle.hess_zz_f2(p, DETERMINISTIC)
+        Hf2 = oracle.hvp_zz_f2(p, DETERMINISTIC, np.eye(n * d))
         theta_f = p.y[:d]
         block = (2.0 / n) * np.outer(theta_f, theta_f)
         for i in range(n):
@@ -276,7 +276,7 @@ class TestOracleStructure:
         cases = [
             (oracle.hess_yy_f2, lambda q: oracle.grad_y_f2(q, S), set_y, 3),
             (oracle.hess_yz_f2, lambda q: oracle.grad_y_f2(q, S), set_z, t),
-            (oracle.hess_zz_f2, lambda q: oracle.grad_z_f2(q, S), set_z, t),
+            (lambda q, s: oracle.hvp_zz_f2(q, s, np.eye(t)), lambda q: oracle.grad_z_f2(q, S), set_z, t),
             (lambda q, s: oracle.hess_yz_f2(q, s).T, lambda q: oracle.grad_z_f2(q, S), set_y, 3),
             (oracle.hess_zx_f2, lambda q: oracle.grad_z_f2(q, S), set_x, 1),
             (oracle.hess_yx_f2, lambda q: oracle.grad_y_f2(q, S), set_x, 1),
@@ -348,6 +348,91 @@ def reference_hvp_zz_f3(oracle, p, sample, v):
     out = (2.0 * oracle.problem.c / ((d + 1) * n)) * V.copy()
     out[batch] -= (2.0 / batch.size) * np.outer(V[batch] @ theta_f, theta_f)
     return out.ravel()
+
+
+class TestStructuredBlocks:
+    """The vectorized Hessian blocks against their per-row formulas, and the
+    third-order contractions and Hzz(f2) products against central
+    differences of the HVPs and gradients one order lower."""
+
+    SAMPLES = [DETERMINISTIC, MinibatchIndices((5, 1, 3))]
+
+    def instance(self, seed=9):
+        ds, splits, problem, oracle = toy_setup(n=12, d=3, seed=seed)
+        gen = np.random.default_rng(seed)
+        t = problem.dims[2]
+        p = Point(np.array([0.3]), gen.normal(0, 0.5, 4), gen.normal(0, 0.2, t))
+        return problem, oracle, p, gen
+
+    @staticmethod
+    def per_row_hess_yz_f3(oracle, p, sample):
+        _, theta_f, theta_0, delta = oracle._split(p)
+        batch = oracle._batch(sample)
+        n, d = oracle.problem.n_train, oracle.problem.n_features
+        feats, r = oracle._residuals(theta_f, theta_0, delta, batch)
+        H = np.zeros((d + 1, n * d))
+        coef = 2.0 / batch.size
+        for row, i in enumerate(batch):
+            a = np.concatenate([feats[row], [1.0]])
+            block = np.outer(a, theta_f)
+            block[:d] += r[row] * np.eye(d)
+            H[:, i * d : (i + 1) * d] = -coef * block
+        return H
+
+    @staticmethod
+    def per_row_hess_zz_f3(oracle, p, sample):
+        _, theta_f, _, _ = oracle._split(p)
+        batch = oracle._batch(sample)
+        n, d = oracle.problem.n_train, oracle.problem.n_features
+        H2 = np.zeros((n * d, n * d))
+        for i in batch:
+            H2[i * d : (i + 1) * d, i * d : (i + 1) * d] = (2.0 / batch.size) * np.outer(theta_f, theta_f)
+        return 2.0 * oracle.problem.c / ((d + 1) * n) * np.eye(n * d) - H2
+
+    @pytest.mark.parametrize("sample", SAMPLES, ids=["deterministic", "minibatch"])
+    def test_hessian_blocks_match_per_row_formula_bit_for_bit(self, sample):
+        _, oracle, p, _ = self.instance()
+        assert np.array_equal(oracle.hess_yz_f3(p, sample), self.per_row_hess_yz_f3(oracle, p, sample))
+        assert np.array_equal(oracle.hess_zz_f3(p, sample), self.per_row_hess_zz_f3(oracle, p, sample))
+
+    @pytest.mark.parametrize("sample", SAMPLES, ids=["deterministic", "minibatch"])
+    def test_contractions_match_differenced_products(self, sample):
+        problem, oracle, p, gen = self.instance()
+        _, m, t = problem.dims
+        w = gen.normal(0, 1, t)
+        h = 1e-3  # every differenced map is affine in the moved block
+
+        def jac(fn, block, dim):
+            cols = []
+            for e in np.eye(dim):
+                hi = fn(p.replace(**{block: getattr(p, block) + h * e}))
+                lo = fn(p.replace(**{block: getattr(p, block) - h * e}))
+                cols.append((hi - lo) / (2 * h))
+            return np.column_stack(cols)
+
+        def close(got, expected, name):
+            scale = max(1.0, float(np.abs(expected).max()))
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * scale, err_msg=name)
+
+        hzz_w = lambda q: oracle.hvp_zz_f3(q, sample, w)
+        hyz_w = lambda q: oracle.hvp_yz_f3(q, sample, w)
+        # T_yzz[w] is the y-Jacobian of Hzz(f3) w, transposed; T_yzy[w] the
+        # y-Jacobian of Hyz(f3) w
+        close(oracle.t3_yzz_f3_contract(p, sample, w), jac(hzz_w, "y", m).T, "t3_yzz")
+        close(oracle.t3_yzy_f3_contract(p, sample, w), jac(hyz_w, "y", m), "t3_yzy")
+        close(oracle.t3_yzx_f3_contract(p, sample, w), jac(hyz_w, "x", 1), "t3_yzx")
+        close(oracle.t3_zzx_f3_contract(p, sample, w), jac(hzz_w, "x", 1), "t3_zzx")
+        Tzzz = jac(hzz_w, "z", t)
+        J2 = jac(lambda q: oracle.grad_z_f2(q, sample), "z", t)
+        for V in (gen.normal(0, 1, t), gen.normal(0, 1, (t, 3))):
+            close(oracle.t3_zzz_f3_contract(p, sample, w, V), Tzzz @ V, f"t3_zzz {V.shape}")
+            got = oracle.hvp_zz_f2(p, sample, V)
+            assert got.shape == V.shape
+            close(got, J2 @ V, f"hvp_zz_f2 {V.shape}")
+        # the zero blocks are exact zeros of the contract's shapes
+        assert oracle.t3_yzx_f3_contract(p, sample, w).shape == (m, 1)
+        assert oracle.t3_zzx_f3_contract(p, sample, w).shape == (t, 1)
+        assert not np.any(oracle.t3_zzz_f3_contract(p, sample, w, np.ones((t, 2))))
 
 
 class _Forwarding:

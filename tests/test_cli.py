@@ -292,14 +292,13 @@ class TestMainEntry:
         (dict(n=0), "n, m and t"),
         (dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="NFD",
               mode="stochastic", minibatch=0), "batch_size"),
-        (dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="H"), "third-order"),
         (dict(engine="NFD", cg_max_iters=0), "cg_max_iters"),
         (dict(problem="adv-hpt", csv=bundled_dataset_path(), engine="NFD",
               noise_test_realizations=0), "noise_test_realizations"),
         (dict(engine="AD", neumann_q=-1, c0=1.0, c1=1.0), "neumann_q"),
         (dict(engine="AD", c0=-2.0, c1=1.0), "c0"),
         (dict(engine="AD", c0=1.0, c1=0.0), "c1"),
-    ], ids=["fd_eps", "ul_iters", "alpha_bar", "std_grad", "n", "minibatch", "h_without_t3",
+    ], ids=["fd_eps", "ul_iters", "alpha_bar", "std_grad", "n", "minibatch",
             "cg_max_iters", "realizations", "neumann_q", "c0", "c1"])
     def test_out_of_range_values_exit_2_before_output(self, tmp_path, capsys, overrides, message):
         cfg = tiny_config(tmp_path, **overrides)

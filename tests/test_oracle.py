@@ -172,8 +172,8 @@ class TestNoiseWrapper:
         v = np.ones(4)
         s = NoiseDraw(stream=2, counter=2)
         np.testing.assert_array_equal(
-            wrapped.t3_zzz_f3_contract(self.point, s, v),
-            self.inner.t3_zzz_f3_contract(self.point, s, v),
+            wrapped.t3_zzz_f3_contract(self.point, s, v, np.eye(4)),
+            self.inner.t3_zzz_f3_contract(self.point, s, v, np.eye(4)),
         )
 
     def test_values_pass_through(self):
@@ -307,18 +307,43 @@ class TestNoiseWrapper:
             assert np.array_equal(drawn, clean + gen.normal(0.0, std, size=np.shape(clean)))
         assert large == {False, True}
 
+    def test_hvp_zz_f2_noise_is_keyed_by_its_block(self):
+        # Hzz(f2) V on a t x k block gets std_hess noise of V's shape, drawn
+        # under tag 21 with the digest of V's bytes as the third counter word
+        wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=5)
+        s = NoiseDraw(stream=4, counter=6)
+        V = np.arange(12.0).reshape(4, 3)
+
+        def digest(*arrays):
+            h = hashlib.blake2b(digest_size=8)
+            for arr in arrays:
+                h.update(np.ascontiguousarray(arr, dtype=float))
+            return int.from_bytes(h.digest(), "little")
+
+        key = np.array([5, splitmix64(4, 21)], dtype=np.uint64)
+        counter = np.array([6, digest(self.point.x, self.point.y, self.point.z), digest(V), 0],
+                           dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        clean = self.inner.hvp_zz_f2(self.point, s, V)
+        drawn = wrapped.hvp_zz_f2(self.point, s, V)
+        assert drawn.shape == V.shape
+        assert np.array_equal(drawn, clean + gen.normal(0.0, 0.2, size=V.shape))
+        # the quadratic's Hzz(f2) is zero, so this compares the two draws
+        assert not np.array_equal(drawn, wrapped.hvp_zz_f2(self.point, s, V + 1.0))
+
     def test_block_tags_and_wrapper_surface_are_pinned(self):
         # a block's tag is in its Philox key, so renumbering one changes all
-        # its draws; tag 13 stays unused. The wrapper adds no derivative
+        # its draws; tags 13 and 14 stay unused. The wrapper adds no derivative
         # method the contract lacks, nor lacks one the contract has
         assert _BLOCK_TAGS == {
             "grad_x_f1": 0, "grad_y_f1": 1, "grad_z_f1": 2,
             "grad_x_f2": 3, "grad_y_f2": 4, "grad_z_f2": 5,
             "grad_x_f3": 6, "grad_y_f3": 7, "grad_z_f3": 8,
             "hess_zz_f3": 9, "hess_xz_f3": 10, "hess_yz_f3": 11,
-            "hess_zx_f2": 12, "hess_zz_f2": 14,
+            "hess_zx_f2": 12,
             "hess_yx_f2": 15, "hess_yy_f2": 16, "hess_yz_f2": 17,
             "hvp_zz_f3": 18, "hvp_xz_f3": 19, "hvp_yz_f3": 20,
+            "hvp_zz_f2": 21,
         }
 
         def derivative_methods(cls):

@@ -270,18 +270,43 @@ class TestQuarticOracle:
             # the middle z index with v
             T = tensor_from(hess_name, axis, dim)
             expected = tensor_contract_vec(T, v)
+            if contract_name == "t3_zzz_f3_contract":
+                # returned applied to a vector or a t x 3 block
+                for V in (rng.standard_normal(spec.t), rng.standard_normal((spec.t, 3))):
+                    np.testing.assert_allclose(oracle.t3_zzz_f3_contract(p, S, v, V), expected @ V,
+                                               atol=1e-7, err_msg=f"{contract_name} {V.shape}")
+                continue
             got = getattr(oracle, contract_name)(p, S, v)
             if transpose:
                 got, contract_name = got.T, contract_name + ".T"
             np.testing.assert_allclose(got, expected, atol=1e-7, err_msg=contract_name)
 
+    @pytest.mark.parametrize("family", ["quadratic", "quartic"])
+    def test_hvp_zz_f2_matches_differenced_gradient(self, family):
+        # Hzz(f2) V against the z-Jacobian of grad_z f2, V a vector or a t x 3 block
+        spec = default_quartic(3, 2, 4, rng=5) if family == "quartic" else default_quadratic(3, 2, 4, rng=5)
+        oracle = make_oracle(spec)
+        rng = np.random.default_rng(8)
+        p = self._random_point(spec, rng)
+        J = np.column_stack([
+            fd_hvp(lambda z: oracle.grad_z_f2(p.replace(z=z), DETERMINISTIC), p.z, e, 1e-5)
+            for e in np.eye(spec.t)
+        ])
+        for V in (rng.standard_normal(spec.t), rng.standard_normal((spec.t, 3))):
+            got = oracle.hvp_zz_f2(p, DETERMINISTIC, V)
+            assert got.shape == V.shape
+            np.testing.assert_allclose(got, J @ V, atol=1e-7)
+
     def test_quadratic_third_order_is_zero(self):
         oracle = make_oracle(default_quadratic(3, 3, 3, rng=6))
         p = Point(np.ones(3), np.ones(3), np.ones(3))
         v = np.ones(3)
-        for name in ["t3_yzx", "t3_yzy", "t3_yzz", "t3_zzx", "t3_zzz"]:
+        for name in ["t3_yzx", "t3_yzy", "t3_yzz", "t3_zzx"]:
             out = getattr(oracle, f"{name}_f3_contract")(p, DETERMINISTIC, v)
             np.testing.assert_array_equal(out, np.zeros_like(out))
+        for V in (v, np.ones((3, 2))):
+            np.testing.assert_array_equal(oracle.t3_zzz_f3_contract(p, DETERMINISTIC, v, V),
+                                          np.zeros_like(V))
 
 
 class TestInitPoints:
