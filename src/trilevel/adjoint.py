@@ -23,29 +23,26 @@ Backends:
   each Hessian-vector product as a central finite difference of the
   corresponding gradient.
 * ``AD``  replaces the solves with truncated Neumann series at scales
-  1/c0 (lower level) and 1/c1 (reduced middle level), consuming analytic
-  Hessian-vector products where the oracle provides them. A Hzz(f3)
-  series whose products are analytic on a fixed sample is the same
-  truncated polynomial evaluated on its Krylov space
-  (:func:`neumann_krylov_apply`), in as many products as that space has
-  dimensions (at most 2 on adv-hpt) instead of Q. When the oracle also
-  has third-order contractions and the sample is not a NoiseDraw, the UL
-  gradient runs H's reduced-Hessian algebra (:func:`_ul_reduced`): one
-  Hzz series per column of [grad_z f1 | Hyz3^T | grad_z f2] and one for
-  the x side, and the outer series on the dense m x m Hbar_yy, so m+3
-  inner series per gradient instead of about 3Q.
+  1/c0 (lower level) and 1/c1 (reduced middle level) on the oracle's
+  Hessian-vector products. A Hzz(f3) series on a sample that is not a
+  NoiseDraw multiplies by one exact matrix, so it is the same truncated
+  polynomial evaluated on its Krylov space (:func:`neumann_krylov_apply`),
+  in as many products as that space has dimensions (at most 2 on adv-hpt)
+  instead of Q. The UL gradient runs H's reduced-Hessian algebra
+  (:func:`_ul_reduced`): one Hzz series per column of [grad_z f1 | Hyz3^T |
+  grad_z f2] and one for the x side, and the outer series on the dense
+  m x m Hbar_yy: m+3 inner series per gradient.
 
 NFD and AD share one matrix-free class, ``_Ops``: its ``inverse`` method
 is the only place that chooses between CG, the Neumann recurrence and its
-Krylov evaluation, and its f3 products are analytic only under AD with an
-HVP-capable oracle.
-On NFD, on noise draws and for oracles without third-order contractions,
-directional derivatives of the reduced maps grad_y fbar and grad_x fbar
-along a y-direction v are taken with the lower-level variable moved to
-first order along s = (dz/dy) v; differencing at frozen z would converge
-to the partial (fixed-z) Hessian instead of the reduced one, which is a
-different matrix whenever f2 or f3 couples y and z. AD's scale c1 comes
-from these products too (:func:`auto_scales`).
+Krylov evaluation, and its f3 products are the oracle's under AD and
+central differences of its gradients under NFD.
+NFD's UL gradient takes directional derivatives of the reduced maps
+grad_y fbar and grad_x fbar along a y-direction v with the lower-level
+variable moved to first order along s = (dz/dy) v; differencing at frozen
+z would converge to the partial (fixed-z) Hessian instead of the reduced
+one, which is a different matrix whenever f2 or f3 couples y and z. AD's
+scale c1 comes from these products too (:func:`auto_scales`).
 
 All evaluations inside one gradient computation receive the caller's
 SampleSpec unchanged (fixed-sample contract).
@@ -260,15 +257,14 @@ class _Ops:
     The two engines differ in two places only. :meth:`inverse` solves
     every inverse-Hessian system: by CG under NFD, by a truncated Neumann
     series at 1/c0 (Hzz) or 1/c1 (reduced middle level) under AD.
-    ``analytic`` is set when the engine is AD and the oracle has HVPs; the
-    f3 products H_{block,z} v then come from the oracle, otherwise they are
-    central differences of its gradients. An analytic Hzz series on a
-    sample that is not a NoiseDraw multiplies by one exact symmetric
-    matrix, so :meth:`inverse` evaluates it on its Krylov space; every
-    other series runs the recurrence. ``block`` names the x, y or z
-    variable block of a product. :meth:`reduced_apply` is the FD reduced
-    product of the UL gradients that do not run :func:`_ul_reduced`, and
-    of :func:`auto_scales`.
+    ``analytic`` is set when the engine is AD; the f3 products
+    H_{block,z} v then come from the oracle, otherwise they are central
+    differences of its gradients. An analytic Hzz series on a sample that
+    is not a NoiseDraw multiplies by one exact symmetric matrix, so
+    :meth:`inverse` evaluates it on its Krylov space; every other series
+    runs the recurrence. ``block`` names the x, y or z variable block of a
+    product. :meth:`reduced_apply` is the FD reduced product of NFD's UL
+    gradient and of :func:`auto_scales`.
     """
 
     def __init__(self, oracle, sample, cfg, events):
@@ -276,7 +272,7 @@ class _Ops:
         self.sample = sample
         self.cfg = cfg
         self.events = events
-        self.analytic = cfg.engine == ENGINE_AD and oracle.capabilities.has_hvp
+        self.analytic = cfg.engine == ENGINE_AD
 
     def inverse(self, apply_A, b, scale_name: str, label: str) -> Array:
         """Approximate A^{-1} b. ``scale_name`` names the AD scale constant
@@ -372,8 +368,6 @@ def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
     """Gradient of the reduced middle-level objective in the x or y block."""
     cfg = cfg or AdjointConfig()
     if cfg.engine == ENGINE_H:
-        if not oracle.capabilities.has_hessians:
-            raise ValueError("H engine requires an oracle with Hessian blocks")
         w = _zz_solver(oracle.hess_zz_f3(point, sample))(
             np.asarray(oracle.grad_z_f2(point, sample), float))
         return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
@@ -396,23 +390,20 @@ def ul_adjoint_gradient(
     (``cg_capped:<label>``) are appended to ``events`` when a list is
     supplied.
 
-    H, and AD with an oracle that has HVPs and third-order contractions on
-    a sample that is not a NoiseDraw, run the reduced-Hessian algebra of
-    :func:`_ul_reduced`. Every other NFD and AD gradient takes Hbar_yy
-    and Hbar_xy products as central differences (:meth:`_Ops.reduced_apply`).
+    H and AD run the reduced-Hessian algebra of :func:`_ul_reduced`, H with
+    LAPACK solves and AD with truncated Neumann series on the oracle's
+    products. NFD takes Hbar_yy and Hbar_xy products as central
+    differences (:meth:`_Ops.reduced_apply`) and solves with CG.
     """
     cfg = cfg or AdjointConfig()
-    caps = oracle.capabilities
     if cfg.engine == ENGINE_H:
-        if not caps.has_third_order:
-            raise ValueError("H engine requires an oracle with third-order contractions")
         solve = _zz_solver(oracle.hess_zz_f3(point, sample))
         return _ul_reduced(oracle, point, sample, lambda B, labels: solve(B), solve_dense)
     ops = _Ops(oracle, sample, cfg, events)
     o, s = oracle, sample
-    if ops.analytic and caps.has_third_order and not isinstance(sample, NoiseDraw):
+    if cfg.engine == ENGINE_AD:
         def solve_zz(B, labels):
-            # one Hzz series per column, each labelled as its FD-path twin
+            # one Hzz series per column, each labelled as its NFD twin
             if B.ndim == 1:
                 return ops.inv_zz(point, B, labels)
             return np.column_stack([ops.inv_zz(point, b, label) for b, label in zip(B.T, labels)])
@@ -448,7 +439,7 @@ def _ul_reduced(oracle, point, sample, solve_zz, solve_yy) -> Array:
     (one label) or to the columns of a t x k block (one label per column),
     and ``solve_yy(Hbar_yy, b)`` applies Hbar_yy^{-1}. H solves both with
     LAPACK; AD applies truncated Neumann series at 1/c0 and 1/c1, so its
-    gradient is the FD path's Q-term estimate built from exact products.
+    gradient is a Q-term estimate built from the oracle's products.
 
     With T_abc = T_abc(f3) contracted with w2 = Hzz^{-1} grad_z f2, the pieces
     D = T_zzz - Hzz2 and E = Hyz2 - T_yzz, and Jx, Jy = dz/dx, dz/dy:
@@ -501,24 +492,27 @@ def bilevel_adjoint_gradient(
 
     grad = grad_x f1 - H_xy(f2) H_yy(f2)^{-1} grad_y f1.
 
-    AD inverts H_yy(f2) at 1/c1 and uses no c0. Both matrix-free engines
-    take the H_yy(f2) and H_xy(f2) products as central differences of
-    grad_y f2 and grad_x f2 at ``fd_eps``, whose error dominates off the
-    quadratic family: on adv-hpt (split 7) at the default 0.1 the AD
-    gradient is about 10 % off the H engine's, falling as O(fd_eps^2).
+    H solves with H_yy(f2) directly, and AD inverts it by a truncated
+    Neumann series at 1/c1 on products with the oracle's block, using no
+    c0; both apply the oracle's H_yx(f2). NFD takes the H_yy(f2) and
+    H_xy(f2) products as central differences of grad_y f2 and grad_x f2
+    at ``fd_eps``, whose error dominates off the quadratic family.
     """
     cfg = cfg or AdjointConfig()
     o, p, s = oracle, point, sample
     gy1 = np.asarray(o.grad_y_f1(p, s), float)
-    if cfg.engine == ENGINE_H:
-        if not o.capabilities.has_hessians:
-            raise ValueError("H engine requires an oracle with Hessian blocks")
-        lam = solve_dense(o.hess_yy_f2(p, s), gy1)
-        return np.asarray(o.grad_x_f1(p, s), float) - np.asarray(o.hess_yx_f2(p, s), float).T @ lam
-
-    ops = _Ops(o, s, cfg, events)
-    lam = ops.inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v), gy1, "c1", "bilevel_lam")
-    cross = _fd_dir(o.grad_x_f2, p, s, cfg.fd_eps, y=lam)
+    if cfg.engine == ENGINE_NFD:
+        ops = _Ops(o, s, cfg, events)
+        lam = ops.inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v), gy1, "c1",
+                          "bilevel_lam")
+        cross = _fd_dir(o.grad_x_f2, p, s, cfg.fd_eps, y=lam)
+    else:
+        Hyy = np.asarray(o.hess_yy_f2(p, s), float)
+        if cfg.engine == ENGINE_H:
+            lam = solve_dense(Hyy, gy1)
+        else:
+            lam = _Ops(o, s, cfg, events).inverse(lambda v: Hyy @ v, gy1, "c1", "bilevel_lam")
+        cross = np.asarray(o.hess_yx_f2(p, s), float).T @ lam
     return np.asarray(o.grad_x_f1(p, s), float) - cross
 
 
@@ -536,8 +530,7 @@ def auto_scales(
     """Estimate the Neumann scaling constants (c0, c1) at a probe point,
     on the deterministic sample.
 
-    c0 doubles the max absolute row sum of a probe lower-level Hessian
-    (or a power-iteration norm estimate when only HVPs are available);
+    c0 doubles the max absolute row sum of a probe lower-level Hessian;
     c1 doubles a power-iteration estimate of the reduced middle-level
     Hessian norm obtained through the AD engine's own operator. Pass an
     explicit ``c0`` to pin the lower-level scale and calibrate only c1;
@@ -546,15 +539,11 @@ def auto_scales(
     since the probe-local estimate would make 1/c0 enormous; it is
     returned unchanged.
     """
-    cfg = AdjointConfig(engine=ENGINE_AD, fd_eps=fd_eps, neumann_q=neumann_q)
-    ops = _Ops(oracle, DETERMINISTIC, cfg, None)
     if c0 is None:
-        if oracle.capabilities.has_hessians:
-            Hzz = np.asarray(oracle.hess_zz_f3(point, DETERMINISTIC), float)
-            c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
-        else:
-            c0 = 2.0 * _power_norm(lambda v: ops.hvp_z(point, "z", v), point.z.size)
-    cfg.c0 = c0
+        Hzz = np.asarray(oracle.hess_zz_f3(point, DETERMINISTIC), float)
+        c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
+    cfg = AdjointConfig(engine=ENGINE_AD, fd_eps=fd_eps, neumann_q=neumann_q, c0=c0)
+    ops = _Ops(oracle, DETERMINISTIC, cfg, None)
     c1 = 2.0 * _power_norm(lambda v: ops.reduced_apply(point, "y", v), point.y.size)
     return c0, c1
 

@@ -31,10 +31,10 @@ from importlib import resources
 
 import numpy as np
 
+from .linalg import NonFiniteError
 from .oracle import (
     Deterministic,
     MinibatchIndices,
-    OracleCapabilities,
     Point,
     ProblemOracle,
     stream_gen,
@@ -232,8 +232,6 @@ class AdvHptOracle(ProblemOracle):
     zero.
     """
 
-    capabilities = OracleCapabilities(has_hessians=True, has_third_order=True, has_hvp=True)
-
     def __init__(self, problem: AdvHptProblem, ds: TabularDataset):
         self.problem = problem
         mean, std = standardize_stats(ds.features, problem.train_idx)
@@ -273,10 +271,14 @@ class AdvHptOracle(ProblemOracle):
 
     def _penalty(self, lam, theta_f):
         """exp(lam)/m times smoothed_l1(theta_f): (value, gradient, the
-        scale exp(lam)/m, the unscaled Hessian-vector product)."""
+        scale exp(lam)/m, the unscaled Hessian-vector product). A lam past
+        exp's range is a breakdown of the run, so it raises NonFiniteError."""
         m = self.problem.n_features + 1
         value, grad, hvp = smoothed_l1(theta_f, self.problem.mu)
-        scale = math.exp(lam) / m
+        try:
+            scale = math.exp(lam) / m
+        except OverflowError:
+            raise NonFiniteError(f"penalty weight exp(lam) overflows at lam = {lam:.6g}") from None
         return scale * value, scale * grad, scale, hvp
 
     # -- values ------------------------------------------------------------

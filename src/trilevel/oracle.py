@@ -1,10 +1,10 @@
 """Derivative-evaluation contract for trilevel problems.
 
-Every problem exposes values, gradients, and (optionally) Hessian blocks,
-Hessian-vector products, and third-order contractions of its three
-objectives through a :class:`ProblemOracle`. Evaluations are parameterized
-by a sample descriptor so the same interface serves deterministic,
-minibatch, and synthetic-noise regimes.
+Every problem exposes values, gradients, Hessian blocks, Hessian-vector
+products and third-order contractions of its three objectives through a
+:class:`ProblemOracle`. Evaluations are parameterized by a sample
+descriptor so the same interface serves deterministic, minibatch, and
+synthetic-noise regimes.
 
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC 2011): a noise draw is a pure function of
@@ -118,40 +118,33 @@ DETERMINISTIC = Deterministic()
 
 @dataclass(frozen=True)
 class OracleCapabilities:
-    """Optional blocks an oracle supplies. ``affine_ll``: on deterministic
-    samples, ``grad_z_f3(Point(x, y, z)) == hess_zz_f3(p) @ z +
-    grad_z_f3(Point(x, y, 0))`` bit for bit (``np.array_equal``) for every z
-    and any p at (x, y), with ``hess_zz_f3`` symmetric. ``driver.ll_sg`` then
-    takes ``hess_zz_f3`` and one ``grad_z_f3`` per cycle and computes the
-    cycle's K steps in closed form, in the eigenbasis of ``hess_zz_f3``."""
+    """Structure an oracle declares so that the driver may exploit it.
+    ``affine_ll``: on deterministic samples, ``grad_z_f3(Point(x, y, z)) ==
+    hess_zz_f3(p) @ z + grad_z_f3(Point(x, y, 0))`` bit for bit
+    (``np.array_equal``) for every z and any p at (x, y), with ``hess_zz_f3``
+    symmetric. ``driver.ll_sg`` then takes ``hess_zz_f3`` and one
+    ``grad_z_f3`` per cycle and computes the cycle's K steps in closed form,
+    in the eigenbasis of ``hess_zz_f3``."""
 
-    has_hessians: bool = False
-    has_third_order: bool = False
-    has_hvp: bool = False
     affine_ll: bool = False
-
-    def __post_init__(self):
-        if self.has_third_order and not self.has_hessians:
-            raise ValueError("third-order capability requires Hessian capability")
-        if self.affine_ll and not self.has_hessians:
-            raise ValueError("affine lower-level capability requires Hessian capability")
 
 
 class ProblemOracle:
     """Base class for derivative oracles.
 
-    Required: f1/f2/f3 values and all nine gradient blocks. Optional
-    methods (Hessian blocks, HVPs, third-order contractions) raise
-    NotImplementedError unless the subclass advertises them via
-    ``capabilities``. Mixed derivatives are symmetric, so each mixed block
-    is supplied once and the engines transpose it: H_zy(f2) is
-    ``hess_yz_f2(...).T`` and the (z, z, y) contraction is
-    ``t3_yzz_f3_contract(...).T``. The zz blocks of the reduced Hessian,
-    Hzz(f2) and T_zzz(f3)[w], are products with a t-vector or a t x k
-    block V, so no engine needs a t x t array beyond Hzz(f3) itself. All
-    evaluations take (point, sample) and must be deterministic functions
-    of their arguments. Callers must not write to the arrays an oracle
-    returns.
+    Every engine calls the f1/f2/f3 values and the nine gradient blocks.
+    The H and AD engines also call the Hessian blocks, HVPs and third-order
+    contractions; the NFD engine calls none of them (an ``affine_ll``
+    lower-level cycle calls ``hess_zz_f3`` under any engine). A method the
+    subclass does not define raises the base class's NotImplementedError.
+    Mixed derivatives are symmetric, so each mixed block is supplied once
+    and the engines transpose it: H_zy(f2) is ``hess_yz_f2(...).T`` and the
+    (z, z, y) contraction is ``t3_yzz_f3_contract(...).T``. The zz blocks of
+    the reduced Hessian, Hzz(f2) and T_zzz(f3)[w], are products with a
+    t-vector or a t x k block V, so no engine needs a t x t array beyond
+    Hzz(f3) itself. All evaluations take (point, sample) and must be
+    deterministic functions of their arguments. Callers must not write to
+    the arrays an oracle returns.
     """
 
     capabilities = OracleCapabilities()
@@ -198,7 +191,7 @@ class ProblemOracle:
     def grad_z_f3(self, point, sample) -> Array:
         raise NotImplementedError
 
-    # Hessian blocks (optional; capabilities.has_hessians) ----------------
+    # Hessian blocks (H and AD engines) -----------------------------------
     def hess_zz_f3(self, point, sample) -> Array:
         raise NotImplementedError
 
@@ -224,7 +217,7 @@ class ProblemOracle:
         """Hzz(f2) V for V of shape (t,) or (t, k)."""
         raise NotImplementedError
 
-    # Hessian-vector products (optional; capabilities.has_hvp) ------------
+    # Hessian-vector products (AD engine) ---------------------------------
     def hvp_zz_f3(self, point, sample, v) -> Array:
         raise NotImplementedError
 
@@ -234,7 +227,7 @@ class ProblemOracle:
     def hvp_yz_f3(self, point, sample, v) -> Array:
         raise NotImplementedError
 
-    # third-order contractions (optional; capabilities.has_third_order) ---
+    # third-order contractions (H and AD engines) -------------------------
     # Each contracts the middle (lower-level) index of the named tensor
     # with a t-vector w and returns the resulting matrix; the zzz one is
     # returned applied to V, of shape (t,) or (t, k).

@@ -28,7 +28,7 @@ assembly nor its memo.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -251,8 +251,6 @@ def _f1(spec, p: Point) -> float:
 class _SyntheticOracle(ProblemOracle):
     """Analytic derivatives shared by the quadratic and quartic families."""
 
-    capabilities = OracleCapabilities(has_hessians=True, has_third_order=True, has_hvp=True)
-
     def __init__(self, spec: _SyntheticSpec):
         self.spec = spec
 
@@ -311,7 +309,7 @@ class QuadraticOracle(_SyntheticOracle):
     """Quadratic lower level, so its gradient is affine in z; all third-order
     derivatives vanish."""
 
-    capabilities = replace(_SyntheticOracle.capabilities, affine_ll=True)
+    capabilities = OracleCapabilities(affine_ll=True)
 
     def f3(self, p, sample):
         s = self.spec

@@ -24,7 +24,6 @@ from trilevel.oracle import (
     Deterministic,
     MinibatchIndices,
     NoiseDraw,
-    OracleCapabilities,
     Point,
     ProblemOracle,
     wrap_gaussian_noise,
@@ -549,18 +548,6 @@ class CountingOracle:
         return wrapper
 
 
-class WithoutThirdOrder:
-    """Delegates to an inner oracle but declares no third-order
-    contractions, so AD's UL gradient takes its FD reduced products."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.capabilities = replace(inner.capabilities, has_third_order=False)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 class TestContracts:
     def test_fixed_sample_within_one_call(self):
         spec = default_quadratic(5, 5, 5, rng=11)
@@ -576,8 +563,6 @@ class TestContracts:
 
     def test_curvature_event_flagged(self):
         class IndefiniteOracle(ProblemOracle):
-            capabilities = OracleCapabilities(has_hessians=True, has_hvp=True)
-
             @property
             def dims(self):
                 return 2, 2, 2
@@ -651,20 +636,6 @@ class TestContracts:
             oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=20, c1=8.0)
         )
         np.testing.assert_array_equal(without_c0, with_c0)
-
-    def test_h_requires_capabilities(self):
-        class GradOnly(ProblemOracle):
-            capabilities = OracleCapabilities()
-
-            @property
-            def dims(self):
-                return 2, 2, 2
-
-        p = Point(np.zeros(2), np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            ml_adjoint_gradient(GradOnly(), p, DETERMINISTIC, AdjointConfig(engine="H"))
-        with pytest.raises(ValueError):
-            ul_adjoint_gradient(GradOnly(), p, DETERMINISTIC, AdjointConfig(engine="H"))
 
 
 class TestNeumannGuard:
@@ -740,12 +711,27 @@ class TestBilevelGradient:
             g = bilevel_adjoint_gradient(oracle, point, DETERMINISTIC, cfg)
             np.testing.assert_allclose(g, fd, atol=2e-5)
 
+    def test_ad_matches_h_on_advhpt(self):
+        # AD's products are the oracle's H_yy(f2) and H_yx(f2), so a long
+        # series reaches H's gradient
+        ds = ah.load_csv(ah.bundled_dataset_path())
+        problem = ah.build_problem(ds, ah.split_dataset(ds, 7))
+        oracle = ah.build_oracle(problem, ds)
+        _, m, t = problem.dims
+        gen = np.random.default_rng(0)
+        point = Point(0.5 * gen.standard_normal(1), 0.5 * gen.standard_normal(m), np.zeros(t))
+        cfg = AdjointConfig(engine="AD", neumann_q=100, c1=auto_scale_bilevel(oracle, point))
+        events = []
+        g_ad = bilevel_adjoint_gradient(oracle, point, DETERMINISTIC, cfg, events)
+        g_h = bilevel_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
+        assert events == []
+        np.testing.assert_allclose(g_ad, g_h, rtol=1e-10)
+
 
 class TestReducedPath:
-    """AD's UL gradient on an oracle with HVPs and third-order contractions,
-    on a sample that is not a NoiseDraw, runs the H engine's reduced-Hessian
-    algebra with truncated Neumann solves; every other input keeps the FD
-    reduced products."""
+    """AD's UL gradient runs the H engine's reduced-Hessian algebra with
+    truncated Neumann solves on every sample; NFD keeps the FD reduced
+    products."""
 
     @staticmethod
     def paths(monkeypatch):
@@ -791,23 +777,31 @@ class TestReducedPath:
         assert events == []
         assert np.linalg.norm(g_ad - g_h) <= 1e-8 * np.linalg.norm(g_h)
 
-    def test_noise_draws_and_nfd_take_the_fd_path(self, monkeypatch):
+    def test_only_nfd_takes_the_fd_path(self, monkeypatch):
         spec = default_quadratic(3, 3, 3, rng=9)
         point = closed_form_point(spec, np.ones(3))
         cfg = AdjointConfig(engine="AD", neumann_q=6, c0=2.0, c1=3.0)
         noisy = wrap_gaussian_noise(make_oracle(spec), 0.1, 0.1, seed=1)
         taken = self.paths(monkeypatch)
-        ul_adjoint_gradient(noisy, point, NoiseDraw(stream=1, counter=2), cfg)
-        assert taken and set(taken) == {"fd"}
-        taken.clear()
-        ul_adjoint_gradient(noisy, point, DETERMINISTIC, cfg)
-        assert taken == ["exact"]
-        taken.clear()
-        ul_adjoint_gradient(noisy, point, DETERMINISTIC, AdjointConfig(engine="NFD"))
-        assert taken and set(taken) == {"fd"}
-        taken.clear()
-        ul_adjoint_gradient(WithoutThirdOrder(make_oracle(spec)), point, DETERMINISTIC, cfg)
-        assert taken and set(taken) == {"fd"}
+        for sample in (NoiseDraw(stream=1, counter=2), DETERMINISTIC):
+            ul_adjoint_gradient(noisy, point, sample, cfg)
+            assert taken == ["exact"]
+            taken.clear()
+            ul_adjoint_gradient(noisy, point, sample, AdjointConfig(engine="NFD"))
+            assert taken and set(taken) == {"fd"}
+            taken.clear()
+
+    def test_ad_on_a_zero_noise_draw_matches_deterministic(self):
+        # a NoiseDraw keeps the Hzz series on the recurrence, which gives
+        # the Krylov evaluation's sum up to rounding
+        quartic = default_quartic(3, 3, 2, rng=5)
+        oracle = make_oracle(quartic)
+        point = default_init_point(quartic, rng=6)
+        silent = wrap_gaussian_noise(oracle, 0.0, 0.0, seed=1)
+        cfg = AdjointConfig(engine="AD", fd_eps=0.1, neumann_q=6, c0=2.0, c1=3.0)
+        g_draw = ul_adjoint_gradient(silent, point, NoiseDraw(stream=1, counter=2), cfg)
+        g_det = ul_adjoint_gradient(oracle, point, DETERMINISTIC, cfg)
+        np.testing.assert_allclose(g_draw, g_det, rtol=1e-12)
 
     def test_advhpt_forms_no_t_by_t_array(self, monkeypatch):
         ds = ah.load_csv(ah.bundled_dataset_path())
@@ -847,8 +841,8 @@ class TestPinned:
     # reordering of their float operations, or a renamed event, shows here.
     # The quartic point has nonzero third-order terms and FD error; on the
     # quadratic the AD engine takes the oracle's analytic HVPs. AD's UL
-    # gradient runs the reduced-Hessian algebra; through a view that hides
-    # the third-order contractions ("-no-t3") it takes the FD products
+    # gradient runs the reduced-Hessian algebra, and its bilevel gradient
+    # the oracle's H_yy(f2) and H_yx(f2)
     RECORDED = {
         ("quadratic", "ml", "NFD"): (
             ["-0x1.9a31e70314aa3p+1", "-0x1.8e429960bbec1p+2", "0x1.518ca981919bep+2"],
@@ -874,24 +868,16 @@ class TestPinned:
             ["0x1.40bb0ce91052ep+9", "0x1.d1330453ad9f2p+8", "0x1.955fc75e5d6d8p+8"],
             ["neumann_truncated:lam_y@3"],
         ),
-        ("quadratic-no-t3", "ul", "AD"): (
-            ["0x1.aefa5271e28e7p+5", "0x1.399181acfc80cp+5", "0x1.0147280019914p+5"],
-            [],
-        ),
-        ("quadratic-no-t3", "ul", "AD-stale"): (
-            ["0x1.40bb0ce91052fp+9", "0x1.d1330453ad9ecp+8", "0x1.955fc75e5d6dap+8"],
-            ["neumann_truncated:lam_y@3"],
-        ),
         ("quadratic", "bilevel", "NFD"): (
             ["0x1.811bcc8702484p+4", "0x1.23248afaf2ce9p+4", "0x1.f98b1901cd634p+3"],
             [],
         ),
         ("quadratic", "bilevel", "AD"): (
-            ["0x1.8120878658e84p+4", "0x1.232833374c945p+4", "0x1.f99307e7025adp+3"],
+            ["0x1.8120878658e84p+4", "0x1.232833374c945p+4", "0x1.f99307e7025aep+3"],
             [],
         ),
         ("quadratic", "bilevel", "AD-stale"): (
-            ["-0x1.8ec595e0f20fep+6", "-0x1.35f137090e412p+6", "-0x1.5fea99883645dp+6"],
+            ["-0x1.8ec595e0f20fep+6", "-0x1.35f137090e414p+6", "-0x1.5fea99883645dp+6"],
             ["neumann_truncated:bilevel_lam@2"],
         ),
         ("quartic", "ml", "NFD"): (
@@ -920,24 +906,16 @@ class TestPinned:
             ["0x1.33630daa5cf08p+1", "0x1.e3804f69ff744p+1", "0x1.25a68d9ad805cp+1"],
             ["neumann_truncated:lam_y@2"],
         ),
-        ("quartic-no-t3", "ul", "AD"): (
-            ["-0x1.337215933536fp-1", "-0x1.e55e202ecd706p-1", "-0x1.4fb0c8a9be02cp-2"],
-            [],
-        ),
-        ("quartic-no-t3", "ul", "AD-stale"): (
-            ["0x1.0f31c2ed36050p+1", "0x1.d331c313d188dp+1", "0x1.25a68d9ad805ap+1"],
-            ["neumann_truncated:lam_y@2"],
-        ),
         ("quartic", "bilevel", "NFD"): (
             ["-0x1.dae8d3793a46ap-2", "-0x1.4d2fc756a4554p-1", "-0x1.4faa5eb80b0bcp-2"],
             [],
         ),
         ("quartic", "bilevel", "AD"): (
-            ["-0x1.daed81627394ep-2", "-0x1.4d33a24029174p-1", "-0x1.4fb0c8a9be02cp-2"],
+            ["-0x1.daed81627394dp-2", "-0x1.4d33a24029175p-1", "-0x1.4fb0c8a9be02cp-2"],
             [],
         ),
         ("quartic", "bilevel", "AD-stale"): (
-            ["0x1.72f8d2138a534p+0", "0x1.4025c3b465630p+1", "0x1.25a68d9ad805ap+1"],
+            ["0x1.72f8d2138a534p+0", "0x1.4025c3b465630p+1", "0x1.25a68d9ad805cp+1"],
             ["neumann_truncated:bilevel_lam@2"],
         ),
     }
@@ -950,9 +928,6 @@ class TestPinned:
                           Point(gen.uniform(0, 9, 3), gen.uniform(0, 9, 3), gen.uniform(0, 9, 3))),
             "quartic": (make_oracle(quartic), default_init_point(quartic, rng=6)),
         }
-        for problem in ("quadratic", "quartic"):
-            oracle, point = cases[problem]
-            cases[f"{problem}-no-t3"] = (WithoutThirdOrder(oracle), point)
         cfgs = {
             "NFD": AdjointConfig(engine="NFD", fd_eps=0.1, cg_max_iters=2),
             "AD": AdjointConfig(engine="AD", fd_eps=0.1, neumann_q=6, c0=2.0, c1=3.0),

@@ -377,6 +377,17 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("run failed: aborted runs: [(0, '")
         assert os.path.exists(os.path.join(cfg.output_dir, "run_0.csv"))
 
+    def test_advhpt_penalty_overflow_aborts_its_repetition(self, tmp_path, capsys):
+        # lam steps past exp's range on split 1 under H: the penalty raises
+        # NonFiniteError, not OverflowError, so the repetition aborts
+        cfg = tiny_config(tmp_path, problem="adv-hpt", csv=bundled_dataset_path(), spec_seed=1)
+        path = tmp_path / "cfg.ini"
+        save_config(cfg, path)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: aborted runs: [(0, '") and "exp(lam) overflows" in err
+        assert os.path.exists(os.path.join(cfg.output_dir, "run_0.csv"))
+
     def test_module_invocation(self, tmp_path):
         cfg = tiny_config(tmp_path, ul_iters=3, repetitions=1)
         path = tmp_path / "cfg.ini"

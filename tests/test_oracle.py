@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -72,11 +73,9 @@ class TestSampleSpecs:
         assert NoiseDraw(1, 2) == NoiseDraw(1, 2)
         assert hash(NoiseDraw(1, 2)) == hash(NoiseDraw(1, 2))
 
-    def test_capability_implication(self):
-        with pytest.raises(ValueError):
-            OracleCapabilities(has_hessians=False, has_third_order=True)
-        with pytest.raises(ValueError, match="affine lower-level"):
-            OracleCapabilities(has_hessians=False, affine_ll=True)
+    def test_affine_ll_is_the_only_capability(self):
+        assert [f.name for f in fields(OracleCapabilities)] == ["affine_ll"]
+        assert not ProblemOracle.capabilities.affine_ll
 
 
 class TestFdHvp:
@@ -231,8 +230,6 @@ class TestNoiseWrapper:
         # recorded draws: a change to keys, counters or scales shows here.
         # The inner oracle returns zeros, so each output is the noise alone
         class Zeros(ProblemOracle):
-            capabilities = OracleCapabilities(has_hessians=True, has_hvp=True)
-
             def grad_z_f3(self, point, sample):
                 return np.zeros(4)
 
