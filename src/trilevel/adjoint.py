@@ -16,9 +16,10 @@ Backends:
 
 * ``H``   assembles Hbar_yy densely from analytic Hessians, products and
   third-order contractions, applies Hbar_xy to lam_y in reverse mode, and
-  solves directly with LAPACK: one (m+2)-column and one vector Hzz(f3)
-  solve per UL gradient. Reference quality; only meant for desk-scale
-  problems.
+  solves directly: one (m+2)-column and one vector Hzz(f3) solve per UL
+  gradient, by Hzz(f3)'s own ``solve`` when it has one (the quartic's
+  Sherman-Morrison), else by LAPACK. Reference quality; only meant for
+  desk-scale problems.
 * ``NFD`` solves every inverse-Hessian system with linear CG, realizing
   each Hessian-vector product as a central finite difference of the
   corresponding gradient.
@@ -391,7 +392,7 @@ def ul_adjoint_gradient(
     supplied.
 
     H and AD run the reduced-Hessian algebra of :func:`_ul_reduced`, H with
-    LAPACK solves and AD with truncated Neumann series on the oracle's
+    direct solves and AD with truncated Neumann series on the oracle's
     products. NFD takes Hbar_yy and Hbar_xy products as central
     differences (:meth:`_Ops.reduced_apply`) and solves with CG.
     """
@@ -421,10 +422,14 @@ def ul_adjoint_gradient(
 
 
 def _zz_solver(Hzz) -> Callable[[Array], Array]:
-    """B -> Hzz^{-1} B after one lookup in the one-entry memo: products
-    with the inverse of an Hzz object seen on the last lookup, one-shot
-    solves otherwise. One lookup per gradient, so a second solve against
+    """B -> Hzz^{-1} B: Hzz's own ``solve`` when it has one (the quartic's
+    :class:`~trilevel.linalg.RankOneUpdate`); for an array, after one
+    lookup in the one-entry memo, products with the inverse of an Hzz
+    object seen on the last lookup and one-shot solves otherwise. One lookup per gradient, so a second solve against
     the same fresh Hessian does not make the memo invert it."""
+    solve = getattr(Hzz, "solve", None)
+    if solve is not None:
+        return solve
     F = lu_factor_cached(Hzz)
     if F is None:
         return lambda B: solve_dense(Hzz, B)
@@ -437,8 +442,8 @@ def _ul_reduced(oracle, point, sample, solve_zz, solve_yy) -> Array:
     contractions, and the x side in reverse mode. The engine supplies the
     two solvers: ``solve_zz(B, labels)`` applies Hzz(f3)^{-1} to a t-vector
     (one label) or to the columns of a t x k block (one label per column),
-    and ``solve_yy(Hbar_yy, b)`` applies Hbar_yy^{-1}. H solves both with
-    LAPACK; AD applies truncated Neumann series at 1/c0 and 1/c1, so its
+    and ``solve_yy(Hbar_yy, b)`` applies Hbar_yy^{-1}. H solves both
+    directly; AD applies truncated Neumann series at 1/c0 and 1/c1, so its
     gradient is a Q-term estimate built from the oracle's products.
 
     With T_abc = T_abc(f3) contracted with w2 = Hzz^{-1} grad_z f2, the pieces

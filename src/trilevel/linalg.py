@@ -4,10 +4,11 @@ Minimal numerics used by the adjoint engines and the synthetic problems:
 a linear conjugate-gradient solver with non-positive-curvature detection,
 direct solves by numpy's own LAPACK (``gesv``, a partial-pivot LU) with a
 one-entry memo that inverts a matrix object solved repeatedly once and
-gives an array seen once a one-shot solve, a one-entry memo of the
-symmetric eigendecomposition of a matrix object, and the order-3 tensor
-contraction that the synthetic problems' third-order callbacks are
-checked against. Nothing here imports scipy.
+gives an array seen once a one-shot solve, a Sherman-Morrison solve for a
+constant matrix plus a rank-one term (:class:`RankOneUpdate`), a
+one-entry memo of the symmetric eigendecomposition of a matrix object,
+and the order-3 tensor contraction that the synthetic problems'
+third-order callbacks are checked against. Nothing here imports scipy.
 
 Vectors, matrices, and order-3 tensors are plain float64 ndarrays of
 rank 1, 2, and 3. All operations are pure; inputs are never mutated, so
@@ -194,11 +195,50 @@ def _gesv(A: Array, B: Array) -> Array:
         X = np.linalg.solve(A, B)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("singular matrix: LAPACK met an exactly zero pivot") from None
+    return _finite_solution(X, B)
+
+
+def _finite_solution(X: Array, B: Array) -> Array:
     if not np.all(np.isfinite(X)):
         if not np.all(np.isfinite(B)):
             raise NonFiniteError("right-hand side contains non-finite entries")
         raise SingularMatrixError("numerically singular matrix: its solution is not finite")
     return X
+
+
+class RankOneUpdate:
+    """The matrix c A + u u' for a constant t x t A whose inverse ``A_inv``
+    the caller keeps (the quartic's Hzz(f3), c = 2g). ``np.asarray`` gives
+    it dense, summed as u u' + c A; ``@`` and :meth:`solve` never form it."""
+
+    def __init__(self, c: float, A: Array, A_inv: Array, u: Array):
+        self.c, self.A, self.A_inv, self.u = float(c), A, A_inv, u
+        self.shape = A.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(np.outer(self.u, self.u) + self.c * self.A, dtype=dtype)
+
+    def __matmul__(self, V) -> Array:
+        return np.multiply.outer(self.u, self.u @ V) + self.c * (self.A @ V)
+
+    def solve(self, B) -> Array:
+        """X with (c A + u u') X = B, B a t-vector or t x k block, by
+        Sherman-Morrison (1950): X = (A^-1 B - A^-1 u (u' A^-1 B) / (c + u' A^-1 u)) / c.
+        Raises as :func:`solve_dense` does, and at c = 0 (rank one). At t = 1,
+        where the formula cancels near c = 0, it is :func:`solve_dense`."""
+        B = np.asarray(B, dtype=float)
+        if self.shape[0] == 1:
+            return solve_dense(np.asarray(self), B)
+        if self.c == 0.0:
+            raise SingularMatrixError("singular matrix: c A + u u^T with c = 0 has rank one")
+        AiB, Aiu = self.A_inv @ B, self.A_inv @ self.u
+        denom = self.c + float(self.u @ Aiu)
+        if not math.isfinite(denom):
+            raise NonFiniteError("matrix contains non-finite entries")
+        if denom == 0.0:
+            raise SingularMatrixError("singular matrix: zero Sherman-Morrison denominator")
+        X = (AiB - np.multiply.outer(Aiu, (self.u @ AiB) / denom)) / self.c
+        return _finite_solution(X, B)
 
 
 # One-entry inverse memo, an (array, inverse) pair. An oracle that returns

@@ -142,7 +142,10 @@ class ProblemOracle:
     (z, z, y) contraction is ``t3_yzz_f3_contract(...).T``. The zz blocks of
     the reduced Hessian, Hzz(f2) and T_zzz(f3)[w], are products with a
     t-vector or a t x k block V, so no engine needs a t x t array beyond
-    Hzz(f3) itself. All evaluations take (point, sample) and must be
+    Hzz(f3) itself, which may be an array-like with ``shape``,
+    ``__array__``, ``@`` and a ``solve(B)`` that the H engine uses (the
+    quartic's :class:`~trilevel.linalg.RankOneUpdate`); a noise wrapper
+    densifies it. All evaluations take (point, sample) and must be
     deterministic functions of their arguments. Callers must not write to
     the arrays an oracle returns.
     """

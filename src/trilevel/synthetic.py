@@ -17,7 +17,8 @@ residual scalar g = z'Hzz z - z'(Hzx x + Hzy y):
 whose lower-level minimizers are the ellipsoid {g = 0} through z = 0 and
 z = Hzz^{-1}(Hzx x + Hzy y): just those two points at t = 1; for t >= 2 a
 non-unique solution set, on which Hzz(f3) = u u' (u = 2 Hzz z - Hzx x -
-Hzy y) has rank one.
+Hzy y) has rank one. Elsewhere Hzz(f3) = 2g Hzz + u u', which the oracle
+returns as a :class:`~trilevel.linalg.RankOneUpdate` solved by Sherman-Morrison.
 
 Both admit closed-form inner solutions (for the quartic, the point
 z = Hzz^{-1}(Hzx x + Hzy y) of the lower level's solution set), making the
@@ -29,11 +30,13 @@ assembly nor its memo.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from . import linalg
+from .linalg import RankOneUpdate, as_matrix, as_vector
 from .oracle import OracleCapabilities, Point, ProblemOracle
 
 Array = np.ndarray
@@ -365,7 +368,13 @@ class QuadraticOracle(_SyntheticOracle):
 
 class QuarticOracle(_SyntheticOracle):
     """Squared-residual lower level; third-order terms are rank-structured
-    and evaluated as contraction callbacks, never materialized tensors."""
+    and evaluated as contraction callbacks, never materialized tensors.
+    Hzz(f3) is a :class:`~trilevel.linalg.RankOneUpdate` of the spec's Hzz,
+    whose inverse the oracle computes on its first Hzz(f3) and keeps."""
+
+    @cached_property
+    def _Hzz_inv(self) -> Array:
+        return linalg.lu_factor(self.spec.Hzz)  # by module attribute, so a spy on it sees the call
 
     def _parts(self, p: Point):
         w = self._w(p.x, p.y)
@@ -392,7 +401,7 @@ class QuarticOracle(_SyntheticOracle):
 
     def hess_zz_f3(self, p, sample):
         g, u = self._parts(p)
-        return np.outer(u, u) + 2.0 * g * self.spec.Hzz
+        return RankOneUpdate(2.0 * g, self.spec.Hzz, self._Hzz_inv, u)
 
     def hess_xz_f3(self, p, sample):
         g, u = self._parts(p)

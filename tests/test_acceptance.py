@@ -402,9 +402,9 @@ def test_criterion_11_derivative_cross_checks():
                 e = np.zeros(dim)
                 e[c] = eps
                 rep = {ax: getattr(p, ax) + e}
-                hi = getattr(qo, hn)(p.replace(**rep), S)
+                hi = np.asarray(getattr(qo, hn)(p.replace(**rep), S))
                 rep = {ax: getattr(p, ax) - e}
-                lo = getattr(qo, hn)(p.replace(**rep), S)
+                lo = np.asarray(getattr(qo, hn)(p.replace(**rep), S))
                 out[:, c] = ((hi - lo) / (2 * eps)) @ v
             return out
 

@@ -482,34 +482,36 @@ class TestDenseSolves:
             np.testing.assert_allclose(g, ul_two_solve_reference(oracle, point), rtol=1e-10)
 
     def test_ul_gradient_solves_hzz_against_m_plus_2_columns_then_one(self, monkeypatch):
+        # the quartic's Hzz(f3) is solved by Sherman-Morrison, against m+2
+        # columns and then one; the only dense solve is Hbar_yy's, m x m
         n, m, t = 12, 3, 5
-        cols, lookups, inversions = [], [], []
+        cols, dense, lookups = [], [], []
+        structured = linalg.RankOneUpdate.solve
 
-        def record(solve):
-            def wrapped(A, B):
-                if np.shape(A) == (t, t):  # Hzz or its inverse, not Hbar_yy
-                    cols.append(np.shape(B)[1] if np.ndim(B) == 2 else 1)
-                return solve(A, B)
-            return wrapped
+        def record(self, B):
+            cols.append(np.shape(B)[1] if np.ndim(B) == 2 else 1)
+            return structured(self, B)
 
-        cached, factor = adjoint.lu_factor_cached, linalg.lu_factor
-        monkeypatch.setattr(adjoint, "solve_dense", record(adjoint.solve_dense))
-        monkeypatch.setattr(adjoint, "lu_solve", record(adjoint.lu_solve))
-        monkeypatch.setattr(adjoint, "lu_factor_cached", lambda A: lookups.append(A) or cached(A))
-        monkeypatch.setattr(linalg, "lu_factor", lambda A: inversions.append(A) or factor(A))
-        monkeypatch.setattr(linalg, "_LU_LAST", None)
+        def spy(solve):
+            return lambda A, B: dense.append(np.shape(A)) or solve(A, B)
+
+        monkeypatch.setattr(linalg.RankOneUpdate, "solve", record)
+        monkeypatch.setattr(adjoint, "solve_dense", spy(adjoint.solve_dense))
+        monkeypatch.setattr(linalg, "solve_dense", spy(linalg.solve_dense))
+        monkeypatch.setattr(adjoint, "lu_factor_cached", lambda A: lookups.append(A))
         oracle = make_oracle(coupled_spec(QuarticSpec, n=n, m=m, t=t))
         point = Point(np.full(n, 0.1), np.full(m, -0.2), np.full(t, 0.3))
         ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
         assert cols == [m + 2, 1]
-        assert len(lookups) == 1 and inversions == []
+        assert dense == [(m, m)] and lookups == []
 
     @pytest.mark.parametrize("problem, inversions", [
-        (default_quadratic, 1), (default_quartic, 0),
+        (default_quadratic, 1), (default_quartic, 1),
     ], ids=["quadratic", "quartic"])
     def test_run_inverts_a_constant_hzz_once(self, monkeypatch, problem, inversions):
         # the quadratic returns one Hzz object, inverted on its second sight;
-        # the quartic's fresh arrays each get a one-shot solve
+        # the quartic inverts its spec's Hzz on its first Hzz(f3) and solves
+        # every later c Hzz + u u' by Sherman-Morrison against that inverse
         calls = []
         factor = linalg.lu_factor
         monkeypatch.setattr(linalg, "lu_factor", lambda A: calls.append(A) or factor(A))

@@ -354,14 +354,16 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert not os.path.exists(cfg.output_dir)
 
-    @pytest.mark.parametrize("engine, spec_seed, alpha_bar, gamma_bar, reason", [
-        ("NFD", 5, 0.3, 1.0, "operator returned non-finite values"),
-        ("H", 3, 1.0, 0.5, "exactly zero pivot"),
+    @pytest.mark.parametrize("engine, spec_seed, alpha_bar, gamma_bar, reason, records", [
+        ("NFD", 5, 0.3, 1.0, "operator returned non-finite values", 1),
+        ("H", 3, 1.0, 0.5, "c A + u u^T with c = 0 has rank one", 2),
     ], ids=["NFD-cg-non-finite", "H-singular-lu"])
     def test_numerical_breakdown_aborts_its_repetition(self, tmp_path, capsys, engine, spec_seed,
-                                                       alpha_bar, gamma_bar, reason):
-        # quartics whose NFD CG operator goes non-finite or whose Hzz factors
-        # singular: the repetition aborts and the run exits 1 with its trace
+                                                       alpha_bar, gamma_bar, reason, records):
+        # quartics whose NFD CG operator goes non-finite or whose Hzz(f3) is
+        # singular (g = 0 exactly at t = 8, leaving the rank-one u u'): the
+        # repetition aborts at the same UL iteration and the run exits 1
+        # with its trace
         cfg = tiny_config(tmp_path, problem="quartic", n=8, m=8, t=8, spec_seed=spec_seed,
                           engine=engine, alpha_bar=alpha_bar, beta_bar=1.0, gamma_bar=gamma_bar,
                           j0=2, k0=5, adaptive=False, repetitions=1)
@@ -370,7 +372,7 @@ class TestMainEntry:
             trace = run_bsg(cfg.reduction, task.oracle_for(cfg.base_seed), task.init,
                             task.schedule, task.budget, task.adjoint_cfg,
                             samples=task.samples_for(cfg.base_seed))
-            assert reason in trace.aborted
+            assert reason in trace.aborted and len(trace.records) == records
             path = tmp_path / "cfg.ini"
             save_config(cfg, path)
             assert main(["run", "--config", str(path)]) == 1

@@ -12,6 +12,7 @@ from trilevel.adjoint import AdjointConfig
 from trilevel.driver import Decaying, IterationBudget, run_tsg
 from trilevel.linalg import (
     NonFiniteError,
+    RankOneUpdate,
     SingularMatrixError,
     cg_solve,
     eigh_cached,
@@ -326,6 +327,55 @@ class TestSolveDense:
             sys.setswitchinterval(interval)
         assert [wrong for wrong, _ in results] == [0] * 4
         assert min(calls for _, calls in results) > 0
+
+
+class TestRankOneUpdate:
+    @staticmethod
+    def make(t, c, coupled, seed=120):
+        rng = np.random.default_rng(seed)
+        A = random_spd(rng, t) / t if coupled else np.eye(t)
+        u = rng.uniform(1.0, 2.0, t)
+        return RankOneUpdate(c, A, lu_factor(A), u), np.outer(u, u) + c * A, rng
+
+    @pytest.mark.parametrize("t", [2, 5, 150])
+    @pytest.mark.parametrize("c", [0.7, -0.3])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["identity", "coupled"])
+    def test_solve_matches_dense_lapack(self, t, c, coupled):
+        M, D, rng = self.make(t, c, coupled)
+        assert M.c + M.u @ M.A_inv @ M.u > 0.3  # Sherman-Morrison's denominator
+        for B in (rng.standard_normal(t), rng.standard_normal((t, 3))):
+            X, ref = M.solve(B), np.linalg.solve(D, B)
+            assert X.shape == B.shape
+            # either method's rounding leaves entries near 0 off by ~1e-15
+            np.testing.assert_allclose(X, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    def test_dense_matrix_and_product(self, t):
+        M, D, rng = self.make(t, -0.4, True)
+        assert M.shape == (t, t)
+        assert np.array_equal(np.asarray(M), D) and np.asarray(M, float).dtype == float
+        for V in (rng.standard_normal(t), rng.standard_normal((t, 4))):
+            np.testing.assert_allclose(M @ V, D @ V, rtol=1e-12)
+
+    @pytest.mark.parametrize("c", [0.5, 1e-17, 0.0])
+    def test_one_by_one_is_the_dense_solve(self, c):
+        # the formula would cancel catastrophically near c = 0 at t = 1
+        M, D, _ = self.make(1, c, True)
+        for B in (np.array([0.3]), np.array([[0.3, -2.0]])):
+            assert np.array_equal(M.solve(B), solve_dense(D, B))
+
+    def test_breakdowns_raise(self):
+        M, _, rng = self.make(4, 0.0, True)
+        with pytest.raises(SingularMatrixError, match="rank one"):
+            M.solve(rng.standard_normal(4))
+        u = np.array([1.0, 0.0, 0.0])  # c + u' A^-1 u = -1 + 1
+        with pytest.raises(SingularMatrixError, match="denominator"):
+            RankOneUpdate(-1.0, np.eye(3), np.eye(3), u).solve(np.ones(3))
+        M, _, _ = self.make(4, 0.5, True)
+        with pytest.raises(NonFiniteError):
+            M.solve(np.array([1.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(NonFiniteError):
+            RankOneUpdate(np.inf, np.eye(3), np.eye(3), np.ones(3)).solve(np.ones(3))
 
 
 class TestEighCached:

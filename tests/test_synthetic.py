@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from trilevel.linalg import tensor_contract_vec
-from trilevel.oracle import DETERMINISTIC, Point, fd_hvp
+from trilevel.linalg import RankOneUpdate, tensor_contract_vec
+from trilevel.oracle import DETERMINISTIC, NoiseDraw, Point, fd_hvp, wrap_gaussian_noise
 from trilevel.synthetic import (
     QuadraticSpec,
+    QuarticOracle,
     QuarticSpec,
     closed_form_point,
     closed_form_y,
@@ -213,6 +215,25 @@ class TestQuarticOracle:
             expected = getattr(oracle, hess_name)(p, DETERMINISTIC) @ v
             np.testing.assert_allclose(got, expected, atol=1e-8)
 
+    def test_hess_zz_f3_is_the_dense_matrix_plus_noise(self):
+        # the structured Hzz(f3) densifies to the dense formula's bytes, and a
+        # noise draw adds to those bytes exactly as it added to the array
+        class DenseQuartic(QuarticOracle):
+            def hess_zz_f3(self, p, sample):
+                g, u = self._parts(p)
+                return np.outer(u, u) + 2.0 * g * self.spec.Hzz
+
+        spec = replace(default_quartic(3, 2, 4, rng=6), Hzz=np.eye(4) + 0.2)
+        p = self._random_point(spec, np.random.default_rng(6))
+        M = make_oracle(spec).hess_zz_f3(p, DETERMINISTIC)
+        assert isinstance(M, RankOneUpdate)
+        assert np.array_equal(np.asarray(M), DenseQuartic(spec).hess_zz_f3(p, DETERMINISTIC))
+        noisy, dense = (wrap_gaussian_noise(o, 0.1, 0.05, seed=7) for o in (make_oracle(spec), DenseQuartic(spec)))
+        for sample in (NoiseDraw(0, 3), NoiseDraw(2, 9)):
+            got = noisy.hess_zz_f3(p, sample)
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, dense.hess_zz_f3(p, sample))
+
     def test_hvps_match_dense_blocks(self):
         spec = default_quartic(4, 3, 2, rng=4)
         oracle = make_oracle(spec)
@@ -245,14 +266,14 @@ class TestQuarticOracle:
                 e = np.zeros(dim)
                 e[c] = h
                 if axis == "x":
-                    hi = getattr(oracle, hess_name)(p.replace(x=p.x + e), S)
-                    lo = getattr(oracle, hess_name)(p.replace(x=p.x - e), S)
+                    hi = np.asarray(getattr(oracle, hess_name)(p.replace(x=p.x + e), S))
+                    lo = np.asarray(getattr(oracle, hess_name)(p.replace(x=p.x - e), S))
                 elif axis == "y":
-                    hi = getattr(oracle, hess_name)(p.replace(y=p.y + e), S)
-                    lo = getattr(oracle, hess_name)(p.replace(y=p.y - e), S)
+                    hi = np.asarray(getattr(oracle, hess_name)(p.replace(y=p.y + e), S))
+                    lo = np.asarray(getattr(oracle, hess_name)(p.replace(y=p.y - e), S))
                 else:
-                    hi = getattr(oracle, hess_name)(p.replace(z=p.z + e), S)
-                    lo = getattr(oracle, hess_name)(p.replace(z=p.z - e), S)
+                    hi = np.asarray(getattr(oracle, hess_name)(p.replace(z=p.z + e), S))
+                    lo = np.asarray(getattr(oracle, hess_name)(p.replace(z=p.z - e), S))
                 T[:, :, c] = (hi - lo) / (2 * h)
             return T
 
