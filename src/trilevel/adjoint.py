@@ -14,36 +14,33 @@ reduced middle-level objective fbar(x, y) = f2(x, y, z(x, y)).
 
 Backends:
 
-* ``H``   assembles Hbar_yy densely from analytic Hessians, products and
-  third-order contractions, applies Hbar_xy to lam_y in reverse mode, and
-  solves directly: one (m+2)-column and one vector Hzz(f3) solve per UL
-  gradient, by Hzz(f3)'s own ``solve`` when it has one (the quartic's
+* ``H`` and ``AD`` run one algebra on the oracle's Hessian blocks, products
+  and third-order contractions: the reduced-Hessian algebra of the UL
+  gradient (:func:`_ul_reduced`), the reduced middle-level gradients
+  (:func:`_fbar_gradient`) and the bilevel gradient. They differ only in
+  their two solvers: ``solve_zz`` applies Hzz(f3)^{-1}
+  (:func:`_make_solve_zz`), ``solve_yy`` the inverse of an m x m matrix,
+  Hbar_yy or the bilevel gradient's H_yy(f2) (:func:`_make_solve_yy`).
+* ``H`` solves directly: one (m+2)-column and one vector Hzz(f3) solve per
+  UL gradient, by Hzz(f3)'s own ``solve`` when it has one (the quartic's
   Sherman-Morrison), else by LAPACK. Reference quality; only meant for
   desk-scale problems.
+* ``AD`` replaces the solves with truncated Neumann series at scales 1/c0
+  (one Hzz(f3) series per column, on the oracle's ``hvp_zz_f3``) and 1/c1
+  (the m x m matrix): m+3 inner series per UL gradient. A Hzz(f3) series
+  on a sample that is not a NoiseDraw multiplies by one exact matrix, so it
+  is the same truncated polynomial evaluated on its Krylov space
+  (:func:`neumann_krylov_apply`), in as many products as that space has
+  dimensions (at most 2 on adv-hpt) instead of Q. Its scale c1 bounds the
+  Hbar_yy that this engine inverts (:func:`auto_scales`).
 * ``NFD`` solves every inverse-Hessian system with linear CG, realizing
   each Hessian-vector product as a central finite difference of the
-  corresponding gradient.
-* ``AD``  replaces the solves with truncated Neumann series at scales
-  1/c0 (lower level) and 1/c1 (reduced middle level) on the oracle's
-  Hessian-vector products. A Hzz(f3) series on a sample that is not a
-  NoiseDraw multiplies by one exact matrix, so it is the same truncated
-  polynomial evaluated on its Krylov space (:func:`neumann_krylov_apply`),
-  in as many products as that space has dimensions (at most 2 on adv-hpt)
-  instead of Q. The UL gradient runs H's reduced-Hessian algebra
-  (:func:`_ul_reduced`): one Hzz series per column of [grad_z f1 | Hyz3^T |
-  grad_z f2] and one for the x side, and the outer series on the dense
-  m x m Hbar_yy: m+3 inner series per gradient.
-
-NFD and AD share one matrix-free class, ``_Ops``: its ``inverse`` method
-is the only place that chooses between CG, the Neumann recurrence and its
-Krylov evaluation, and its f3 products are the oracle's under AD and
-central differences of its gradients under NFD.
-NFD's UL gradient takes directional derivatives of the reduced maps
-grad_y fbar and grad_x fbar along a y-direction v with the lower-level
-variable moved to first order along s = (dz/dy) v; differencing at frozen
-z would converge to the partial (fixed-z) Hessian instead of the reduced
-one, which is a different matrix whenever f2 or f3 couples y and z. AD's
-scale c1 comes from these products too (:func:`auto_scales`).
+  corresponding gradient (``_Ops``). Its UL gradient takes directional
+  derivatives of the reduced maps grad_y fbar and grad_x fbar along a
+  y-direction v with the lower-level variable moved to first order along
+  s = (dz/dy) v; differencing at frozen z would converge to the partial
+  (fixed-z) Hessian instead of the reduced one, which is a different matrix
+  whenever f2 or f3 couples y and z. ``fd_eps`` acts on this engine only.
 
 All evaluations inside one gradient computation receive the caller's
 SampleSpec unchanged (fixed-sample contract).
@@ -70,10 +67,12 @@ ENGINES = (ENGINE_H, ENGINE_NFD, ENGINE_AD)
 class AdjointConfig:
     """Approximation knobs for the adjoint engines.
 
-    ``cg_max_iters=None`` leaves the cap to :func:`cg_solve` (10x the dimension).
-    ``c0`` and ``c1`` are the Lipschitz-style scaling constants of the
-    lower-level Hessian and the reduced middle-level Hessian; the AD
-    engine requires them (see :func:`auto_scales`).
+    ``fd_eps`` (the finite-difference step), ``cg_tol`` and ``cg_max_iters``
+    are the NFD engine's; ``cg_max_iters=None`` leaves the cap to
+    :func:`cg_solve` (10x the dimension). ``neumann_q``, ``c0`` and ``c1``
+    are the AD engine's: its series length and the Lipschitz-style scaling
+    constants of the lower-level Hessian and the reduced middle-level
+    Hessian, which it requires (see :func:`auto_scales`).
     """
 
     engine: str = ENGINE_H
@@ -252,20 +251,11 @@ def _fd_dir(method, point: Point, sample, eps: float, **dirs: Array) -> Array:
 
 
 class _Ops:
-    """Matrix-free primitives of the NFD and AD engines, bound to
-    (oracle, sample, cfg, events).
-
-    The two engines differ in two places only. :meth:`inverse` solves
-    every inverse-Hessian system: by CG under NFD, by a truncated Neumann
-    series at 1/c0 (Hzz) or 1/c1 (reduced middle level) under AD.
-    ``analytic`` is set when the engine is AD; the f3 products
-    H_{block,z} v then come from the oracle, otherwise they are central
-    differences of its gradients. An analytic Hzz series on a sample that
-    is not a NoiseDraw multiplies by one exact symmetric matrix, so
-    :meth:`inverse` evaluates it on its Krylov space; every other series
-    runs the recurrence. ``block`` names the x, y or z variable block of a
-    product. :meth:`reduced_apply` is the FD reduced product of NFD's UL
-    gradient and of :func:`auto_scales`.
+    """Matrix-free primitives of the NFD engine, bound to (oracle, sample,
+    cfg, events): CG solves (:meth:`inverse`), f3 products as central
+    differences of the oracle's gradients at ``fd_eps``, and
+    :meth:`reduced_apply`, the FD reduced product of the UL gradient.
+    ``block`` names the x, y or z variable block of a product.
     """
 
     def __init__(self, oracle, sample, cfg, events):
@@ -273,46 +263,29 @@ class _Ops:
         self.sample = sample
         self.cfg = cfg
         self.events = events
-        self.analytic = cfg.engine == ENGINE_AD
 
-    def inverse(self, apply_A, b, scale_name: str, label: str) -> Array:
-        """Approximate A^{-1} b. ``scale_name`` names the AD scale constant
-        bounding |A| ("c0" or "c1"); CG solves that stop on curvature or at
+    def inverse(self, apply_A, b, label: str) -> Array:
+        """Approximate A^{-1} b by CG; solves that stop on curvature or at
         the iteration cap above tolerance are flagged in ``events``."""
         cfg, events = self.cfg, self.events
-        if cfg.engine == ENGINE_NFD:
-            report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=cfg.cg_max_iters)
-            if events is not None:
-                if report.terminated_on_curvature:
-                    events.append(f"cg_curvature:{label}")
-                elif not report.converged:
-                    events.append(f"cg_capped:{label}")
-            return report.solution
-        scale = getattr(cfg, scale_name)
-        if cfg.neumann_q is None or cfg.neumann_q < 0:
-            raise ValueError("AD engine requires a nonnegative neumann_q")
-        if scale is None or scale <= 0:
-            raise ValueError(f"AD engine requires a positive {scale_name}")
-        # Hzz products from the oracle on a fixed sample form an exact
-        # symmetric linear map; FD products and noise draws keyed by their
-        # direction do not, so those series keep the recurrence
-        exact_linear = scale_name == "c0" and self.analytic and not isinstance(self.sample, NoiseDraw)
-        apply = neumann_krylov_apply if exact_linear else neumann_inverse_apply
-        return apply(apply_A, b, cfg.neumann_q, 1.0 / scale, events, label)
+        report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=cfg.cg_max_iters)
+        if events is not None:
+            if report.terminated_on_curvature:
+                events.append(f"cg_curvature:{label}")
+            elif not report.converged:
+                events.append(f"cg_capped:{label}")
+        return report.solution
 
     def hvp_z(self, point, block, v) -> Array:
         """H_{block,z}(f3) v."""
-        if self.analytic:
-            return np.asarray(getattr(self.oracle, f"hvp_{block}z_f3")(point, self.sample, v), float)
         method = getattr(self.oracle, f"grad_{block}_f3")
         return _fd_dir(method, point, self.sample, self.cfg.fd_eps, z=v)
 
     def inv_zz(self, point, b, label) -> Array:
-        return self.inverse(lambda v: self.hvp_z(point, "z", v), b, "c0", label)
+        return self.inverse(lambda v: self.hvp_z(point, "z", v), b, label)
 
     def hvp_zy(self, point, v) -> Array:
-        # transposed cross product H_zy(f3) v; no oracle surface for it,
-        # so both matrix-free engines difference grad_z f3 in y
+        # transposed cross product H_zy(f3) v: grad_z f3 differenced in y
         return _fd_dir(self.oracle.grad_z_f3, point, self.sample, self.cfg.fd_eps, y=v)
 
     def fbar_gradient(self, point, block) -> Array:
@@ -334,6 +307,63 @@ class _Ops:
         in the two-evaluation form of the mixed partial."""
         return _fd_dir(lambda p, _: self.fbar_gradient(p, block), point, self.sample,
                        self.cfg.fd_eps, y=v, z=self.track_z(point, v))
+
+
+def _make_solve_zz(oracle, point, sample, cfg, events):
+    """The H or AD engine's ``solve_zz(B, labels)`` at (point, sample):
+    Hzz(f3)^{-1} applied to a t-vector (one label) or to the columns of a
+    t x k block (one label per column).
+
+    H uses Hzz(f3)'s own ``solve`` when it has one (the quartic's
+    :class:`~trilevel.linalg.RankOneUpdate`); for an array, after one lookup
+    in the one-entry memo, products with the inverse of an Hzz object seen
+    on the last lookup and one-shot solves otherwise. One lookup per
+    gradient, so a second solve against the same fresh Hessian does not make
+    the memo invert it. AD applies one truncated Neumann series per column
+    at 1/c0 on the oracle's ``hvp_zz_f3``, each labelled as its NFD twin.
+    """
+    if cfg.engine == ENGINE_H:
+        Hzz = oracle.hess_zz_f3(point, sample)
+        solve = getattr(Hzz, "solve", None)
+        if solve is None:
+            F = lu_factor_cached(Hzz)
+            solve = (lambda B: solve_dense(Hzz, B)) if F is None else (lambda B: lu_solve(F, B))
+        return lambda B, labels: solve(B)
+
+    q, scale = cfg.neumann_q, _neumann_scale(cfg, "c0")
+    # Hzz products on a fixed sample form an exact symmetric linear map;
+    # noise draws keyed by their direction do not, so those keep the recurrence
+    series = neumann_inverse_apply if isinstance(sample, NoiseDraw) else neumann_krylov_apply
+
+    def hvp(v):
+        return oracle.hvp_zz_f3(point, sample, v)
+
+    def solve_zz(B, labels):
+        if B.ndim == 1:
+            return series(hvp, B, q, scale, events, labels)
+        return np.column_stack([series(hvp, b, q, scale, events, label) for b, label in zip(B.T, labels)])
+
+    return solve_zz
+
+
+def _make_solve_yy(cfg, events):
+    """The H or AD engine's ``solve_yy(A, b, label)``: A^{-1} b for an m x m
+    matrix A, by LAPACK under H and by a truncated Neumann series at 1/c1
+    under AD."""
+    if cfg.engine == ENGINE_H:
+        return lambda A, b, label: solve_dense(A, b)
+    q, scale = cfg.neumann_q, _neumann_scale(cfg, "c1")
+    return lambda A, b, label: neumann_inverse_apply(lambda v: A @ v, b, q, scale, events, label)
+
+
+def _neumann_scale(cfg, name: str) -> float:
+    """1/c for the AD scale constant ``name``, once the series' knobs are valid."""
+    c = getattr(cfg, name)
+    if cfg.neumann_q is None or cfg.neumann_q < 0:
+        raise ValueError("AD engine requires a nonnegative neumann_q")
+    if c is None or c <= 0:
+        raise ValueError(f"AD engine requires a positive {name}")
+    return 1.0 / c
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +396,15 @@ def grad_x_fbar(
 
 
 def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
-    """Gradient of the reduced middle-level objective in the x or y block."""
+    """Gradient of the reduced middle-level objective in the x or y block:
+    H and AD apply the oracle's H_{block,z}(f3) to the engine's solve."""
     cfg = cfg or AdjointConfig()
-    if cfg.engine == ENGINE_H:
-        w = _zz_solver(oracle.hess_zz_f3(point, sample))(
-            np.asarray(oracle.grad_z_f2(point, sample), float))
-        return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
-                - getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w)
-    return _Ops(oracle, sample, cfg, events).fbar_gradient(point, block)
+    if cfg.engine == ENGINE_NFD:
+        return _Ops(oracle, sample, cfg, events).fbar_gradient(point, block)
+    solve_zz = _make_solve_zz(oracle, point, sample, cfg, events)
+    w = solve_zz(np.asarray(oracle.grad_z_f2(point, sample), float), "ml_w" if block == "y" else "gx_w")
+    return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
+            - getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w)
 
 
 def ul_adjoint_gradient(
@@ -391,60 +422,32 @@ def ul_adjoint_gradient(
     (``cg_capped:<label>``) are appended to ``events`` when a list is
     supplied.
 
-    H and AD run the reduced-Hessian algebra of :func:`_ul_reduced`, H with
-    direct solves and AD with truncated Neumann series on the oracle's
-    products. NFD takes Hbar_yy and Hbar_xy products as central
+    H and AD run the reduced-Hessian algebra of :func:`_ul_reduced` with
+    their solver pair. NFD takes Hbar_yy and Hbar_xy products as central
     differences (:meth:`_Ops.reduced_apply`) and solves with CG.
     """
     cfg = cfg or AdjointConfig()
-    if cfg.engine == ENGINE_H:
-        solve = _zz_solver(oracle.hess_zz_f3(point, sample))
-        return _ul_reduced(oracle, point, sample, lambda B, labels: solve(B), solve_dense)
+    if cfg.engine != ENGINE_NFD:
+        return _ul_reduced(oracle, point, sample, _make_solve_zz(oracle, point, sample, cfg, events),
+                           _make_solve_yy(cfg, events))
     ops = _Ops(oracle, sample, cfg, events)
     o, s = oracle, sample
-    if cfg.engine == ENGINE_AD:
-        def solve_zz(B, labels):
-            # one Hzz series per column, each labelled as its NFD twin
-            if B.ndim == 1:
-                return ops.inv_zz(point, B, labels)
-            return np.column_stack([ops.inv_zz(point, b, label) for b, label in zip(B.T, labels)])
-
-        def solve_yy(Hyy_bar, b):
-            return ops.inverse(lambda v: Hyy_bar @ v, b, "c1", "lam_y")
-
-        return _ul_reduced(o, point, s, solve_zz, solve_yy)
-
     lam_z = ops.inv_zz(point, np.asarray(o.grad_z_f1(point, s), float), "lam_z")
     b = np.asarray(o.grad_y_f1(point, s), float) - ops.hvp_z(point, "y", lam_z)
-    lam_y = ops.inverse(lambda v: ops.reduced_apply(point, "y", v), b, "c1", "lam_y")
+    lam_y = ops.inverse(lambda v: ops.reduced_apply(point, "y", v), b, "lam_y")
     cross = ops.reduced_apply(point, "x", lam_y)
     return np.asarray(o.grad_x_f1(point, s), float) - ops.hvp_z(point, "x", lam_z) - cross
-
-
-def _zz_solver(Hzz) -> Callable[[Array], Array]:
-    """B -> Hzz^{-1} B: Hzz's own ``solve`` when it has one (the quartic's
-    :class:`~trilevel.linalg.RankOneUpdate`); for an array, after one
-    lookup in the one-entry memo, products with the inverse of an Hzz
-    object seen on the last lookup and one-shot solves otherwise. One lookup per gradient, so a second solve against
-    the same fresh Hessian does not make the memo invert it."""
-    solve = getattr(Hzz, "solve", None)
-    if solve is not None:
-        return solve
-    F = lu_factor_cached(Hzz)
-    if F is None:
-        return lambda B: solve_dense(Hzz, B)
-    return lambda B: lu_solve(F, B)
 
 
 def _ul_reduced(oracle, point, sample, solve_zz, solve_yy) -> Array:
     """The reduced-Hessian algebra of the upper-level gradient: Hbar_yy
     assembled densely from Hessian blocks, products and third-order
     contractions, and the x side in reverse mode. The engine supplies the
-    two solvers: ``solve_zz(B, labels)`` applies Hzz(f3)^{-1} to a t-vector
-    (one label) or to the columns of a t x k block (one label per column),
-    and ``solve_yy(Hbar_yy, b)`` applies Hbar_yy^{-1}. H solves both
-    directly; AD applies truncated Neumann series at 1/c0 and 1/c1, so its
-    gradient is a Q-term estimate built from the oracle's products.
+    two solvers (:func:`_make_solve_zz`, :func:`_make_solve_yy`).
+    ``solve_yy`` receives Hbar_yy itself, so a caller that passes its own
+    sees the matrix (:func:`auto_scales`). H solves both directly; AD
+    applies truncated Neumann series at 1/c0 and 1/c1, so its gradient is
+    a Q-term estimate built from the oracle's products.
 
     With T_abc = T_abc(f3) contracted with w2 = Hzz^{-1} grad_z f2, the pieces
     D = T_zzz - Hzz2 and E = Hyz2 - T_yzz, and Jx, Jy = dz/dx, dz/dy:
@@ -475,7 +478,7 @@ def _ul_reduced(oracle, point, sample, solve_zz, solve_yy) -> Array:
     S = E @ Jy
     Hyy_bar = (np.asarray(o.hess_yy_f2(p, s), float) - o.t3_yzy_f3_contract(p, s, w2) + S + S.T
                - Jy.T @ DJy)
-    lam_y = solve_yy(Hyy_bar, np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z)
+    lam_y = solve_yy(Hyy_bar, np.asarray(o.grad_y_f1(p, s), float) - Hyz3 @ lam_z, "lam_y")
 
     u = Jy @ lam_y
     v = solve_zz(gz1 - (E.T @ lam_y - DJy @ lam_y), "gx_w")
@@ -497,26 +500,22 @@ def bilevel_adjoint_gradient(
 
     grad = grad_x f1 - H_xy(f2) H_yy(f2)^{-1} grad_y f1.
 
-    H solves with H_yy(f2) directly, and AD inverts it by a truncated
-    Neumann series at 1/c1 on products with the oracle's block, using no
-    c0; both apply the oracle's H_yx(f2). NFD takes the H_yy(f2) and
-    H_xy(f2) products as central differences of grad_y f2 and grad_x f2
-    at ``fd_eps``, whose error dominates off the quadratic family.
+    H and AD invert the oracle's H_yy(f2) with their ``solve_yy`` (AD's
+    Neumann series at 1/c1 needs no c0), and both apply the oracle's
+    H_yx(f2). NFD takes the H_yy(f2) and H_xy(f2) products as central
+    differences of grad_y f2 and grad_x f2 at ``fd_eps``, whose error
+    dominates off the quadratic family.
     """
     cfg = cfg or AdjointConfig()
     o, p, s = oracle, point, sample
     gy1 = np.asarray(o.grad_y_f1(p, s), float)
     if cfg.engine == ENGINE_NFD:
-        ops = _Ops(o, s, cfg, events)
-        lam = ops.inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v), gy1, "c1",
-                          "bilevel_lam")
+        lam = _Ops(o, s, cfg, events).inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v),
+                                              gy1, "bilevel_lam")
         cross = _fd_dir(o.grad_x_f2, p, s, cfg.fd_eps, y=lam)
     else:
-        Hyy = np.asarray(o.hess_yy_f2(p, s), float)
-        if cfg.engine == ENGINE_H:
-            lam = solve_dense(Hyy, gy1)
-        else:
-            lam = _Ops(o, s, cfg, events).inverse(lambda v: Hyy @ v, gy1, "c1", "bilevel_lam")
+        solve_yy = _make_solve_yy(cfg, events)
+        lam = solve_yy(np.asarray(o.hess_yy_f2(p, s), float), gy1, "bilevel_lam")
         cross = np.asarray(o.hess_yx_f2(p, s), float).T @ lam
     return np.asarray(o.grad_x_f1(p, s), float) - cross
 
@@ -529,48 +528,37 @@ def auto_scales(
     oracle: ProblemOracle,
     point: Point,
     neumann_q: int = 20,
-    fd_eps: float = 0.1,
     c0: Optional[float] = None,
 ) -> tuple[float, float]:
-    """Estimate the Neumann scaling constants (c0, c1) at a probe point,
+    """The AD engine's Neumann scaling constants (c0, c1) at a probe point,
     on the deterministic sample.
 
-    c0 doubles the max absolute row sum of a probe lower-level Hessian;
-    c1 doubles a power-iteration estimate of the reduced middle-level
-    Hessian norm obtained through the AD engine's own operator. Pass an
-    explicit ``c0`` to pin the lower-level scale and calibrate only c1;
-    problems whose lower-level curvature at the probe point is degenerate
-    (e.g. a cold-started adversarial perturbation problem) need this,
-    since the probe-local estimate would make 1/c0 enormous; it is
-    returned unchanged.
+    c0 doubles the max absolute row sum of the probe lower-level Hessian.
+    Pass an explicit ``c0`` to pin the lower-level scale and calibrate only
+    c1; problems whose lower-level curvature at the probe point is
+    degenerate (e.g. a cold-started adversarial perturbation problem) need
+    this, since the probe-local estimate would make 1/c0 enormous; it is
+    returned unchanged. c1 doubles the spectral norm of the reduced
+    middle-level Hessian Hbar_yy that AD's UL gradient inverts at the probe
+    point: the matrix :func:`_ul_reduced` assembles with AD's ``neumann_q``-term
+    Hzz series at 1/c0, so c1 follows c0 and Q.
     """
     if c0 is None:
         Hzz = np.asarray(oracle.hess_zz_f3(point, DETERMINISTIC), float)
         c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
-    cfg = AdjointConfig(engine=ENGINE_AD, fd_eps=fd_eps, neumann_q=neumann_q, c0=c0)
-    ops = _Ops(oracle, DETERMINISTIC, cfg, None)
-    c1 = 2.0 * _power_norm(lambda v: ops.reduced_apply(point, "y", v), point.y.size)
-    return c0, c1
+    cfg = AdjointConfig(engine=ENGINE_AD, neumann_q=neumann_q, c0=c0)
+    solve_zz = _make_solve_zz(oracle, point, DETERMINISTIC, cfg, None)
+    captured = []
+
+    def capture(Hyy_bar, b, label):
+        captured.append(Hyy_bar)
+        return np.zeros_like(b)
+
+    _ul_reduced(oracle, point, DETERMINISTIC, solve_zz, capture)
+    return c0, 2.0 * float(np.linalg.norm(captured[0], 2))
 
 
-def auto_scale_bilevel(oracle: ProblemOracle, point: Point, fd_eps: float = 0.1) -> float:
-    """c1 for :func:`bilevel_adjoint_gradient`: doubles a power-iteration
-    estimate of |H_yy(f2)| at a probe point, on the deterministic sample."""
-    return 2.0 * _power_norm(
-        lambda v: _fd_dir(oracle.grad_y_f2, point, DETERMINISTIC, fd_eps, y=v), point.y.size
-    )
-
-
-def _power_norm(apply_A, dim) -> float:
-    """Norm estimate of the operator after five power iterations from a
-    fixed random start (seed 0)."""
-    v = np.random.default_rng(0).standard_normal(dim)
-    v /= np.linalg.norm(v)
-    est = 1.0
-    for _ in range(5):
-        u = np.asarray(apply_A(v), float)
-        est = float(np.linalg.norm(u))
-        if est == 0.0 or not np.isfinite(est):
-            return max(est, 1.0)
-        v = u / est
-    return est
+def auto_scale_bilevel(oracle: ProblemOracle, point: Point) -> float:
+    """c1 for :func:`bilevel_adjoint_gradient`: doubles the spectral norm of
+    the oracle's H_yy(f2) at a probe point, on the deterministic sample."""
+    return 2.0 * float(np.linalg.norm(np.asarray(oracle.hess_yy_f2(point, DETERMINISTIC), float), 2))

@@ -224,7 +224,7 @@ class AdvHptOracle(ProblemOracle):
     """Analytic derivatives of the linear-model / MSE formulation.
 
     Deterministic samples use the full training split; MinibatchIndices
-    index rows of the training split. The HVPs, Hzz(f2) products and
+    index rows of the training split. The Hzz(f3) and Hzz(f2) products and
     third-order contractions exploit the per-row block structure of the
     delta coordinates, so the AD engine forms no t x t array; only
     ``hess_zz_f3``, which the H engine factors, is t x t. f3 has no x and
@@ -414,7 +414,7 @@ class AdvHptOracle(ProblemOracle):
         H[:d, :d] += scale * np.diag(pen_hvp(np.ones(d)))
         return H
 
-    # -- Hessian-vector products ---------------------------------------------
+    # -- Hessian-vector product -----------------------------------------------
     def hvp_zz_f3(self, p, sample, v):
         # Hzz has two eigenvalues (diag, and diag - coef*|theta_f|^2 on the
         # batch rows' theta_f direction), so the AD engine's Krylov
@@ -427,21 +427,6 @@ class AdvHptOracle(ProblemOracle):
         s = V.take(batch, axis=0) @ theta_f
         out[batch] = out.take(batch, axis=0) - (2.0 / batch.size) * (s[:, None] * theta_f[None, :])
         return out.ravel()
-
-    def hvp_xz_f3(self, p, sample, v):
-        return np.zeros(1)
-
-    def hvp_yz_f3(self, p, sample, v):
-        _, theta_f, theta_0, delta = self._split(p)
-        batch = self._batch(sample)
-        n, d = self.problem.n_train, self.problem.n_features
-        feats, r = self._residuals(theta_f, theta_0, delta, batch)
-        V = np.asarray(v, dtype=float).reshape(n, d)[batch]
-        s = V @ theta_f
-        A = np.hstack([feats, np.ones((batch.size, 1))])
-        out = A.T @ s
-        out[:d] += V.T @ r
-        return -(2.0 / batch.size) * out
 
     # -- third-order contractions ----------------------------------------------
     # f3 has no x, and its Hzz does not depend on delta: T_yzx, T_zzx and

@@ -143,19 +143,18 @@ def _resolve_adjoint(cfg: ExperimentConfig, oracle, init: Point, pin_c0=None) ->
 
     c1 bounds the operator that the reduction's Neumann series inverts: the
     reduced Hessian Hbar_yy, or H_yy(f2) at z = 0 for ``without-ll``, whose
-    gradient uses no c0.
+    gradient uses no c0. Both come from oracle products, so ``fd_eps``
+    does not change them.
     """
     c0, c1 = cfg.c0, cfg.c1
     if cfg.engine == ENGINE_AD and cfg.reduction == REDUCTION_WITHOUT_LL:
         if c1 is None:
-            c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros_like(init.z)), fd_eps=cfg.fd_eps)
+            c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros_like(init.z)))
             _log(f"auto scale: c1={c1:.6g}")
     elif cfg.engine == ENGINE_AD and (c0 is None or c1 is None):
         # auto_scales returns a given c0 unchanged
-        c0, auto_c1 = auto_scales(
-            oracle, init, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps,
-            c0=pin_c0 if c0 is None else c0,
-        )
+        c0, auto_c1 = auto_scales(oracle, init, neumann_q=cfg.neumann_q,
+                                  c0=pin_c0 if c0 is None else c0)
         c1 = c1 if c1 is not None else auto_c1
         _log(f"auto scales: c0={c0:.6g} c1={c1:.6g}")
     return AdjointConfig(
@@ -328,7 +327,7 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
     oracle = make_oracle(spec)
     x = default_init_point(spec, rng=cfg.spec_seed + 1).x
     point = closed_form_point(spec, x)
-    c0, c1 = auto_scales(oracle, point, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps)
+    c0, c1 = auto_scales(oracle, point, neumann_q=cfg.neumann_q)
     cfgs = [
         AdjointConfig(engine=ENGINE_H),
         AdjointConfig(engine=ENGINE_NFD, fd_eps=cfg.fd_eps),
@@ -353,7 +352,7 @@ def verify_checks(cfg: ExperimentConfig) -> list[tuple[str, float, float, bool]]
     qinit = default_init_point(qspec, rng=3)
     qpoint = closed_form_point(qspec, qinit.x)
     qfd = fd_grad_f(qoracle, qinit.x, warm=qinit)
-    qc0, qc1 = auto_scales(qoracle, qpoint, neumann_q=max(cfg.neumann_q, 40), fd_eps=cfg.fd_eps)
+    qc0, qc1 = auto_scales(qoracle, qpoint, neumann_q=max(cfg.neumann_q, 40))
     qcfgs = [
         AdjointConfig(engine=ENGINE_H),
         AdjointConfig(engine=ENGINE_NFD, fd_eps=cfg.fd_eps),

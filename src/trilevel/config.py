@@ -12,7 +12,7 @@ Example, with every key at its default (``;`` after a space starts a comment)::
 
     [engine]
     kind = NFD              ; H | NFD | AD
-    fd_eps = 0.1
+    fd_eps = 0.1            ; NFD only: its finite-difference step
     cg_max_iters = auto
     neumann_q = 30
     c0 = auto               ; auto-calibrated at the initial point

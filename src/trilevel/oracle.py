@@ -132,11 +132,14 @@ class OracleCapabilities:
 class ProblemOracle:
     """Base class for derivative oracles.
 
-    Every engine calls the f1/f2/f3 values and the nine gradient blocks.
-    The H and AD engines also call the Hessian blocks, HVPs and third-order
-    contractions; the NFD engine calls none of them (an ``affine_ll``
-    lower-level cycle calls ``hess_zz_f3`` under any engine). A method the
-    subclass does not define raises the base class's NotImplementedError.
+    The contract has 23 derivative methods. Every engine calls the
+    f1/f2/f3 values and the nine gradient blocks. The H and AD engines also
+    call the seven Hessian blocks, the two products (``hvp_zz_f2``, and
+    ``hvp_zz_f3``, which only AD's Hzz series call) and the five
+    third-order contractions; the NFD engine calls none of them (an
+    ``affine_ll`` lower-level cycle calls ``hess_zz_f3`` under any
+    engine). A method the subclass does not define raises the base class's
+    NotImplementedError.
     Mixed derivatives are symmetric, so each mixed block is supplied once
     and the engines transpose it: H_zy(f2) is ``hess_yz_f2(...).T`` and the
     (z, z, y) contraction is ``t3_yzz_f3_contract(...).T``. The zz blocks of
@@ -220,14 +223,8 @@ class ProblemOracle:
         """Hzz(f2) V for V of shape (t,) or (t, k)."""
         raise NotImplementedError
 
-    # Hessian-vector products (AD engine) ---------------------------------
+    # Hessian-vector product (AD engine's Hzz(f3) series) -----------------
     def hvp_zz_f3(self, point, sample, v) -> Array:
-        raise NotImplementedError
-
-    def hvp_xz_f3(self, point, sample, v) -> Array:
-        raise NotImplementedError
-
-    def hvp_yz_f3(self, point, sample, v) -> Array:
         raise NotImplementedError
 
     # third-order contractions (H and AD engines) -------------------------
@@ -305,7 +302,8 @@ def _digest(*arrays: Array) -> int:
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 # block tags keep noise draws independent across derivative blocks; the
-# None slots (13, 14) keep each later block's tag, and so its draws, unchanged
+# None slots (13, 14, 19, 20) keep each later block's tag, and so its draws,
+# unchanged
 _BLOCK_TAGS = {
     name: idx
     for idx, name in enumerate(
@@ -316,7 +314,7 @@ _BLOCK_TAGS = {
             "hess_zz_f3", "hess_xz_f3", "hess_yz_f3",
             "hess_zx_f2", None, None,
             "hess_yx_f2", "hess_yy_f2", "hess_yz_f2",
-            "hvp_zz_f3", "hvp_xz_f3", "hvp_yz_f3",
+            "hvp_zz_f3", None, None,
             "hvp_zz_f2",
         ]
     )

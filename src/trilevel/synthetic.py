@@ -344,12 +344,6 @@ class QuadraticOracle(_SyntheticOracle):
     def hvp_zz_f3(self, p, sample, v):
         return self.spec.Hzz @ v
 
-    def hvp_xz_f3(self, p, sample, v):
-        return -self.spec.Hxz @ v
-
-    def hvp_yz_f3(self, p, sample, v):
-        return -self.spec.Hyz @ v
-
     def t3_yzx_f3_contract(self, p, sample, v):
         return np.zeros((self.spec.m, self.spec.n))
 
@@ -414,14 +408,6 @@ class QuarticOracle(_SyntheticOracle):
     def hvp_zz_f3(self, p, sample, v):
         g, u = self._parts(p)
         return (u @ v) * u + 2.0 * g * (self.spec.Hzz @ v)
-
-    def hvp_xz_f3(self, p, sample, v):
-        g, u = self._parts(p)
-        return -(u @ v) * (self.spec.Hxz @ p.z) - g * (self.spec.Hxz @ v)
-
-    def hvp_yz_f3(self, p, sample, v):
-        g, u = self._parts(p)
-        return -(u @ v) * (self.spec.Hyz @ p.z) - g * (self.spec.Hyz @ v)
 
     def t3_yzx_f3_contract(self, p, sample, v):
         s = self.spec

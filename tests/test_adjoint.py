@@ -686,6 +686,50 @@ class TestAutoScales:
         c0, _ = auto_scales(oracle, point, c0=3.5)
         assert c0 == 3.5
 
+    @staticmethod
+    def ad_hbar_yy(monkeypatch, oracle, point, q, c0):
+        """The Hbar_yy that AD's UL gradient hands its solve_yy at point."""
+        seen = []
+        reduced = adjoint._ul_reduced
+
+        def spy(o, p, s, solve_zz, solve_yy):
+            return reduced(o, p, s, solve_zz, lambda A, b, label: seen.append(A) or solve_yy(A, b, label))
+
+        monkeypatch.setattr(adjoint, "_ul_reduced", spy)
+        ul_adjoint_gradient(oracle, point, DETERMINISTIC,
+                            AdjointConfig(engine="AD", neumann_q=q, c0=c0, c1=1.0))
+        monkeypatch.undo()
+        return seen[0]
+
+    @pytest.mark.parametrize("family", ["quadratic", "advhpt"])
+    def test_c1_doubles_the_norm_of_ads_hbar_yy(self, monkeypatch, family):
+        if family == "quadratic":
+            spec = default_quadratic(5, 4, 3, rng=12)
+            oracle = make_oracle(spec)
+            point = closed_form_point(spec, np.ones(5))
+            q, c0 = 20, None
+        else:  # the CLI's probe: split 7's init_point, c0 pinned to 1, Q = 30
+            ds = ah.load_csv(ah.bundled_dataset_path())
+            problem = ah.build_problem(ds, ah.split_dataset(ds, 7))
+            oracle, point = ah.build_oracle(problem, ds), ah.init_point(problem)
+            q, c0 = 30, 1.0
+        c0, c1 = auto_scales(oracle, point, neumann_q=q, c0=c0)
+        hbar = self.ad_hbar_yy(monkeypatch, oracle, point, q, c0)
+        assert c1 == pytest.approx(2.0 * np.abs(np.linalg.eigvalsh(hbar)).max(), rel=1e-12)
+        if family == "advhpt":
+            # five FD power iterations read 87.72 here
+            assert c1 == pytest.approx(87.39, rel=1e-3)
+
+    def test_bilevel_c1_doubles_the_norm_of_hyy_f2(self):
+        # a spread spectrum, on which five power iterations stop short
+        M = np.random.default_rng(15).normal(0, 1, (5, 5))
+        spec = replace(default_quadratic(4, 5, 3, rng=15), Hyy=M @ M.T / 5 + 4.0 * np.eye(5))
+        oracle = make_oracle(spec)
+        point = default_init_point(spec, rng=16)
+        Hyy = oracle.hess_yy_f2(point, DETERMINISTIC)
+        assert auto_scale_bilevel(oracle, point) == pytest.approx(
+            2.0 * np.abs(np.linalg.eigvalsh(Hyy)).max(), rel=1e-12)
+
 
 class TestBilevelGradient:
     def test_matches_fd_of_frozen_z_reduction(self):
@@ -765,9 +809,9 @@ class TestReducedPath:
         c0, c1 = auto_scales(oracle, point)
         # Hbar_yy as the H engine assembles it, for the outer series' rate
         hbar = []
-        solve = adjoint._zz_solver(oracle.hess_zz_f3(point, DETERMINISTIC))
-        adjoint._ul_reduced(oracle, point, DETERMINISTIC, lambda B, labels: solve(B),
-                            lambda H, b: hbar.append(H) or np.linalg.solve(H, b))
+        solve_zz = adjoint._make_solve_zz(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"), None)
+        adjoint._ul_reduced(oracle, point, DETERMINISTIC, solve_zz,
+                            lambda H, b, label: hbar.append(H) or np.linalg.solve(H, b))
         rho = max(float(np.max(np.abs(1.0 - np.linalg.eigvalsh(A) / c)))
                   for A, c in ((oracle.hess_zz_f3(point, DETERMINISTIC), c0), (hbar[0], c1)))
         # Q from the geometric truncation bound rho^{Q+1}/(1-rho) <= 1e-8
@@ -792,6 +836,25 @@ class TestReducedPath:
             ul_adjoint_gradient(noisy, point, sample, AdjointConfig(engine="NFD"))
             assert taken and set(taken) == {"fd"}
             taken.clear()
+
+    def test_ad_reaches_no_finite_difference(self, monkeypatch):
+        # AD's gradients and scales take oracle products only; NFD's FD
+        # primitives (_Ops, _fd_dir) are NFD's alone
+        spec = default_quadratic(3, 3, 3, rng=9)
+        oracle = make_oracle(spec)
+        point = closed_form_point(spec, np.ones(3))
+        fd_dir, ops_init, calls = adjoint._fd_dir, adjoint._Ops.__init__, []
+        monkeypatch.setattr(adjoint, "_fd_dir", lambda *a, **k: calls.append("fd") or fd_dir(*a, **k))
+        monkeypatch.setattr(adjoint._Ops, "__init__", lambda *a: calls.append("ops") or ops_init(*a))
+        c0, c1 = auto_scales(oracle, point)
+        c1_bilevel = auto_scale_bilevel(oracle, point)
+        cfg = AdjointConfig(engine="AD", neumann_q=6, c0=c0, c1=c1)
+        for fn in (ml_adjoint_gradient, grad_x_fbar, ul_adjoint_gradient):
+            fn(oracle, point, DETERMINISTIC, cfg)
+        bilevel_adjoint_gradient(oracle, point, DETERMINISTIC, replace(cfg, c1=c1_bilevel))
+        assert calls == []
+        ml_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="NFD"))
+        assert set(calls) == {"ops", "fd"}
 
     def test_ad_on_a_zero_noise_draw_matches_deterministic(self):
         # a NoiseDraw keeps the Hzz series on the recurrence, which gives
@@ -964,7 +1027,7 @@ class TestPinned:
         np.testing.assert_array_equal(g, [float.fromhex("0x1.916bbecad6badp-19")])
         assert events == []
         g = ml_adjoint_gradient(oracle, point, batch, cfg, events=events)
-        expected = ["0x1.073749c494a28p+1", "0x1.f505c735a4b5dp+5", "-0x1.d187ca38e84b6p+5",
-                    "-0x1.4de22c2a6ea6cp+7", "-0x1.1e526d4f51528p+6", "0x1.db806e5e01b76p+3"]
+        expected = ["0x1.073749c494a29p+1", "0x1.f505c735a4b5ep+5", "-0x1.d187ca38e84b4p+5",
+                    "-0x1.4de22c2a6ea6cp+7", "-0x1.1e526d4f51529p+6", "0x1.db806e5e01b74p+3"]
         np.testing.assert_array_equal(g, [float.fromhex(h) for h in expected])
         assert events == []

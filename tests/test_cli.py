@@ -227,8 +227,8 @@ class TestAutoScales:
         oracle, init = make_oracle(spec), default_init_point(spec, rng=43)
         cfg = tiny_config(tmp_path, n=10, m=10, t=10, spec_seed=42, engine="AD",
                           reduction="without-ll", ul_iters=3, repetitions=1)
-        c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros(10)), fd_eps=cfg.fd_eps)
-        _, tri_c1 = auto_scales(oracle, init, neumann_q=cfg.neumann_q, fd_eps=cfg.fd_eps)
+        c1 = auto_scale_bilevel(oracle, init.replace(z=np.zeros(10)))
+        _, tri_c1 = auto_scales(oracle, init, neumann_q=cfg.neumann_q)
         assert c1 == pytest.approx(8.0, rel=0.05) and tri_c1 == pytest.approx(4.0, rel=0.05)
         adjoint_cfg = _build_task(cfg).adjoint_cfg
         assert adjoint_cfg.c1 == c1
@@ -238,6 +238,18 @@ class TestAutoScales:
         assert len(agg.mean_f1) == cfg.ul_iters and np.all(np.isfinite(agg.mean_f1))
         # an explicit c1 still wins
         assert _build_task(replace(cfg, c1=3.0)).adjoint_cfg.c1 == 3.0
+
+    def test_ad_scales_do_not_depend_on_fd_eps(self, tmp_path):
+        # c0 is pinned and c1 comes from oracle products, so the FD step
+        # reaches NFD only
+        cfg = tiny_config(tmp_path, problem="adv-hpt", csv=bundled_dataset_path(), spec_seed=7,
+                          engine="AD", neumann_q=30)
+        scales = []
+        for fd_eps in (0.1, 1e-3):
+            adjoint_cfg = _build_task(replace(cfg, fd_eps=fd_eps)).adjoint_cfg
+            scales.append((adjoint_cfg.c0, adjoint_cfg.c1))
+        assert scales[0] == scales[1]
+        assert scales[0][0] == 1.0 and scales[0][1] == pytest.approx(87.39, rel=1e-3)
 
 
 class TestVerifyCommand:
