@@ -14,13 +14,15 @@ reduced middle-level objective fbar(x, y) = f2(x, y, z(x, y)).
 
 Backends:
 
+* All three run one reduced middle-level gradient (:func:`_fbar_gradient`)
+  on their ``solve_zz``, which applies Hzz(f3)^{-1} (:func:`_make_solve_zz`),
+  and their cross product H_{b,z}(f3) w (:func:`_cross_z`).
 * ``H`` and ``AD`` run one algebra on the oracle's Hessian blocks, products
   and third-order contractions: the reduced-Hessian algebra of the UL
-  gradient (:func:`_ul_reduced`), the reduced middle-level gradients
-  (:func:`_fbar_gradient`) and the bilevel gradient. They differ only in
-  their two solvers: ``solve_zz`` applies Hzz(f3)^{-1}
-  (:func:`_make_solve_zz`), ``solve_yy`` the inverse of an m x m matrix,
-  Hbar_yy or the bilevel gradient's H_yy(f2) (:func:`_make_solve_yy`).
+  gradient (:func:`_ul_reduced`) and the bilevel gradient. They differ only
+  in their two solvers: ``solve_zz`` and ``solve_yy``, the inverse of an
+  m x m matrix, Hbar_yy or the bilevel gradient's H_yy(f2)
+  (:func:`_make_solve_yy`).
 * ``H`` solves directly: one (m+2)-column and one vector Hzz(f3) solve per
   UL gradient, by Hzz(f3)'s own ``solve`` when it has one (the quartic's
   Sherman-Morrison), else by LAPACK. Reference quality; only meant for
@@ -33,12 +35,12 @@ Backends:
   (:func:`neumann_krylov_apply`), in as many products as that space has
   dimensions (at most 2 on adv-hpt) instead of Q. Its scale c1 bounds the
   Hbar_yy that this engine inverts (:func:`auto_scales`).
-* ``NFD`` solves every inverse-Hessian system with linear CG, realizing
-  each Hessian-vector product as a central finite difference of the
-  corresponding gradient (``_Ops``). Its UL gradient takes directional
-  derivatives of the reduced maps grad_y fbar and grad_x fbar along a
-  y-direction v with the lower-level variable moved to first order along
-  s = (dz/dy) v; differencing at frozen z would converge to the partial
+* ``NFD`` solves every inverse-Hessian system with linear CG (:func:`_cg`),
+  realizing each Hessian-vector product as a central finite difference of
+  the corresponding gradient (:func:`_fd_dir`). Its UL gradient takes
+  directional derivatives of the reduced maps grad_y fbar and grad_x fbar
+  along a y-direction v with the lower-level variable moved to first order
+  along s = (dz/dy) v; differencing at frozen z would converge to the partial
   (fixed-z) Hessian instead of the reduced one, which is a different matrix
   whenever f2 or f3 couples y and z. ``fd_eps`` acts on this engine only.
 
@@ -86,9 +88,9 @@ class AdjointConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if self.fd_eps <= 0:
+        if not self.fd_eps > 0:  # NaN fails too
             raise ValueError("fd_eps must be positive")
-        if self.cg_tol <= 0:
+        if not self.cg_tol > 0:
             raise ValueError("cg_tol must be positive")
         if self.cg_max_iters is not None and self.cg_max_iters < 1:
             raise ValueError("cg_max_iters must be positive")
@@ -123,7 +125,7 @@ def neumann_inverse_apply(
     """
     if Q < 0:
         raise ValueError("Q must be nonnegative")
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     r = np.asarray(b, dtype=float)
     total = r.copy()
@@ -175,7 +177,7 @@ def neumann_krylov_apply(
     """
     if Q < 0:
         raise ValueError("Q must be nonnegative")
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     b = np.asarray(b, dtype=float)
     beta0 = math.sqrt(b.dot(b))
@@ -250,69 +252,31 @@ def _fd_dir(method, point: Point, sample, eps: float, **dirs: Array) -> Array:
     return (gp - np.asarray(method(point.replace(**minus), sample), float)) / (2.0 * eps)
 
 
-class _Ops:
-    """Matrix-free primitives of the NFD engine, bound to (oracle, sample,
-    cfg, events): CG solves (:meth:`inverse`), f3 products as central
-    differences of the oracle's gradients at ``fd_eps``, and
-    :meth:`reduced_apply`, the FD reduced product of the UL gradient.
-    ``block`` names the x, y or z variable block of a product.
-    """
+def _cg(apply_A, b, label: str, cfg, events) -> Array:
+    """The NFD engine's solver: A^{-1} b by CG at ``cg_tol`` and
+    ``cg_max_iters``; solves that stop on curvature or at the iteration cap
+    above tolerance are flagged in ``events``."""
+    report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=cfg.cg_max_iters)
+    if events is not None:
+        if report.terminated_on_curvature:
+            events.append(f"cg_curvature:{label}")
+        elif not report.converged:
+            events.append(f"cg_capped:{label}")
+    return report.solution
 
-    def __init__(self, oracle, sample, cfg, events):
-        self.oracle = oracle
-        self.sample = sample
-        self.cfg = cfg
-        self.events = events
 
-    def inverse(self, apply_A, b, label: str) -> Array:
-        """Approximate A^{-1} b by CG; solves that stop on curvature or at
-        the iteration cap above tolerance are flagged in ``events``."""
-        cfg, events = self.cfg, self.events
-        report = cg_solve(apply_A, b, tol=cfg.cg_tol, max_iters=cfg.cg_max_iters)
-        if events is not None:
-            if report.terminated_on_curvature:
-                events.append(f"cg_curvature:{label}")
-            elif not report.converged:
-                events.append(f"cg_capped:{label}")
-        return report.solution
-
-    def hvp_z(self, point, block, v) -> Array:
-        """H_{block,z}(f3) v."""
-        method = getattr(self.oracle, f"grad_{block}_f3")
-        return _fd_dir(method, point, self.sample, self.cfg.fd_eps, z=v)
-
-    def inv_zz(self, point, b, label) -> Array:
-        return self.inverse(lambda v: self.hvp_z(point, "z", v), b, label)
-
-    def hvp_zy(self, point, v) -> Array:
-        # transposed cross product H_zy(f3) v: grad_z f3 differenced in y
-        return _fd_dir(self.oracle.grad_z_f3, point, self.sample, self.cfg.fd_eps, y=v)
-
-    def fbar_gradient(self, point, block) -> Array:
-        """grad_block fbar = grad_block f2 - H_{block,z}(f3) Hzz(f3)^{-1} grad_z f2."""
-        o, s = self.oracle, self.sample
-        label = "ml_w" if block == "y" else "gx_w"
-        w = self.inv_zz(point, np.asarray(o.grad_z_f2(point, s), float), label)
-        return np.asarray(getattr(o, f"grad_{block}_f2")(point, s), float) - self.hvp_z(point, block, w)
-
-    def track_z(self, point, v) -> Array:
-        """First-order motion of the lower-level solution under a
-        y-perturbation v: solves Hzz s = -H_zy v."""
-        rhs = self.hvp_zy(point, v)
-        return -self.inv_zz(point, rhs, "track")
-
-    def reduced_apply(self, point, block, v) -> Array:
-        """Hbar_{block,y} v as a central difference of grad_block fbar along
-        (v, track_z(v)): Hbar_yy v for block y, and for block x Hbar_xy v
-        in the two-evaluation form of the mixed partial."""
-        return _fd_dir(lambda p, _: self.fbar_gradient(p, block), point, self.sample,
-                       self.cfg.fd_eps, y=v, z=self.track_z(point, v))
+def _cross_z(block, oracle, point, sample, cfg, w) -> Array:
+    """H_{block,z}(f3) w: the oracle's block under H and AD, a central
+    difference of grad_block f3 along z at ``fd_eps`` under NFD."""
+    if cfg.engine == ENGINE_NFD:
+        return _fd_dir(getattr(oracle, f"grad_{block}_f3"), point, sample, cfg.fd_eps, z=w)
+    return getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w
 
 
 def _make_solve_zz(oracle, point, sample, cfg, events):
-    """The H or AD engine's ``solve_zz(B, labels)`` at (point, sample):
-    Hzz(f3)^{-1} applied to a t-vector (one label) or to the columns of a
-    t x k block (one label per column).
+    """The engine's ``solve_zz(B, labels)`` at (point, sample): Hzz(f3)^{-1}
+    applied to a t-vector (one label) or, under H and AD, to the columns of
+    a t x k block (one label per column).
 
     H uses Hzz(f3)'s own ``solve`` when it has one (the quartic's
     :class:`~trilevel.linalg.RankOneUpdate`); for an array, after one lookup
@@ -321,14 +285,21 @@ def _make_solve_zz(oracle, point, sample, cfg, events):
     gradient, so a second solve against the same fresh Hessian does not make
     the memo invert it. AD applies one truncated Neumann series per column
     at 1/c0 on the oracle's ``hvp_zz_f3``, each labelled as its NFD twin.
+    NFD solves a vector by CG (:func:`_cg`) on central differences of
+    grad_z f3 along z at ``fd_eps``.
     """
+    if cfg.engine == ENGINE_NFD:
+        return lambda b, label: _cg(lambda v: _fd_dir(oracle.grad_z_f3, point, sample, cfg.fd_eps, z=v),
+                                    b, label, cfg, events)
     if cfg.engine == ENGINE_H:
         Hzz = oracle.hess_zz_f3(point, sample)
         solve = getattr(Hzz, "solve", None)
-        if solve is None:
-            F = lu_factor_cached(Hzz)
-            solve = (lambda B: solve_dense(Hzz, B)) if F is None else (lambda B: lu_solve(F, B))
-        return lambda B, labels: solve(B)
+        if solve is not None:
+            return lambda B, labels: solve(B)
+        F = lu_factor_cached(Hzz)
+        if F is None:
+            return lambda B, labels: solve_dense(Hzz, B)
+        return lambda B, labels: lu_solve(F, B)
 
     q, scale = cfg.neumann_q, _neumann_scale(cfg, "c0")
     # Hzz products on a fixed sample form an exact symmetric linear map;
@@ -361,7 +332,7 @@ def _neumann_scale(cfg, name: str) -> float:
     c = getattr(cfg, name)
     if cfg.neumann_q is None or cfg.neumann_q < 0:
         raise ValueError("AD engine requires a nonnegative neumann_q")
-    if c is None or c <= 0:
+    if c is None or not c > 0:
         raise ValueError(f"AD engine requires a positive {name}")
     return 1.0 / c
 
@@ -396,15 +367,14 @@ def grad_x_fbar(
 
 
 def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
-    """Gradient of the reduced middle-level objective in the x or y block:
-    H and AD apply the oracle's H_{block,z}(f3) to the engine's solve."""
+    """Gradient of the reduced middle-level objective in the x or y block,
+    grad_block f2 - H_{block,z}(f3) Hzz(f3)^{-1} grad_z f2, on the engine's
+    ``solve_zz`` and cross product (:func:`_cross_z`)."""
     cfg = cfg or AdjointConfig()
-    if cfg.engine == ENGINE_NFD:
-        return _Ops(oracle, sample, cfg, events).fbar_gradient(point, block)
     solve_zz = _make_solve_zz(oracle, point, sample, cfg, events)
     w = solve_zz(np.asarray(oracle.grad_z_f2(point, sample), float), "ml_w" if block == "y" else "gx_w")
     return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
-            - getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w)
+            - _cross_z(block, oracle, point, sample, cfg, w))
 
 
 def ul_adjoint_gradient(
@@ -423,20 +393,28 @@ def ul_adjoint_gradient(
     supplied.
 
     H and AD run the reduced-Hessian algebra of :func:`_ul_reduced` with
-    their solver pair. NFD takes Hbar_yy and Hbar_xy products as central
-    differences (:meth:`_Ops.reduced_apply`) and solves with CG.
+    their solver pair. NFD solves with CG on its ``solve_zz`` and takes
+    Hbar_yy and Hbar_xy products as central differences of the reduced
+    gradients (:func:`_fbar_gradient`) along (v, dz/dy v).
     """
     cfg = cfg or AdjointConfig()
+    o, p, s = oracle, point, sample
+    solve_zz = _make_solve_zz(o, p, s, cfg, events)
     if cfg.engine != ENGINE_NFD:
-        return _ul_reduced(oracle, point, sample, _make_solve_zz(oracle, point, sample, cfg, events),
-                           _make_solve_yy(cfg, events))
-    ops = _Ops(oracle, sample, cfg, events)
-    o, s = oracle, sample
-    lam_z = ops.inv_zz(point, np.asarray(o.grad_z_f1(point, s), float), "lam_z")
-    b = np.asarray(o.grad_y_f1(point, s), float) - ops.hvp_z(point, "y", lam_z)
-    lam_y = ops.inverse(lambda v: ops.reduced_apply(point, "y", v), b, "lam_y")
-    cross = ops.reduced_apply(point, "x", lam_y)
-    return np.asarray(o.grad_x_f1(point, s), float) - ops.hvp_z(point, "x", lam_z) - cross
+        return _ul_reduced(o, p, s, solve_zz, _make_solve_yy(cfg, events))
+
+    def reduced(block, v):
+        # Hbar_{block,y} v, for block x in the two-evaluation form of the
+        # mixed partial; z moves along dz/dy v = -Hzz^{-1} H_zy v
+        z_dir = -solve_zz(_fd_dir(o.grad_z_f3, p, s, cfg.fd_eps, y=v), "track")
+        return _fd_dir(lambda q, _: _fbar_gradient(block, o, q, s, cfg, events), p, s, cfg.fd_eps,
+                       y=v, z=z_dir)
+
+    lam_z = solve_zz(np.asarray(o.grad_z_f1(p, s), float), "lam_z")
+    b = np.asarray(o.grad_y_f1(p, s), float) - _cross_z("y", o, p, s, cfg, lam_z)
+    lam_y = _cg(lambda v: reduced("y", v), b, "lam_y", cfg, events)
+    cross = reduced("x", lam_y)
+    return np.asarray(o.grad_x_f1(p, s), float) - _cross_z("x", o, p, s, cfg, lam_z) - cross
 
 
 def _ul_reduced(oracle, point, sample, solve_zz, solve_yy) -> Array:
@@ -510,8 +488,7 @@ def bilevel_adjoint_gradient(
     o, p, s = oracle, point, sample
     gy1 = np.asarray(o.grad_y_f1(p, s), float)
     if cfg.engine == ENGINE_NFD:
-        lam = _Ops(o, s, cfg, events).inverse(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v),
-                                              gy1, "bilevel_lam")
+        lam = _cg(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v), gy1, "bilevel_lam", cfg, events)
         cross = _fd_dir(o.grad_x_f2, p, s, cfg.fd_eps, y=lam)
     else:
         solve_yy = _make_solve_yy(cfg, events)

@@ -92,7 +92,7 @@ def cg_solve(
     Convergence criterion: |r| <= tol * max(1, |b|).
     """
     b = as_vector(b, "b")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     n = b.size
     if max_iters is None:

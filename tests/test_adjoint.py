@@ -627,6 +627,27 @@ class TestContracts:
                 oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=1.0, c1=-1.0)
             )
 
+    @pytest.mark.parametrize("knob", ["fd_eps", "cg_tol", "c0", "c1", "scale", "krylov-scale", "tol"])
+    def test_nan_knobs_are_rejected(self, knob):
+        # NaN fails every comparison, so a `<= 0` check would let it through
+        nan = float("nan")
+        oracle = make_oracle(default_quadratic(3, 3, 3, rng=0))
+        p = Point(np.ones(3), np.ones(3), np.ones(3))
+        b = np.ones(3)
+        calls = {
+            "fd_eps": lambda: AdjointConfig(engine="NFD", fd_eps=nan),
+            "cg_tol": lambda: AdjointConfig(engine="NFD", cg_tol=nan),
+            "c0": lambda: ml_adjoint_gradient(
+                oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=nan, c1=1.0)),
+            "c1": lambda: ul_adjoint_gradient(
+                oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=1.0, c1=nan)),
+            "scale": lambda: neumann_inverse_apply(lambda v: v, b, 5, nan),
+            "krylov-scale": lambda: neumann_krylov_apply(lambda v: v, b, 5, nan),
+            "tol": lambda: linalg.cg_solve(lambda v: v, b, tol=nan),
+        }
+        with pytest.raises(ValueError, match=knob.split("-")[-1]):
+            calls[knob]()
+
     def test_ad_bilevel_needs_no_c0(self):
         # the bilevel gradient's only series inverts H_yy(f2) at 1/c1
         oracle = make_oracle(default_quadratic(3, 3, 3, rng=0))
@@ -781,19 +802,13 @@ class TestReducedPath:
 
     @staticmethod
     def paths(monkeypatch):
+        # "exact": the reduced-Hessian algebra; "fd" and "cg": NFD's central
+        # differences and CG solves
         taken = []
-        reduced, fd = adjoint._ul_reduced, adjoint._Ops.reduced_apply
-
-        def spy_reduced(*args):
-            taken.append("exact")
-            return reduced(*args)
-
-        def spy_fd(self, *args):
-            taken.append("fd")
-            return fd(self, *args)
-
-        monkeypatch.setattr(adjoint, "_ul_reduced", spy_reduced)
-        monkeypatch.setattr(adjoint._Ops, "reduced_apply", spy_fd)
+        for name, tag in (("_ul_reduced", "exact"), ("_fd_dir", "fd"), ("_cg", "cg")):
+            fn = getattr(adjoint, name)
+            monkeypatch.setattr(adjoint, name,
+                                lambda *a, _fn=fn, _tag=tag, **k: taken.append(_tag) or _fn(*a, **k))
         return taken
 
     @pytest.mark.parametrize("family", ["quadratic", "quartic"])
@@ -834,27 +849,26 @@ class TestReducedPath:
             assert taken == ["exact"]
             taken.clear()
             ul_adjoint_gradient(noisy, point, sample, AdjointConfig(engine="NFD"))
-            assert taken and set(taken) == {"fd"}
+            assert set(taken) == {"fd", "cg"}
             taken.clear()
 
     def test_ad_reaches_no_finite_difference(self, monkeypatch):
         # AD's gradients and scales take oracle products only; NFD's FD
-        # primitives (_Ops, _fd_dir) are NFD's alone
+        # primitives (_fd_dir, _cg) are NFD's alone
         spec = default_quadratic(3, 3, 3, rng=9)
         oracle = make_oracle(spec)
         point = closed_form_point(spec, np.ones(3))
-        fd_dir, ops_init, calls = adjoint._fd_dir, adjoint._Ops.__init__, []
-        monkeypatch.setattr(adjoint, "_fd_dir", lambda *a, **k: calls.append("fd") or fd_dir(*a, **k))
-        monkeypatch.setattr(adjoint._Ops, "__init__", lambda *a: calls.append("ops") or ops_init(*a))
+        calls = self.paths(monkeypatch)
         c0, c1 = auto_scales(oracle, point)
         c1_bilevel = auto_scale_bilevel(oracle, point)
         cfg = AdjointConfig(engine="AD", neumann_q=6, c0=c0, c1=c1)
         for fn in (ml_adjoint_gradient, grad_x_fbar, ul_adjoint_gradient):
             fn(oracle, point, DETERMINISTIC, cfg)
         bilevel_adjoint_gradient(oracle, point, DETERMINISTIC, replace(cfg, c1=c1_bilevel))
-        assert calls == []
+        assert set(calls) == {"exact"}
+        calls.clear()
         ml_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="NFD"))
-        assert set(calls) == {"ops", "fd"}
+        assert set(calls) == {"fd", "cg"}
 
     def test_ad_on_a_zero_noise_draw_matches_deterministic(self):
         # a NoiseDraw keeps the Hzz series on the recurrence, which gives
@@ -945,6 +959,22 @@ class TestPinned:
             ["-0x1.8ec595e0f20fep+6", "-0x1.35f137090e414p+6", "-0x1.5fea99883645dp+6"],
             ["neumann_truncated:bilevel_lam@2"],
         ),
+        # NFD on a noise draw: every Hessian product and CG solve is noisy
+        ("quadratic-noisy", "ml", "NFD"): (
+            ["-0x1.b4e5ceb5f984fp+1", "-0x1.ce7340cf286d0p+2", "0x1.bfb2d1ee524a4p+1"],
+            ["cg_capped:ml_w"],
+        ),
+        ("quadratic-noisy", "ul", "NFD"): (
+            ["0x1.116ae09adf712p+6", "0x1.77ffc239f45bcp+5", "0x1.9f89784dd3349p+4"],
+            ["cg_capped:lam_z", "cg_curvature:track", "cg_capped:ml_w", "cg_capped:ml_w",
+             "cg_capped:track", "cg_capped:ml_w", "cg_capped:ml_w", "cg_capped:track",
+             "cg_curvature:ml_w", "cg_capped:ml_w", "cg_curvature:lam_y", "cg_capped:track",
+             "cg_curvature:gx_w", "cg_capped:gx_w"],
+        ),
+        ("quadratic-noisy", "bilevel", "NFD"): (
+            ["0x1.89c7bdc748049p+4", "0x1.3b84ffd5e57b5p+4", "0x1.f36de4e87c616p+3"],
+            ["cg_capped:bilevel_lam"],
+        ),
         ("quartic", "ml", "NFD"): (
             ["0x1.a9c1578826b10p-7", "0x1.4df6cedcabe9dp-1", "-0x1.5353f95422848p-5"],
             ["cg_capped:ml_w"],
@@ -987,11 +1017,14 @@ class TestPinned:
 
     def test_gradients_and_events_pinned(self):
         quartic = default_quartic(3, 3, 2, rng=5)
+        quadratic = make_oracle(default_quadratic(3, 3, 3, rng=5))
         gen = np.random.default_rng(5)
+        point = Point(gen.uniform(0, 9, 3), gen.uniform(0, 9, 3), gen.uniform(0, 9, 3))
         cases = {
-            "quadratic": (make_oracle(default_quadratic(3, 3, 3, rng=5)),
-                          Point(gen.uniform(0, 9, 3), gen.uniform(0, 9, 3), gen.uniform(0, 9, 3))),
-            "quartic": (make_oracle(quartic), default_init_point(quartic, rng=6)),
+            "quadratic": (quadratic, point, DETERMINISTIC),
+            "quadratic-noisy": (wrap_gaussian_noise(quadratic, 0.1, 0.01, seed=1), point,
+                                NoiseDraw(stream=1, counter=2)),
+            "quartic": (make_oracle(quartic), default_init_point(quartic, rng=6), DETERMINISTIC),
         }
         cfgs = {
             "NFD": AdjointConfig(engine="NFD", fd_eps=0.1, cg_max_iters=2),
@@ -1001,9 +1034,9 @@ class TestPinned:
         fns = {"ml": ml_adjoint_gradient, "ul": ul_adjoint_gradient,
                "bilevel": bilevel_adjoint_gradient}
         for (problem, fn, engine), (grad, flags) in self.RECORDED.items():
-            oracle, point = cases[problem]
+            oracle, point, sample = cases[problem]
             events = []
-            g = fns[fn](oracle, point, DETERMINISTIC, cfgs[engine], events=events)
+            g = fns[fn](oracle, point, sample, cfgs[engine], events=events)
             expected = np.array([float.fromhex(h) for h in grad])
             np.testing.assert_array_equal(g, expected, err_msg=f"{problem}/{fn}/{engine}")
             assert events == flags, (problem, fn, engine)
