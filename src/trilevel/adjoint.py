@@ -54,7 +54,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import cg_solve, lu_factor_cached, lu_solve, solve_dense
+from .linalg import cg_solve, is_integer, lu_factor_cached, lu_solve, solve_dense
 from .oracle import DETERMINISTIC, NoiseDraw, Point, ProblemOracle, SampleSpec
 
 Array = np.ndarray
@@ -92,8 +92,10 @@ class AdjointConfig:
             raise ValueError("fd_eps must be positive")
         if not self.cg_tol > 0:
             raise ValueError("cg_tol must be positive")
-        if self.cg_max_iters is not None and self.cg_max_iters < 1:
-            raise ValueError("cg_max_iters must be positive")
+        if self.cg_max_iters is not None and (not is_integer(self.cg_max_iters) or self.cg_max_iters < 1):
+            raise ValueError("cg_max_iters must be a positive integer")
+        if self.neumann_q is not None and not is_integer(self.neumann_q):
+            raise ValueError("neumann_q must be an integer")
 
 
 # A Neumann iterate larger than this multiple of |b| counts as divergence.
@@ -123,8 +125,8 @@ def neumann_inverse_apply(
     a list is given, as ``neumann_truncated:<label>@<h>`` with h the
     1-based index of the rejected term.
     """
-    if Q < 0:
-        raise ValueError("Q must be nonnegative")
+    if not is_integer(Q) or Q < 0:
+        raise ValueError("Q must be a nonnegative integer")
     if not scale > 0:
         raise ValueError("scale must be positive")
     r = np.asarray(b, dtype=float)
@@ -175,8 +177,8 @@ def neumann_krylov_apply(
     scale * |b| * V U (c * sum_h mu^h). A non-finite product at call j
     truncates at term j, as it does in the recurrence.
     """
-    if Q < 0:
-        raise ValueError("Q must be nonnegative")
+    if not is_integer(Q) or Q < 0:
+        raise ValueError("Q must be a nonnegative integer")
     if not scale > 0:
         raise ValueError("scale must be positive")
     b = np.asarray(b, dtype=float)
@@ -279,14 +281,12 @@ def _make_solve_zz(oracle, point, sample, cfg, events):
     a t x k block (one label per column).
 
     H uses Hzz(f3)'s own ``solve`` when it has one (the quartic's
-    :class:`~trilevel.linalg.RankOneUpdate`); for an array, after one lookup
-    in the one-entry memo, products with the inverse of an Hzz object seen
-    on the last lookup and one-shot solves otherwise. One lookup per
-    gradient, so a second solve against the same fresh Hessian does not make
-    the memo invert it. AD applies one truncated Neumann series per column
-    at 1/c0 on the oracle's ``hvp_zz_f3``, each labelled as its NFD twin.
-    NFD solves a vector by CG (:func:`_cg`) on central differences of
-    grad_z f3 along z at ``fd_eps``.
+    :class:`~trilevel.linalg.RankOneUpdate`), the inverse that a
+    :class:`~trilevel.linalg.ConstantMatrix` carries (the quadratic's), and
+    else one-shot LAPACK solves (adv-hpt's Hzz(f3), or a noise draw's). AD
+    applies one truncated Neumann series per column at 1/c0 on the oracle's
+    ``hvp_zz_f3``, each labelled as its NFD twin. NFD solves a vector by CG
+    (:func:`_cg`) on central differences of grad_z f3 along z at ``fd_eps``.
     """
     if cfg.engine == ENGINE_NFD:
         return lambda b, label: _cg(lambda v: _fd_dir(oracle.grad_z_f3, point, sample, cfg.fd_eps, z=v),
@@ -330,8 +330,8 @@ def _make_solve_yy(cfg, events):
 def _neumann_scale(cfg, name: str) -> float:
     """1/c for the AD scale constant ``name``, once the series' knobs are valid."""
     c = getattr(cfg, name)
-    if cfg.neumann_q is None or cfg.neumann_q < 0:
-        raise ValueError("AD engine requires a nonnegative neumann_q")
+    if not is_integer(cfg.neumann_q) or cfg.neumann_q < 0:
+        raise ValueError("AD engine requires a nonnegative integer neumann_q")
     if c is None or not c > 0:
         raise ValueError(f"AD engine requires a positive {name}")
     return 1.0 / c
@@ -518,21 +518,25 @@ def auto_scales(
     returned unchanged. c1 doubles the spectral norm of the reduced
     middle-level Hessian Hbar_yy that AD's UL gradient inverts at the probe
     point: the matrix :func:`_ul_reduced` assembles with AD's ``neumann_q``-term
-    Hzz series at 1/c0, so c1 follows c0 and Q.
+    Hzz series at 1/c0, so c1 follows c0 and Q. The probe stops there, so it
+    runs none of the gradient's x side.
     """
     if c0 is None:
         Hzz = np.asarray(oracle.hess_zz_f3(point, DETERMINISTIC), float)
         c0 = 2.0 * float(np.max(np.sum(np.abs(Hzz), axis=1)))
     cfg = AdjointConfig(engine=ENGINE_AD, neumann_q=neumann_q, c0=c0)
     solve_zz = _make_solve_zz(oracle, point, DETERMINISTIC, cfg, None)
-    captured = []
+
+    class Captured(Exception):
+        pass
 
     def capture(Hyy_bar, b, label):
-        captured.append(Hyy_bar)
-        return np.zeros_like(b)
+        raise Captured(Hyy_bar)
 
-    _ul_reduced(oracle, point, DETERMINISTIC, solve_zz, capture)
-    return c0, 2.0 * float(np.linalg.norm(captured[0], 2))
+    try:
+        _ul_reduced(oracle, point, DETERMINISTIC, solve_zz, capture)
+    except Captured as stop:
+        return c0, 2.0 * float(np.linalg.norm(stop.args[0], 2))
 
 
 def auto_scale_bilevel(oracle: ProblemOracle, point: Point) -> float:

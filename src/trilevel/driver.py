@@ -28,7 +28,7 @@ from .adjoint import (
     ml_adjoint_gradient,
     ul_adjoint_gradient,
 )
-from .linalg import NonFiniteError, SingularMatrixError, eigh_cached
+from .linalg import NonFiniteError, SingularMatrixError
 from .oracle import (
     DETERMINISTIC,
     MinibatchIndices,
@@ -292,8 +292,8 @@ def ll_sg(
     A = hess_zz_f3 = V diag(lam) V' and one gradient g = grad_z_f3 at the
     start point z0: z_K = z0 - V diag(d) V' g with
     d_i = sum_k gamma_k prod_{j>k} (1 - gamma_j lam_i). d needs no division
-    by lam, so it holds for any symmetric A; (lam, V) come from
-    :func:`linalg.eigh_cached`, so a constant A is decomposed once. Every
+    by lam, so it holds for any symmetric A; (lam, V) is the ``eigh`` that
+    A, a :class:`~trilevel.linalg.ConstantMatrix`, computes once. Every
     other oracle, and any sampled cycle, gets a ``grad_z_f3(point, sample)``
     call per step, so noise reaches every step. Neither path writes to
     ``x``, ``y``, ``z0`` or the oracle's arrays.
@@ -313,7 +313,7 @@ def ll_sg(
     z = np.array(z0, dtype=float)
     if sampler is None and oracle.capabilities.affine_ll:
         p = Point(x, y, z)
-        lam, V = eigh_cached(oracle.hess_zz_f3(p, DETERMINISTIC))
+        lam, V = oracle.hess_zz_f3(p, DETERMINISTIC).eigh
         g = oracle.grad_z_f3(p, DETERMINISTIC)
         rev = gammas[::-1]
         with np.errstate(over="ignore", invalid="ignore"):

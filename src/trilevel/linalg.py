@@ -2,13 +2,12 @@
 
 Minimal numerics used by the adjoint engines and the synthetic problems:
 a linear conjugate-gradient solver with non-positive-curvature detection,
-direct solves by numpy's own LAPACK (``gesv``, a partial-pivot LU) with a
-one-entry memo that inverts a matrix object solved repeatedly once and
-gives an array seen once a one-shot solve, a Sherman-Morrison solve for a
-constant matrix plus a rank-one term (:class:`RankOneUpdate`), a
-one-entry memo of the symmetric eigendecomposition of a matrix object,
-and the order-3 tensor contraction that the synthetic problems'
-third-order callbacks are checked against. Nothing here imports scipy.
+direct solves by numpy's own LAPACK (``gesv``, a partial-pivot LU), a
+constant symmetric matrix that carries its own inverse and
+eigendecomposition (:class:`ConstantMatrix`), a Sherman-Morrison solve
+for such a matrix plus a rank-one term (:class:`RankOneUpdate`), and the
+order-3 tensor contraction that the synthetic problems' third-order
+callbacks are checked against. Nothing here imports scipy.
 
 Vectors, matrices, and order-3 tensors are plain float64 ndarrays of
 rank 1, 2, and 3. All operations are pure; inputs are never mutated, so
@@ -17,6 +16,7 @@ an inverse may be shared across threads.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,6 +59,11 @@ def as_tensor3(t, name: str = "tensor") -> Array:
     return _as_finite(t, 3, name)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, as a count must be."""
+    return isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class CgReport:
     """Outcome of a conjugate-gradient solve.
@@ -97,7 +102,7 @@ def cg_solve(
     n = b.size
     if max_iters is None:
         max_iters = 10 * n
-    if max_iters < 1:
+    if not is_integer(max_iters) or max_iters < 1:
         raise ValueError("max_iters must be a positive integer")
 
     x = np.zeros(n)
@@ -206,17 +211,52 @@ def _finite_solution(X: Array, B: Array) -> Array:
     return X
 
 
-class RankOneUpdate:
-    """The matrix c A + u u' for a constant t x t A whose inverse ``A_inv``
-    the caller keeps (the quartic's Hzz(f3), c = 2g). ``np.asarray`` gives
-    it dense, summed as u u' + c A; ``@`` and :meth:`solve` never form it."""
+class ConstantMatrix:
+    """A constant symmetric matrix A that carries its own inverse and
+    eigendecomposition, each computed once, on first use, by
+    :func:`lu_factor` and ``np.linalg.eigh`` (a synthetic oracle's Hzz(f3),
+    one object per oracle). ``np.asarray`` gives A itself and ``@``
+    multiplies by it. Raises as :func:`lu_factor` does on a non-finite or
+    non-square A."""
 
-    def __init__(self, c: float, A: Array, A_inv: Array, u: Array):
-        self.c, self.A, self.A_inv, self.u = float(c), A, A_inv, u
+    def __init__(self, A):
+        self.A = _square(A)
+        self.shape = self.A.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.A, dtype=dtype, copy=copy)
+
+    def __matmul__(self, V) -> Array:
+        return self.A @ V
+
+    @cached_property
+    def inverse(self) -> Array:
+        return lu_factor(self.A)
+
+    @cached_property
+    def eigh(self) -> tuple[Array, Array]:
+        """(lam, V) with A = V diag(lam) V'."""
+        return np.linalg.eigh(self.A)
+
+
+def lu_factor_cached(A) -> Optional[Array]:
+    """The inverse A carries when it is a :class:`ConstantMatrix`, else None
+    (the caller then solves once with :func:`solve_dense`). The name is kept
+    because the benchmark's tracer counts calls by it."""
+    return A.inverse if isinstance(A, ConstantMatrix) else None
+
+
+class RankOneUpdate:
+    """The matrix c A + u u' for a :class:`ConstantMatrix` A (the quartic's
+    Hzz(f3), c = 2g). ``np.asarray`` gives it dense, summed as u u' + c A;
+    ``@`` and :meth:`solve` never form it."""
+
+    def __init__(self, c: float, A: ConstantMatrix, u: Array):
+        self.c, self.A, self.u = float(c), A, u
         self.shape = A.shape
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(np.outer(self.u, self.u) + self.c * self.A, dtype=dtype)
+        return np.asarray(np.outer(self.u, self.u) + self.c * self.A.A, dtype=dtype)
 
     def __matmul__(self, V) -> Array:
         return np.multiply.outer(self.u, self.u @ V) + self.c * (self.A @ V)
@@ -231,7 +271,7 @@ class RankOneUpdate:
             return solve_dense(np.asarray(self), B)
         if self.c == 0.0:
             raise SingularMatrixError("singular matrix: c A + u u^T with c = 0 has rank one")
-        AiB, Aiu = self.A_inv @ B, self.A_inv @ self.u
+        AiB, Aiu = self.A.inverse @ B, self.A.inverse @ self.u
         denom = self.c + float(self.u @ Aiu)
         if not math.isfinite(denom):
             raise NonFiniteError("matrix contains non-finite entries")
@@ -239,44 +279,3 @@ class RankOneUpdate:
             raise SingularMatrixError("singular matrix: zero Sherman-Morrison denominator")
         X = (AiB - np.multiply.outer(Aiu, (self.u @ AiB) / denom)) / self.c
         return _finite_solution(X, B)
-
-
-# One-entry inverse memo, an (array, inverse) pair. An oracle that returns
-# the same Hessian object on every call (constant-curvature problems) has
-# it inverted once, on its second sight, and each later solve is one
-# product; an array seen once (a fresh Hessian per call) gets a one-shot
-# solve instead, as its inverse would cost about four of them. A lookup
-# reads the pair once and an update swaps it whole, so threads need no
-# lock: each sees the old pair or the new one, and the identity check keeps
-# a thread from taking another array's inverse.
-_LU_LAST: Optional[tuple] = None
-
-
-def lu_factor_cached(A) -> Optional[Array]:
-    """The inverse of A when the last call saw this same array object, else
-    None (the caller then solves once with :func:`solve_dense`)."""
-    global _LU_LAST
-    last = _LU_LAST
-    if last is None or last[0] is not A:
-        _LU_LAST = (A, None)
-        return None
-    if last[1] is None:
-        last = _LU_LAST = (A, lu_factor(A))
-    return last[1]
-
-
-# One-entry eigendecomposition memo, an (array, eigenvalues, eigenvectors)
-# triple swapped whole as the inverse memo above is. Every caller uses the
-# decomposition, so it is computed on first sight.
-_EIGH_LAST: Optional[tuple] = None
-
-
-def eigh_cached(A) -> tuple[Array, Array]:
-    """(lam, V) with A = V diag(lam) V' for the symmetric matrix A, by
-    LAPACK through ``np.linalg.eigh``; reused while the last call saw this
-    same array object. Raises NonFiniteError on NaN/Inf entries."""
-    global _EIGH_LAST
-    last = _EIGH_LAST
-    if last is None or last[0] is not A:
-        last = _EIGH_LAST = (A, *np.linalg.eigh(_square(A)))
-    return last[1], last[2]

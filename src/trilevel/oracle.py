@@ -122,9 +122,9 @@ class OracleCapabilities:
     ``affine_ll``: on deterministic samples, ``grad_z_f3(Point(x, y, z)) ==
     hess_zz_f3(p) @ z + grad_z_f3(Point(x, y, 0))`` bit for bit
     (``np.array_equal``) for every z and any p at (x, y), with ``hess_zz_f3``
-    symmetric. ``driver.ll_sg`` then takes ``hess_zz_f3`` and one
-    ``grad_z_f3`` per cycle and computes the cycle's K steps in closed form,
-    in the eigenbasis of ``hess_zz_f3``."""
+    a symmetric :class:`~trilevel.linalg.ConstantMatrix`. ``driver.ll_sg``
+    then takes ``hess_zz_f3`` and one ``grad_z_f3`` per cycle and computes
+    the cycle's K steps in closed form, in the eigenbasis it carries."""
 
     affine_ll: bool = False
 
@@ -146,9 +146,10 @@ class ProblemOracle:
     the reduced Hessian, Hzz(f2) and T_zzz(f3)[w], are products with a
     t-vector or a t x k block V, so no engine needs a t x t array beyond
     Hzz(f3) itself, which may be an array-like with ``shape``,
-    ``__array__``, ``@`` and a ``solve(B)`` that the H engine uses (the
-    quartic's :class:`~trilevel.linalg.RankOneUpdate`); a noise wrapper
-    densifies it. All evaluations take (point, sample) and must be
+    ``__array__`` and ``@``: a :class:`~trilevel.linalg.ConstantMatrix`
+    (an ``affine_ll`` oracle's), whose inverse the H engine uses, or one
+    with a ``solve(B)`` that it calls (the quartic's
+    :class:`~trilevel.linalg.RankOneUpdate`); a noise wrapper densifies it. All evaluations take (point, sample) and must be
     deterministic functions of their arguments. Callers must not write to
     the arrays an oracle returns.
     """

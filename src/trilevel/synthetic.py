@@ -25,18 +25,16 @@ z = Hzz^{-1}(Hzx x + Hzy y) of the lower level's solution set), making the
 reduced objective and its gradient available as independent test
 references. The closed forms and the specs' positive-definiteness checks
 call ``np.linalg.solve`` directly, so they share neither the H engine's
-assembly nor its memo.
+assembly nor the inverse the oracle's Hzz carries.
 """
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from . import linalg
-from .linalg import RankOneUpdate, as_matrix, as_vector
+from .linalg import ConstantMatrix, RankOneUpdate, as_matrix, as_vector
 from .oracle import OracleCapabilities, Point, ProblemOracle
 
 Array = np.ndarray
@@ -252,10 +250,12 @@ def _f1(spec, p: Point) -> float:
 
 
 class _SyntheticOracle(ProblemOracle):
-    """Analytic derivatives shared by the quadratic and quartic families."""
+    """Analytic derivatives shared by the quadratic and quartic families,
+    on the spec's Hzz held as one :class:`~trilevel.linalg.ConstantMatrix`."""
 
     def __init__(self, spec: _SyntheticSpec):
         self.spec = spec
+        self._Hzz = ConstantMatrix(spec.Hzz)
 
     @property
     def dims(self):
@@ -328,12 +328,9 @@ class QuadraticOracle(_SyntheticOracle):
         return self.spec.Hzz @ p.z - self._w(p.x, p.y)
 
     def hess_zz_f3(self, p, sample):
-        # the same constant object on every call, so the H engine's one-entry
-        # memo (linalg.lu_factor_cached) inverts it once and turns every
-        # later solve into a product, and the lower-level cycle's memo
-        # (linalg.eigh_cached) decomposes it once; callers must not mutate
-        # oracle outputs
-        return self.spec.Hzz
+        # one object per oracle, carrying the inverse the H engine solves
+        # with and the eigendecomposition of the lower-level cycle
+        return self._Hzz
 
     def hess_xz_f3(self, p, sample):
         return -self.spec.Hxz
@@ -363,12 +360,8 @@ class QuadraticOracle(_SyntheticOracle):
 class QuarticOracle(_SyntheticOracle):
     """Squared-residual lower level; third-order terms are rank-structured
     and evaluated as contraction callbacks, never materialized tensors.
-    Hzz(f3) is a :class:`~trilevel.linalg.RankOneUpdate` of the spec's Hzz,
-    whose inverse the oracle computes on its first Hzz(f3) and keeps."""
-
-    @cached_property
-    def _Hzz_inv(self) -> Array:
-        return linalg.lu_factor(self.spec.Hzz)  # by module attribute, so a spy on it sees the call
+    Hzz(f3) is a :class:`~trilevel.linalg.RankOneUpdate` of the oracle's
+    constant Hzz, whose inverse is computed on the first solve and kept."""
 
     def _parts(self, p: Point):
         w = self._w(p.x, p.y)
@@ -395,7 +388,7 @@ class QuarticOracle(_SyntheticOracle):
 
     def hess_zz_f3(self, p, sample):
         g, u = self._parts(p)
-        return RankOneUpdate(2.0 * g, self.spec.Hzz, self._Hzz_inv, u)
+        return RankOneUpdate(2.0 * g, self._Hzz, u)
 
     def hess_xz_f3(self, p, sample):
         g, u = self._parts(p)

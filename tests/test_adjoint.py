@@ -505,17 +505,26 @@ class TestDenseSolves:
         assert cols == [m + 2, 1]
         assert dense == [(m, m)] and lookups == []
 
+    def test_reruns_on_one_oracle_are_bit_equal(self):
+        # the constant Hzz carries its inverse, so a gradient does not depend
+        # on what the process solved before it
+        spec = coupled_spec(QuadraticSpec, seed=0)
+        oracle = make_oracle(spec)
+        point = closed_form_point(spec, default_init_point(spec, rng=1).x)
+        first, second = (ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
+                         for _ in range(2))
+        assert np.array_equal(first, second)
+
     @pytest.mark.parametrize("problem, inversions", [
         (default_quadratic, 1), (default_quartic, 1),
     ], ids=["quadratic", "quartic"])
     def test_run_inverts_a_constant_hzz_once(self, monkeypatch, problem, inversions):
-        # the quadratic returns one Hzz object, inverted on its second sight;
-        # the quartic inverts its spec's Hzz on its first Hzz(f3) and solves
-        # every later c Hzz + u u' by Sherman-Morrison against that inverse
+        # the quadratic returns one ConstantMatrix, inverted on its first
+        # solve; the quartic inverts its spec's Hzz on its first solve and
+        # solves every later c Hzz + u u' by Sherman-Morrison against that inverse
         calls = []
         factor = linalg.lu_factor
         monkeypatch.setattr(linalg, "lu_factor", lambda A: calls.append(A) or factor(A))
-        monkeypatch.setattr(linalg, "_LU_LAST", None)
         spec = problem(4, 4, 4, rng=3)
         trace = run_tsg(make_oracle(spec), default_init_point(spec, rng=4), Decaying(0.3, 0.2, 0.1),
                         IterationBudget(4, j0=2, k0=3), AdjointConfig(engine="H"))
@@ -648,6 +657,34 @@ class TestContracts:
         with pytest.raises(ValueError, match=knob.split("-")[-1]):
             calls[knob]()
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.5], ids=["nan", "fraction"])
+    @pytest.mark.parametrize("knob", ["cg_max_iters", "neumann_q", "at-use-neumann_q", "Q", "krylov-Q",
+                                      "max_iters"])
+    def test_counts_must_be_integers(self, knob, value):
+        # a float count would otherwise die in range() with a TypeError that
+        # names no knob; Python and numpy integers pass
+        oracle = make_oracle(default_quadratic(3, 3, 3, rng=0))
+        p = Point(np.ones(3), np.ones(3), np.ones(3))
+        b = np.ones(3)
+
+        def at_use(q):
+            cfg = AdjointConfig(engine="AD", neumann_q=2, c0=1.0, c1=1.0)
+            cfg.neumann_q = q
+            return ml_adjoint_gradient(oracle, p, DETERMINISTIC, cfg)
+
+        calls = {
+            "cg_max_iters": lambda q: AdjointConfig(engine="NFD", cg_max_iters=q),
+            "neumann_q": lambda q: AdjointConfig(engine="AD", neumann_q=q, c0=1.0, c1=1.0),
+            "at-use-neumann_q": at_use,
+            "Q": lambda q: neumann_inverse_apply(lambda v: v, b, q, 0.5),
+            "krylov-Q": lambda q: neumann_krylov_apply(lambda v: v, b, q, 0.5),
+            "max_iters": lambda q: linalg.cg_solve(lambda v: v, b, max_iters=q),
+        }
+        with pytest.raises(ValueError, match=knob.split("-")[-1]):
+            calls[knob](value)
+        calls[knob](np.int64(2))
+        calls[knob](2)
+
     def test_ad_bilevel_needs_no_c0(self):
         # the bilevel gradient's only series inverts H_yy(f2) at 1/c1
         oracle = make_oracle(default_quadratic(3, 3, 3, rng=0))
@@ -740,6 +777,23 @@ class TestAutoScales:
         if family == "advhpt":
             # five FD power iterations read 87.72 here
             assert c1 == pytest.approx(87.39, rel=1e-3)
+
+    def test_probe_stops_at_hbar_yy(self, monkeypatch):
+        # c1 needs only Hbar_yy, so the probe runs none of the gradient's x
+        # side, and its c1 is bit for bit that of the matrix AD inverts
+        spec = coupled_spec(QuadraticSpec, seed=3)
+        oracle = make_oracle(spec)
+        point = closed_form_point(spec, np.ones(spec.n))
+        x_side = ("grad_x_f1", "hess_yx_f2", "hess_zx_f2", "t3_yzx_f3_contract", "t3_zzx_f3_contract")
+        called = []
+        for name in x_side:
+            method = getattr(oracle, name)
+            setattr(oracle, name, lambda *a, _n=name, _m=method: called.append(_n) or _m(*a))
+        c0, c1 = auto_scales(oracle, point, neumann_q=20)
+        assert called == []
+        hbar = self.ad_hbar_yy(monkeypatch, oracle, point, 20, c0)
+        assert set(called) == set(x_side)
+        assert c1 == 2.0 * float(np.linalg.norm(hbar, 2))
 
     def test_bilevel_c1_doubles_the_norm_of_hyy_f2(self):
         # a spread spectrum, on which five power iterations stop short

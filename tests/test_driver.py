@@ -18,6 +18,7 @@ from trilevel.driver import (
     run_bsg,
     run_tsg,
 )
+from trilevel.linalg import ConstantMatrix
 from trilevel.oracle import (
     DETERMINISTIC,
     NoiseDraw,
@@ -276,7 +277,7 @@ class TestLlSg:
 
         class NanHzz(QuadraticOracle):
             def hess_zz_f3(self, p, sample):
-                return np.full((3, 3), np.nan)
+                return ConstantMatrix(np.full((3, 3), np.nan))
 
         calls = []
         eigh = np.linalg.eigh

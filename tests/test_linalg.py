@@ -1,21 +1,17 @@
-import gc
 import sys
-import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from trilevel import linalg
 from trilevel.adjoint import AdjointConfig
 from trilevel.driver import Decaying, IterationBudget, run_tsg
 from trilevel.linalg import (
+    ConstantMatrix,
     NonFiniteError,
     RankOneUpdate,
     SingularMatrixError,
     cg_solve,
-    eigh_cached,
     lu_factor,
     lu_factor_cached,
     lu_solve,
@@ -225,15 +221,15 @@ class TestSolveDense:
         np.testing.assert_allclose(solve_dense(A, np.array([2.0, 3.0])), [3.0, 2.0])
 
     def test_cached_factorization_reused(self):
-        # an array seen once gets no inverse; its second sight inverts it,
-        # and every later call returns that same inverse
+        # a ConstantMatrix is inverted on first use, and every later call
+        # returns that same inverse
         A = random_spd(np.random.default_rng(11), 6)
-        assert lu_factor_cached(A) is None
-        f1 = lu_factor_cached(A)
-        f2 = lu_factor_cached(A)
+        M = ConstantMatrix(A)
+        f1 = lu_factor_cached(M)
+        f2 = lu_factor_cached(M)
         assert f1 is not None and f2 is f1
-        # a distinct object with equal values starts over
-        assert lu_factor_cached(A.copy()) is None
+        # a plain array carries no inverse
+        assert lu_factor_cached(A) is None
 
     def test_factorization_is_the_inverse(self):
         rng = np.random.default_rng(12)
@@ -268,81 +264,20 @@ class TestSolveDense:
                 np.testing.assert_array_equal(X, expected)
         np.testing.assert_array_equal(F, F_before)
 
-    def test_memo_keeps_one_array(self):
-        # the memo holds only the last array, so earlier ones can be freed
-        rng = np.random.default_rng(14)
-        refs = []
-        for _ in range(3):
-            A = random_spd(rng, 5)
-            lu_factor_cached(A)
-            refs.append(weakref.ref(A))
-            del A
-        gc.collect()
-        assert [r() is None for r in refs] == [True, True, False]
-
-    def test_memo_swaps_whole_pair(self, monkeypatch):
-        # another caller replacing the entry while A is being inverted
-        # (here re-entrantly, as a thread switch could) must not leave A's
-        # inverse paired with B
-        rng = np.random.default_rng(15)
-        A, B = random_spd(rng, 5), random_spd(rng, 5)
-        factor = linalg.lu_factor
-        inner = []
-
-        def interleaved(M):
-            if M is A:
-                inner.extend(lu_factor_cached(B) for _ in range(2))
-            return factor(M)
-
-        monkeypatch.setattr(linalg, "lu_factor", interleaved)
-        lu_factor_cached(A)
-        np.testing.assert_array_equal(lu_factor_cached(A), factor(A))
-        assert inner[0] is None
-        np.testing.assert_array_equal(inner[1], factor(B))
-        assert lu_factor_cached(B) is None
-        np.testing.assert_array_equal(lu_factor_cached(B), factor(B))
-
-    def test_cache_eviction_across_threads(self):
-        # each thread looks its own array up again and again for a fixed
-        # time: a call hits when no other thread replaced the memo's one
-        # entry since, and must never return another thread's inverse
-        arrays = [random_spd(np.random.default_rng(100 + t), 4) for t in range(4)]
-        expected = [lu_factor(A) for A in arrays]
-
-        def work(t):
-            wrong, calls = 0, 0
-            deadline = time.perf_counter() + 0.5
-            while time.perf_counter() < deadline:
-                F = lu_factor_cached(arrays[t])
-                wrong += not (F is None or np.array_equal(F, expected[t]))
-                calls += 1
-            return wrong, calls
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                results = list(pool.map(work, range(4), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert [wrong for wrong, _ in results] == [0] * 4
-        assert min(calls for _, calls in results) > 0
-
-
 class TestRankOneUpdate:
     @staticmethod
     def make(t, c, coupled, seed=120):
         rng = np.random.default_rng(seed)
         A = random_spd(rng, t) / t if coupled else np.eye(t)
         u = rng.uniform(1.0, 2.0, t)
-        return RankOneUpdate(c, A, lu_factor(A), u), np.outer(u, u) + c * A, rng
+        return RankOneUpdate(c, ConstantMatrix(A), u), np.outer(u, u) + c * A, rng
 
     @pytest.mark.parametrize("t", [2, 5, 150])
     @pytest.mark.parametrize("c", [0.7, -0.3])
     @pytest.mark.parametrize("coupled", [False, True], ids=["identity", "coupled"])
     def test_solve_matches_dense_lapack(self, t, c, coupled):
         M, D, rng = self.make(t, c, coupled)
-        assert M.c + M.u @ M.A_inv @ M.u > 0.3  # Sherman-Morrison's denominator
+        assert M.c + M.u @ M.A.inverse @ M.u > 0.3  # Sherman-Morrison's denominator
         for B in (rng.standard_normal(t), rng.standard_normal((t, 3))):
             X, ref = M.solve(B), np.linalg.solve(D, B)
             assert X.shape == B.shape
@@ -370,15 +305,39 @@ class TestRankOneUpdate:
             M.solve(rng.standard_normal(4))
         u = np.array([1.0, 0.0, 0.0])  # c + u' A^-1 u = -1 + 1
         with pytest.raises(SingularMatrixError, match="denominator"):
-            RankOneUpdate(-1.0, np.eye(3), np.eye(3), u).solve(np.ones(3))
+            RankOneUpdate(-1.0, ConstantMatrix(np.eye(3)), u).solve(np.ones(3))
         M, _, _ = self.make(4, 0.5, True)
         with pytest.raises(NonFiniteError):
             M.solve(np.array([1.0, np.nan, 0.0, 0.0]))
         with pytest.raises(NonFiniteError):
-            RankOneUpdate(np.inf, np.eye(3), np.eye(3), np.ones(3)).solve(np.ones(3))
+            RankOneUpdate(np.inf, ConstantMatrix(np.eye(3)), np.ones(3)).solve(np.ones(3))
+
+
+class TestConstantMatrix:
+    def test_is_the_matrix(self):
+        A = random_spd(np.random.default_rng(45), 5)
+        M = ConstantMatrix(A)
+        assert M.shape == (5, 5) and np.asarray(M) is A and np.asarray(M, float) is A
+        assert np.array(M) is not A and np.array_equal(np.array(M), A)
+        V = np.random.default_rng(46).standard_normal((5, 3))
+        assert np.array_equal(M @ V, A @ V) and np.array_equal(M @ V[:, 0], A @ V[:, 0])
+        with pytest.raises(NonFiniteError, match="A contains non-finite"):
+            ConstantMatrix(np.full((2, 2), np.nan))
+        with pytest.raises(ValueError, match="square"):
+            ConstantMatrix(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("d", [1, 6, 40])
+    def test_inverse_matches_lapack(self, d):
+        rng = np.random.default_rng(47 + d)
+        A = random_spd(rng, d)
+        F = lu_factor_cached(ConstantMatrix(A))
+        for B in (rng.standard_normal(d), rng.standard_normal((d, 4))):
+            np.testing.assert_allclose(lu_solve(F, B), np.linalg.solve(A, B), rtol=1e-12)
 
 
 class TestEighCached:
+    """:attr:`ConstantMatrix.eigh`: one decomposition per matrix object."""
+
     @pytest.fixture
     def eigh_calls(self, monkeypatch):
         calls = []
@@ -393,7 +352,7 @@ class TestEighCached:
 
     def test_decomposes_the_matrix(self):
         A = random_spd(np.random.default_rng(40), 6)
-        lam, V = eigh_cached(A)
+        lam, V = ConstantMatrix(A).eigh
         np.testing.assert_allclose((V * lam) @ V.T, A, rtol=0, atol=1e-12 * np.abs(A).max())
         np.testing.assert_allclose(V.T @ V, np.eye(6), rtol=0, atol=1e-14 * 6)
 
@@ -404,65 +363,3 @@ class TestEighCached:
                         AdjointConfig(engine="H"))
         assert trace.aborted is None and len(trace.records) == 20
         assert len(eigh_calls) == 1 and eigh_calls[0] is spec.Hzz
-
-    def test_recomputes_for_another_array(self, eigh_calls):
-        A = random_spd(np.random.default_rng(43), 5)
-        first = eigh_cached(A)
-        again = eigh_cached(A)
-        assert again[0] is first[0] and again[1] is first[1]
-        assert len(eigh_calls) == 1
-        # a distinct object with equal values is decomposed anew
-        copy = eigh_cached(A.copy())
-        assert len(eigh_calls) == 2
-        np.testing.assert_array_equal(copy[0], first[0])
-
-    def test_memo_swaps_whole_pair(self, monkeypatch):
-        # another caller replacing the entry while A is being decomposed
-        # (here re-entrantly, as a thread switch could) must not leave A
-        # paired with B's decomposition
-        rng = np.random.default_rng(44)
-        A, B = random_spd(rng, 5), random_spd(rng, 5)
-        eigh = np.linalg.eigh
-        inner, calls = [], []
-
-        def interleaved(M):
-            calls.append(M)
-            if M is A:
-                inner.extend(eigh_cached(B) for _ in range(2))
-            return eigh(M)
-
-        monkeypatch.setattr(np.linalg, "eigh", interleaved)
-        eigh_cached(A)
-        for lam, V in inner:
-            np.testing.assert_array_equal(lam, eigh(B)[0])
-            np.testing.assert_array_equal(V, eigh(B)[1])
-        np.testing.assert_array_equal(eigh_cached(A)[0], eigh(A)[0])
-        assert [M is A for M in calls] == [True, False]
-        np.testing.assert_array_equal(eigh_cached(B)[0], eigh(B)[0])
-        assert len(calls) == 3
-
-    def test_lookup_across_threads(self):
-        # each thread looks its own array up again and again for a fixed
-        # time: the memo's one entry changes hands, and a lookup must never
-        # return another thread's decomposition
-        arrays = [random_spd(np.random.default_rng(110 + t), 4) for t in range(4)]
-        expected = [np.linalg.eigh(A)[0] for A in arrays]
-
-        def work(t):
-            wrong, calls = 0, 0
-            deadline = time.perf_counter() + 0.5
-            while time.perf_counter() < deadline:
-                lam, _ = eigh_cached(arrays[t])
-                wrong += not np.array_equal(lam, expected[t])
-                calls += 1
-            return wrong, calls
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                results = list(pool.map(work, range(4), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert [wrong for wrong, _ in results] == [0] * 4
-        assert min(calls for _, calls in results) > 0

@@ -436,5 +436,5 @@ class TestHessianFdConsistency:
 
     def test_symmetry_and_transpose_pairing(self, quad_oracle):
         p = Point(np.ones(4), np.ones(4), np.ones(4))
-        Hzz = quad_oracle.hess_zz_f3(p, DETERMINISTIC)
+        Hzz = np.asarray(quad_oracle.hess_zz_f3(p, DETERMINISTIC))
         np.testing.assert_allclose(Hzz, Hzz.T, atol=1e-12)

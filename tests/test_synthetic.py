@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trilevel.linalg import RankOneUpdate, tensor_contract_vec
+from trilevel.linalg import ConstantMatrix, RankOneUpdate, tensor_contract_vec
 from trilevel.oracle import DETERMINISTIC, NoiseDraw, Point, fd_hvp, wrap_gaussian_noise
 from trilevel.synthetic import (
+    QuadraticOracle,
     QuadraticSpec,
     QuarticOracle,
     QuarticSpec,
@@ -216,23 +217,30 @@ class TestQuarticOracle:
             np.testing.assert_allclose(got, expected, atol=1e-8)
 
     def test_hess_zz_f3_is_the_dense_matrix_plus_noise(self):
-        # the structured Hzz(f3) densifies to the dense formula's bytes, and a
-        # noise draw adds to those bytes exactly as it added to the array
+        # the structured Hzz(f3), the quartic's and the quadratic's,
+        # densifies to the dense formula's bytes, and a noise draw adds to
+        # those bytes exactly as it added to the array
         class DenseQuartic(QuarticOracle):
             def hess_zz_f3(self, p, sample):
                 g, u = self._parts(p)
                 return np.outer(u, u) + 2.0 * g * self.spec.Hzz
 
-        spec = replace(default_quartic(3, 2, 4, rng=6), Hzz=np.eye(4) + 0.2)
-        p = self._random_point(spec, np.random.default_rng(6))
-        M = make_oracle(spec).hess_zz_f3(p, DETERMINISTIC)
-        assert isinstance(M, RankOneUpdate)
-        assert np.array_equal(np.asarray(M), DenseQuartic(spec).hess_zz_f3(p, DETERMINISTIC))
-        noisy, dense = (wrap_gaussian_noise(o, 0.1, 0.05, seed=7) for o in (make_oracle(spec), DenseQuartic(spec)))
-        for sample in (NoiseDraw(0, 3), NoiseDraw(2, 9)):
-            got = noisy.hess_zz_f3(p, sample)
-            assert isinstance(got, np.ndarray)
-            assert np.array_equal(got, dense.hess_zz_f3(p, sample))
+        class DenseQuadratic(QuadraticOracle):
+            def hess_zz_f3(self, p, sample):
+                return self.spec.Hzz
+
+        for family, Dense, structured in ((default_quartic, DenseQuartic, RankOneUpdate),
+                                          (default_quadratic, DenseQuadratic, ConstantMatrix)):
+            spec = replace(family(3, 2, 4, rng=6), Hzz=np.eye(4) + 0.2)
+            p = self._random_point(spec, np.random.default_rng(6))
+            M = make_oracle(spec).hess_zz_f3(p, DETERMINISTIC)
+            assert isinstance(M, structured)
+            assert np.array_equal(np.asarray(M), Dense(spec).hess_zz_f3(p, DETERMINISTIC))
+            noisy, dense = (wrap_gaussian_noise(o, 0.1, 0.05, seed=7) for o in (make_oracle(spec), Dense(spec)))
+            for sample in (NoiseDraw(0, 3), NoiseDraw(2, 9)):
+                got = noisy.hess_zz_f3(p, sample)
+                assert isinstance(got, np.ndarray)
+                assert np.array_equal(got, dense.hess_zz_f3(p, sample))
 
     def test_hvps_match_dense_blocks(self):
         spec = default_quartic(4, 3, 2, rng=4)
