@@ -37,12 +37,13 @@ Backends:
   Hbar_yy that this engine inverts (:func:`auto_scales`).
 * ``NFD`` solves every inverse-Hessian system with linear CG (:func:`_cg`),
   realizing each Hessian-vector product as a central finite difference of
-  the corresponding gradient (:func:`_fd_dir`). Its UL gradient takes
-  directional derivatives of the reduced maps grad_y fbar and grad_x fbar
-  along a y-direction v with the lower-level variable moved to first order
-  along s = (dz/dy) v; differencing at frozen z would converge to the partial
-  (fixed-z) Hessian instead of the reduced one, which is a different matrix
-  whenever f2 or f3 couples y and z. ``fd_eps`` acts on this engine only.
+  the corresponding gradient (:func:`_fd_dir`). Its UL gradient forms each
+  reduced-Hessian product by a second-order adjoint, at two CG solves and
+  with no solve's output differenced (:func:`ul_adjoint_gradient`). It
+  moves the lower-level variable to first order along s = (dz/dy) v:
+  differencing at frozen z would converge to the partial (fixed-z) Hessian
+  instead of the reduced one, which is a different matrix whenever f2 or f3
+  couples y and z. ``fd_eps`` acts on this engine only.
 
 All evaluations inside one gradient computation receive the caller's
 SampleSpec unchanged (fixed-sample contract).
@@ -269,7 +270,8 @@ def _cg(apply_A, b, label: str, cfg, events) -> Array:
 
 def _cross_z(block, oracle, point, sample, cfg, w) -> Array:
     """H_{block,z}(f3) w: the oracle's block under H and AD, a central
-    difference of grad_block f3 along z at ``fd_eps`` under NFD."""
+    difference of grad_block f3 along z at ``fd_eps`` under NFD, where
+    block may also be z (Hzz(f3) w, in NFD's reduced-Hessian products)."""
     if cfg.engine == ENGINE_NFD:
         return _fd_dir(getattr(oracle, f"grad_{block}_f3"), point, sample, cfg.fd_eps, z=w)
     return getattr(oracle, f"hess_{block}z_f3")(point, sample) @ w
@@ -393,9 +395,13 @@ def ul_adjoint_gradient(
     supplied.
 
     H and AD run the reduced-Hessian algebra of :func:`_ul_reduced` with
-    their solver pair. NFD solves with CG on its ``solve_zz`` and takes
-    Hbar_yy and Hbar_xy products as central differences of the reduced
-    gradients (:func:`_fbar_gradient`) along (v, dz/dy v).
+    their solver pair. NFD solves lam_y by CG on Hbar_yy products and
+    forms one Hbar_xy product, each by the second-order adjoint of
+    fbar's gradient: with w = Hzz(f3)^{-1} grad_z f2 solved once and
+    s = -Hzz(f3)^{-1} H_zy(f3) v (the ``track`` solve),
+      Hbar_{b,y} v = dG_b - H_bz(f3) dw,  dw = Hzz(f3)^{-1} dG_z (the ``dw`` solve),
+    where dG_b is the central difference of grad_b f2 - H_bz(f3) w along
+    (y, z) = (v, s) at frozen w, and every H_{.z}(f3) w is :func:`_cross_z`'s.
     """
     cfg = cfg or AdjointConfig()
     o, p, s = oracle, point, sample
@@ -403,14 +409,20 @@ def ul_adjoint_gradient(
     if cfg.engine != ENGINE_NFD:
         return _ul_reduced(o, p, s, solve_zz, _make_solve_yy(cfg, events))
 
+    def frozen(block):
+        # grad_block f2 - H_{block,z}(f3) w as a function of the point, at frozen w
+        grad_f2 = getattr(o, f"grad_{block}_f2")
+        return lambda q, _: np.asarray(grad_f2(q, s), float) - _cross_z(block, o, q, s, cfg, w)
+
     def reduced(block, v):
-        # Hbar_{block,y} v, for block x in the two-evaluation form of the
-        # mixed partial; z moves along dz/dy v = -Hzz^{-1} H_zy v
+        # Hbar_{block,y} v; z moves along dz/dy v = -Hzz^{-1} H_zy v
         z_dir = -solve_zz(_fd_dir(o.grad_z_f3, p, s, cfg.fd_eps, y=v), "track")
-        return _fd_dir(lambda q, _: _fbar_gradient(block, o, q, s, cfg, events), p, s, cfg.fd_eps,
-                       y=v, z=z_dir)
+        dw = solve_zz(_fd_dir(frozen("z"), p, s, cfg.fd_eps, y=v, z=z_dir), "dw")
+        return (_fd_dir(frozen(block), p, s, cfg.fd_eps, y=v, z=z_dir)
+                - _cross_z(block, o, p, s, cfg, dw))
 
     lam_z = solve_zz(np.asarray(o.grad_z_f1(p, s), float), "lam_z")
+    w = solve_zz(np.asarray(o.grad_z_f2(p, s), float), "ml_w")
     b = np.asarray(o.grad_y_f1(p, s), float) - _cross_z("y", o, p, s, cfg, lam_z)
     lam_y = _cg(lambda v: reduced("y", v), b, "lam_y", cfg, events)
     cross = reduced("x", lam_y)

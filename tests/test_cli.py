@@ -39,6 +39,29 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+class NanInSecondLamY:
+    """Delegates to an oracle whose grad_y_f2 turns NaN once grad_z_f1 has
+    been called twice. NFD's UL gradient calls grad_z_f1 once, for lam_z,
+    and then grad_y_f2 only inside lam_y's CG operator, so the second UL
+    gradient's lam_y solve meets a non-finite operator, whatever the
+    instance does."""
+
+    def __init__(self, inner):
+        self.inner, self.capabilities, self.dims = inner, inner.capabilities, inner.dims
+        self.lam_z_solves = 0
+
+    def grad_z_f1(self, point, sample):
+        self.lam_z_solves += 1
+        return self.inner.grad_z_f1(point, sample)
+
+    def grad_y_f2(self, point, sample):
+        g = self.inner.grad_y_f2(point, sample)
+        return g * np.nan if self.lam_z_solves >= 2 else g
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
 class TestConfig:
     def test_round_trip_semantic_identity(self, tmp_path):
         cfg = tiny_config(tmp_path, engine="AD", neumann_q=12, c0=2.0, c1=None,
@@ -366,16 +389,19 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert not os.path.exists(cfg.output_dir)
 
-    @pytest.mark.parametrize("engine, spec_seed, alpha_bar, gamma_bar, reason, records", [
-        ("NFD", 5, 0.3, 1.0, "operator returned non-finite values", 1),
-        ("H", 3, 1.0, 0.5, "c A + u u^T with c = 0 has rank one", 2),
+    @pytest.mark.parametrize("engine, spec_seed, alpha_bar, gamma_bar, spy, reason, records", [
+        ("NFD", 5, 0.03, 0.005, NanInSecondLamY, "operator returned non-finite values", 1),
+        ("H", 3, 1.0, 0.5, None, "c A + u u^T with c = 0 has rank one", 2),
     ], ids=["NFD-cg-non-finite", "H-singular-lu"])
-    def test_numerical_breakdown_aborts_its_repetition(self, tmp_path, capsys, engine, spec_seed,
-                                                       alpha_bar, gamma_bar, reason, records):
-        # quartics whose NFD CG operator goes non-finite or whose Hzz(f3) is
-        # singular (g = 0 exactly at t = 8, leaving the rank-one u u'): the
-        # repetition aborts at the same UL iteration and the run exits 1
-        # with its trace
+    def test_numerical_breakdown_aborts_its_repetition(self, tmp_path, capsys, monkeypatch, engine,
+                                                       spec_seed, alpha_bar, gamma_bar, spy, reason,
+                                                       records):
+        # an NFD CG operator that goes non-finite (a spy oracle's, in the
+        # second UL iteration) or a quartic whose Hzz(f3) is singular (g = 0
+        # exactly at t = 8, leaving the rank-one u u'): the repetition aborts
+        # at the same UL iteration and the run exits 1 with its trace
+        if spy is not None:
+            monkeypatch.setattr(cli, "make_oracle", lambda spec: spy(make_oracle(spec)))
         cfg = tiny_config(tmp_path, problem="quartic", n=8, m=8, t=8, spec_seed=spec_seed,
                           engine=engine, alpha_bar=alpha_bar, beta_bar=1.0, gamma_bar=gamma_bar,
                           j0=2, k0=5, adaptive=False, repetitions=1)
