@@ -13,10 +13,8 @@ from .adjoint import (
     auto_scale_bilevel,
     auto_scales,
     bilevel_adjoint_gradient,
-    grad_x_fbar,
     ml_adjoint_gradient,
     neumann_inverse_apply,
-    neumann_krylov_apply,
     ul_adjoint_gradient,
 )
 from .driver import (

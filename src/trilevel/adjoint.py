@@ -14,7 +14,7 @@ reduced middle-level objective fbar(x, y) = f2(x, y, z(x, y)).
 
 Backends:
 
-* All three run one reduced middle-level gradient (:func:`_fbar_gradient`)
+* All three run one reduced middle-level gradient (:func:`ml_adjoint_gradient`)
   on their ``solve_zz``, which applies Hzz(f3)^{-1} (:func:`_make_solve_zz`),
   and their cross product H_{b,z}(f3) w (:func:`_cross_z`).
 * ``H`` and ``AD`` run one algebra on the oracle's Hessian blocks, products
@@ -29,12 +29,12 @@ Backends:
   desk-scale problems.
 * ``AD`` replaces the solves with truncated Neumann series at scales 1/c0
   (one Hzz(f3) series per column, on the oracle's ``hvp_zz_f3``) and 1/c1
-  (the m x m matrix): m+3 inner series per UL gradient. A Hzz(f3) series
-  on a sample that is not a NoiseDraw multiplies by one exact matrix, so it
-  is the same truncated polynomial evaluated on its Krylov space
-  (:func:`neumann_krylov_apply`), in as many products as that space has
-  dimensions (at most 2 on adv-hpt) instead of Q. Its scale c1 bounds the
-  Hbar_yy that this engine inverts (:func:`auto_scales`).
+  (the m x m matrix): m+3 inner series per UL gradient. On every sample,
+  a noise draw included, each series multiplies by one fixed symmetric
+  matrix, so one routine evaluates them all on their Krylov spaces
+  (:func:`neumann_inverse_apply`), in as many products as that space has
+  dimensions (at most 2 for adv-hpt's Hzz(f3)) instead of Q. Its scale c1
+  bounds the Hbar_yy that this engine inverts (:func:`auto_scales`).
 * ``NFD`` solves every inverse-Hessian system with linear CG (:func:`_cg`),
   realizing each Hessian-vector product as a central finite difference of
   the corresponding gradient (:func:`_fd_dir`). Its UL gradient forms each
@@ -56,7 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import cg_solve, is_integer, lu_factor_cached, lu_solve, solve_dense
-from .oracle import DETERMINISTIC, NoiseDraw, Point, ProblemOracle, SampleSpec
+from .oracle import DETERMINISTIC, Point, ProblemOracle, SampleSpec
 
 Array = np.ndarray
 
@@ -103,6 +103,12 @@ class AdjointConfig:
 NEUMANN_GROWTH_CAP = 10.0
 
 
+# A Lanczos residual at most this multiple of |T| means the Krylov space of
+# b is invariant under the operator: the tridiagonal T then represents it
+# exactly on that space.
+LANCZOS_BREAKDOWN_TOL = 1e-12
+
+
 def neumann_inverse_apply(
     hvp: Callable[[Array], Array],
     b,
@@ -111,64 +117,26 @@ def neumann_inverse_apply(
     events: Optional[list] = None,
     label: str = "neumann",
 ) -> Array:
-    """Truncated-Neumann approximation of A^{-1} b with a divergence guard.
+    """Truncated-Neumann approximation of A^{-1} b with a divergence guard,
+    for an ``hvp`` that is a symmetric linear map A.
 
-    Runs the recurrence r_0 = b, r_{h+1} = r_h - scale * hvp(r_h) and
-    returns scale * sum_{h=0..Q} r_h. Converges geometrically when
-    |I - scale*A| < 1 (not enforced; the caller picks scale = 1/C with C
-    an upper bound on |A|).
+    The series is the recurrence r_0 = b, r_{h+1} = r_h - scale * A r_h,
+    summed as scale * sum_{h=0..Q} r_h. It converges geometrically when
+    |I - scale*A| < 1 (not enforced; the caller picks scale = 1/C with C an
+    upper bound on |A|).
 
     Guard: if an iterate is non-finite or its norm exceeds
     NEUMANN_GROWTH_CAP * |b| (the scaled operator has left the contractive
     regime, e.g. a stale scale constant or a locally indefinite Hessian),
-    accumulation stops at the last sane term, so the truncated sum is a
-    bounded, regularized inverse. The stop is appended to ``events``, when
-    a list is given, as ``neumann_truncated:<label>@<h>`` with h the
-    1-based index of the rejected term.
-    """
-    if not is_integer(Q) or Q < 0:
-        raise ValueError("Q must be a nonnegative integer")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    r = np.asarray(b, dtype=float)
-    total = r.copy()
-    cap = NEUMANN_GROWTH_CAP * max(float(np.linalg.norm(b)), 1e-300)
-    for h in range(Q):
-        hv = np.asarray(hvp(r), dtype=float)
-        if hv.shape != r.shape:
-            raise ValueError("hvp output dimension mismatch")
-        r = r - scale * hv
-        norm = math.sqrt(r.dot(r))  # np.linalg.norm's value, without its wrapper
-        if not math.isfinite(norm) or norm > cap:
-            if events is not None:
-                events.append(f"neumann_truncated:{label}@{h + 1}")
-            break
-        total += r
-    return scale * total
+    the sum stops at the last sane term, so it is a bounded, regularized
+    inverse. The stop is appended to ``events``, when a list is given, as
+    ``neumann_truncated:<label>@<h>`` with h the 1-based index of the
+    rejected term.
 
-
-# A Lanczos residual at most this multiple of |T| means the Krylov space of
-# b is invariant under the operator: the tridiagonal T then represents it
-# exactly on that space.
-LANCZOS_BREAKDOWN_TOL = 1e-12
-
-
-def neumann_krylov_apply(
-    hvp: Callable[[Array], Array],
-    b,
-    Q: int,
-    scale: float,
-    events: Optional[list] = None,
-    label: str = "neumann",
-) -> Array:
-    """:func:`neumann_inverse_apply`'s truncated sum, guard and event,
-    evaluated on the Krylov space of b, for an ``hvp`` that is an exact
-    symmetric linear map A.
-
-    Every iterate r_h = (I - scale*A)^h b lies in span{b, Ab, ..., A^h b}.
-    Lanczos from b/|b|, with full reorthogonalisation, builds an orthonormal
-    basis V of that space and the tridiagonal T = V^T A V in at most Q
-    products, and stops once the space is invariant (beta_k <=
+    Evaluation: every iterate r_h = (I - scale*A)^h b lies in span{b, Ab,
+    ..., A^h b}. Lanczos from b/|b|, with full reorthogonalisation, builds
+    an orthonormal basis V of that space and the tridiagonal T = V^T A V in
+    at most Q products, and stops once the space is invariant (beta_k <=
     LANCZOS_BREAKDOWN_TOL * |T|); when that space has dimension k, one
     series costs k products. After p products without breakdown T has p+1
     rows, and its last diagonal entry, which would cost product p+1, does
@@ -176,7 +144,7 @@ def neumann_krylov_apply(
     c = U^T e1 and mu = 1 - scale*lam, the guard norms are
     |r_h| = |b| |c * mu^h| for all h at once, and the sum maps back as
     scale * |b| * V U (c * sum_h mu^h). A non-finite product at call j
-    truncates at term j, as it does in the recurrence.
+    truncates at term j, where the recurrence would meet it.
     """
     if not is_integer(Q) or Q < 0:
         raise ValueError("Q must be a nonnegative integer")
@@ -304,17 +272,15 @@ def _make_solve_zz(oracle, point, sample, cfg, events):
         return lambda B, labels: lu_solve(F, B)
 
     q, scale = cfg.neumann_q, _neumann_scale(cfg, "c0")
-    # Hzz products on a fixed sample form an exact symmetric linear map;
-    # noise draws keyed by their direction do not, so those keep the recurrence
-    series = neumann_inverse_apply if isinstance(sample, NoiseDraw) else neumann_krylov_apply
 
     def hvp(v):
         return oracle.hvp_zz_f3(point, sample, v)
 
     def solve_zz(B, labels):
         if B.ndim == 1:
-            return series(hvp, B, q, scale, events, labels)
-        return np.column_stack([series(hvp, b, q, scale, events, label) for b, label in zip(B.T, labels)])
+            return neumann_inverse_apply(hvp, B, q, scale, events, labels)
+        return np.column_stack([neumann_inverse_apply(hvp, b, q, scale, events, label)
+                                for b, label in zip(B.T, labels)])
 
     return solve_zz
 
@@ -352,31 +318,12 @@ def ml_adjoint_gradient(
 ) -> Array:
     """Adjoint gradient of the reduced middle-level objective in y,
     grad_y f2 - H_yz(f3) Hzz(f3)^{-1} grad_z f2, evaluated with point.z
-    standing in for the exact lower-level solution."""
-    return _fbar_gradient("y", oracle, point, sample, cfg, events)
-
-
-def grad_x_fbar(
-    oracle: ProblemOracle,
-    point: Point,
-    sample: SampleSpec = DETERMINISTIC,
-    cfg: AdjointConfig = None,
-    events: Optional[list] = None,
-) -> Array:
-    """x-gradient of the reduced middle-level objective:
-    grad_x f2 - H_xz(f3) Hzz(f3)^{-1} grad_z f2."""
-    return _fbar_gradient("x", oracle, point, sample, cfg, events)
-
-
-def _fbar_gradient(block, oracle, point, sample, cfg, events) -> Array:
-    """Gradient of the reduced middle-level objective in the x or y block,
-    grad_block f2 - H_{block,z}(f3) Hzz(f3)^{-1} grad_z f2, on the engine's
+    standing in for the exact lower-level solution, on the engine's
     ``solve_zz`` and cross product (:func:`_cross_z`)."""
     cfg = cfg or AdjointConfig()
     solve_zz = _make_solve_zz(oracle, point, sample, cfg, events)
-    w = solve_zz(np.asarray(oracle.grad_z_f2(point, sample), float), "ml_w" if block == "y" else "gx_w")
-    return (np.asarray(getattr(oracle, f"grad_{block}_f2")(point, sample), float)
-            - _cross_z(block, oracle, point, sample, cfg, w))
+    w = solve_zz(np.asarray(oracle.grad_z_f2(point, sample), float), "ml_w")
+    return np.asarray(oracle.grad_y_f2(point, sample), float) - _cross_z("y", oracle, point, sample, cfg, w)
 
 
 def ul_adjoint_gradient(

@@ -11,9 +11,11 @@ easy as 1, 2, 3", SC 2011): a noise draw is a pure function of
 (seed, stream, counter, block, evaluated point), so runs are
 bit-reproducible regardless of evaluation order or concurrency. The Philox
 key is (seed, SplitMix64(stream, block)) and its counter is (sample
-counter, BLAKE2b-64 of the x||y||z float64 bytes, BLAKE2b-64 of the HVP
-direction v or 0, 0). Each thread holds one Philox per noise wrapper and
-re-keys it to that key and counter before every draw.
+counter, BLAKE2b-64 of the x||y||z float64 bytes, 0, 0). A noise draw
+perturbs each square Hessian block by one symmetric matrix, and a product
+with that block applies the same matrix, so on one draw every Hessian is
+a fixed symmetric linear map. Each thread holds one Philox per noise
+wrapper and re-keys it to that key and counter before every draw.
 """
 
 import hashlib
@@ -149,9 +151,13 @@ class ProblemOracle:
     ``__array__`` and ``@``: a :class:`~trilevel.linalg.ConstantMatrix`
     (an ``affine_ll`` oracle's), whose inverse the H engine uses, or one
     with a ``solve(B)`` that it calls (the quartic's
-    :class:`~trilevel.linalg.RankOneUpdate`); a noise wrapper densifies it. All evaluations take (point, sample) and must be
-    deterministic functions of their arguments. Callers must not write to
-    the arrays an oracle returns.
+    :class:`~trilevel.linalg.RankOneUpdate`); a noise wrapper densifies it.
+    A product is its block times V on every sample: ``hvp_zz_f3(p, s, V)``
+    equals ``hess_zz_f3(p, s) @ V`` to rounding, so on one sample each
+    Hessian is one symmetric linear map, which AD's Neumann series assume.
+    All evaluations take (point, sample) and must be deterministic
+    functions of their arguments. Callers must not write to the arrays an
+    oracle returns.
     """
 
     capabilities = OracleCapabilities()
@@ -303,8 +309,8 @@ def _digest(*arrays: Array) -> int:
 _EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
 
 # block tags keep noise draws independent across derivative blocks; the
-# None slots (13, 14, 19, 20) keep each later block's tag, and so its draws,
-# unchanged
+# None slots (13, 14, 18, 19, 20) keep each later block's tag, and so its
+# draws, unchanged
 _BLOCK_TAGS = {
     name: idx
     for idx, name in enumerate(
@@ -315,11 +321,19 @@ _BLOCK_TAGS = {
             "hess_zz_f3", "hess_xz_f3", "hess_yz_f3",
             "hess_zx_f2", None, None,
             "hess_yx_f2", "hess_yy_f2", "hess_yz_f2",
-            "hvp_zz_f3", None, None,
+            None, None, None,
             "hvp_zz_f2",
         ]
     )
     if name is not None
+}
+
+# the square blocks, each perturbed by one symmetric matrix per draw, and
+# the block whose tag draws it: a product applies its Hessian's matrix, and
+# Hzz(f2), which has no method of its own, is drawn under its product's tag
+_SYMMETRIC = {
+    "hess_zz_f3": "hess_zz_f3", "hvp_zz_f3": "hess_zz_f3",
+    "hess_yy_f2": "hess_yy_f2", "hvp_zz_f2": "hvp_zz_f2",
 }
 
 
@@ -327,19 +341,25 @@ class GaussianNoiseOracle(ProblemOracle):
     """Adds zero-mean Gaussian noise to an inner oracle's derivatives.
 
     On NoiseDraw samples, every gradient gets i.i.d. N(0, std_grad^2)
-    elementwise and every Hessian block / HVP result gets N(0, std_hess^2);
+    elementwise and every Hessian block gets N(0, std_hess^2) elementwise;
     third-order contractions and function values pass through unperturbed.
-    Deterministic samples bypass noise entirely.
+    Deterministic samples bypass noise entirely. A square block (Hzz(f3),
+    H_yy(f2), Hzz(f2)) gets one symmetric matrix E: its (k, k) draw G
+    mirrored as triu(G) + triu(G, 1)^T, so every entry is still
+    N(0, std_hess^2). A product ``hvp_zz_f3(p, s, V)`` returns the clean
+    product plus E V, with E the matrix ``hess_zz_f3(p, s)`` adds, and
+    ``hvp_zz_f2`` applies its own E the same way. So on one draw a Hessian
+    is one fixed symmetric matrix, whichever way an engine reaches it, and
+    its products are linear in V.
 
     Each call draws from a Philox stream with key
     (seed, SplitMix64(stream, block tag)) and counter (sample counter,
-    BLAKE2b-64 of the C-contiguous float64 bytes of x||y||z, BLAKE2b-64 of
-    the direction v or block V for HVPs or 0 otherwise, 0). The oracle's
-    fixed dims make the concatenation unambiguous, and the digest ignores
-    memory layout. So repeated evaluation of the same block at the same
-    point and sample is bit-identical, while distinct points, directions
-    or blocks draw independent noise (a finite difference of noisy
-    gradients is itself noisy, as it would be with sampled data).
+    BLAKE2b-64 of the C-contiguous float64 bytes of x||y||z, 0, 0). The
+    oracle's fixed dims make the concatenation unambiguous, and the digest
+    ignores memory layout. So repeated evaluation of the same block at the
+    same point and sample is bit-identical, while distinct points or blocks
+    draw independent noise (a finite difference of noisy gradients is
+    itself noisy, as it would be with sampled data).
 
     Each thread owns one Philox per wrapper. Before every draw the call
     assigns it the complete state (key, counter, empty buffer), so nothing
@@ -360,7 +380,7 @@ class GaussianNoiseOracle(ProblemOracle):
     def dims(self):
         return self.inner.dims
 
-    def _draw(self, sample: NoiseDraw, block: str, point: Point, extra: int, std, shape) -> Array:
+    def _draw(self, sample: NoiseDraw, block: str, point: Point, std, shape) -> Array:
         """N(0, std^2) noise of the given shape, drawn by this thread's re-keyed Philox.
 
         The thread's Philox and its complete state dict are built once; each
@@ -381,15 +401,19 @@ class GaussianNoiseOracle(ProblemOracle):
             local.tagged = (sample.stream, block)
         counter[0] = int(sample.counter) & _MASK64
         counter[1] = _digest(point.x, point.y, point.z)
-        counter[2] = int(extra) & _MASK64
         local.gen.bit_generator.state = local.state
         return local.gen.normal(0.0, std, size=shape)
 
-    def _noisy(self, name: str, std: float, point, sample, *v):
-        clean = getattr(self.inner, name)(point, sample, *v)
+    def _noisy(self, name: str, std: float, point, sample, *V):
+        clean = getattr(self.inner, name)(point, sample, *V)
         if not isinstance(sample, NoiseDraw) or std == 0.0:
             return clean
-        return clean + self._draw(sample, name, point, _digest(*v) if v else 0, std, np.shape(clean))
+        if name not in _SYMMETRIC:
+            return clean + self._draw(sample, name, point, std, np.shape(clean))
+        k = np.shape(clean)[0]
+        G = self._draw(sample, _SYMMETRIC[name], point, std, (k, k))
+        E = np.triu(G) + np.triu(G, 1).T
+        return clean + (E @ V[0] if V else E)
 
     # values pass through
     def f1(self, point, sample):
@@ -419,7 +443,7 @@ def _install_noise_methods():
         method.__name__ = name
         return method
 
-    for block in _BLOCK_TAGS:
+    for block in {**_BLOCK_TAGS, **_SYMMETRIC}:
         setattr(GaussianNoiseOracle, block, noisy_method(block))
     for t3 in [name for name in vars(ProblemOracle) if name.startswith("t3_")]:
         setattr(GaussianNoiseOracle, t3, passthrough(t3))

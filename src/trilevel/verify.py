@@ -220,14 +220,6 @@ class AgreementReport:
             lines.append(f"{l:<{width}}" + cells)
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        lines = ["a,b,rel_error"]
-        for i, la in enumerate(self.labels):
-            for j, lb in enumerate(self.labels):
-                if j > i:
-                    lines.append(f"{la},{lb},{self.rel_errors[i, j]:.12e}")
-        return "\n".join(lines) + "\n"
-
 
 def engine_agreement_report(
     oracle: ProblemOracle,

@@ -12,10 +12,8 @@ from trilevel.adjoint import (
     auto_scale_bilevel,
     auto_scales,
     bilevel_adjoint_gradient,
-    grad_x_fbar,
     ml_adjoint_gradient,
     neumann_inverse_apply,
-    neumann_krylov_apply,
     ul_adjoint_gradient,
 )
 from trilevel.driver import Decaying, IterationBudget, run_tsg
@@ -120,6 +118,31 @@ class TestNeumannInverse:
             neumann_inverse_apply(lambda v: v, np.ones(2), 2, 0.0)
 
 
+def recurrence(hvp, b, Q, scale, events=None, label="neumann"):
+    """Reference for :func:`neumann_inverse_apply`: the plain recurrence
+    r_0 = b, r_{h+1} = r_h - scale * hvp(r_h), summed as scale * sum r_h,
+    with the same growth guard and ``neumann_truncated:<label>@<h>`` event."""
+    if not linalg.is_integer(Q) or Q < 0:
+        raise ValueError("Q must be a nonnegative integer")
+    if not scale > 0:
+        raise ValueError("scale must be positive")
+    r = np.asarray(b, dtype=float)
+    total = r.copy()
+    cap = adjoint.NEUMANN_GROWTH_CAP * max(float(np.linalg.norm(b)), 1e-300)
+    for h in range(Q):
+        hv = np.asarray(hvp(r), dtype=float)
+        if hv.shape != r.shape:
+            raise ValueError("hvp output dimension mismatch")
+        r = r - scale * hv
+        norm = math.sqrt(r.dot(r))
+        if not math.isfinite(norm) or norm > cap:
+            if events is not None:
+                events.append(f"neumann_truncated:{label}@{h + 1}")
+            break
+        total += r
+    return scale * total
+
+
 def _counted(op):
     calls = [0]
 
@@ -141,14 +164,14 @@ def _advhpt_split7():
 
 
 class TestNeumannKrylov:
-    # the Krylov evaluator computes the recurrence's polynomial in another
+    # the Krylov evaluation computes the recurrence's polynomial in another
     # order: its sum agrees to rounding and its guard stops at the same term
     RTOL = 1e-12
 
     def run_both(self, op, b, Q, scale):
-        """(sum, events, products) of the recurrence and the Krylov evaluator."""
+        """(sum, events, products) of the reference recurrence and the Krylov evaluation."""
         out = []
-        for fn in (neumann_inverse_apply, neumann_krylov_apply):
+        for fn in (recurrence, neumann_inverse_apply):
             apply, calls = _counted(op)
             events = []
             out.append((fn(apply, b, Q, scale, events, "probe"), events, calls[0]))
@@ -219,8 +242,8 @@ class TestNeumannKrylov:
             nonfinite[2] = bad
             ref_events, events = [], []
             with np.errstate(invalid="ignore"):  # the recurrence's inf - inf
-                ref = neumann_inverse_apply(op, nonfinite, 5, 0.2, ref_events, "probe")
-            got = neumann_krylov_apply(op, nonfinite, 5, 0.2, events, "probe")
+                ref = recurrence(op, nonfinite, 5, 0.2, ref_events, "probe")
+            got = neumann_inverse_apply(op, nonfinite, 5, 0.2, events, "probe")
             np.testing.assert_array_equal(got, ref)
             assert events == ref_events == ["neumann_truncated:probe@1"]
 
@@ -237,41 +260,44 @@ class TestNeumannKrylov:
         # four distinct eigenvalues: Lanczos reaches its third product too
         b = np.array([1.0, -2.0, 0.5, 3.0])
         ref_events, events = [], []
-        ref = neumann_inverse_apply(breaks_on_third_call(), b, 6, 0.2, ref_events, "probe")
-        got = neumann_krylov_apply(breaks_on_third_call(), b, 6, 0.2, events, "probe")
+        ref = recurrence(breaks_on_third_call(), b, 6, 0.2, ref_events, "probe")
+        got = neumann_inverse_apply(breaks_on_third_call(), b, 6, 0.2, events, "probe")
         assert np.linalg.norm(got - ref) <= self.RTOL * np.linalg.norm(ref)
         assert events == ref_events == ["neumann_truncated:probe@3"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            neumann_krylov_apply(lambda v: v, np.ones(2), -1, 0.5)
-        with pytest.raises(ValueError):
-            neumann_krylov_apply(lambda v: v, np.ones(2), 2, 0.0)
-        with pytest.raises(ValueError):
-            neumann_krylov_apply(lambda v: v[:1], np.ones(2), 2, 0.5)
+        for fn in (recurrence, neumann_inverse_apply):
+            with pytest.raises(ValueError):
+                fn(lambda v: v, np.ones(2), -1, 0.5)
+            with pytest.raises(ValueError):
+                fn(lambda v: v, np.ones(2), 2, 0.0)
+            with pytest.raises(ValueError):
+                fn(lambda v: v[:1], np.ones(2), 2, 0.5)
 
-    def routes(self, monkeypatch, oracle, point, sample, cfg):
-        """Labels of the series the UL gradient sends to each evaluator."""
-        seen = {"krylov": [], "recurrence": []}
-        for name, key in (("neumann_krylov_apply", "krylov"), ("neumann_inverse_apply", "recurrence")):
-            def spy(hvp, b, Q, scale, events, label, _fn=getattr(adjoint, name), _key=key):
-                seen[_key].append(label)
-                return _fn(hvp, b, Q, scale, events, label)
-            monkeypatch.setattr(adjoint, name, spy)
-        ul_adjoint_gradient(oracle, point, sample, cfg)
-        return {key: sorted(set(labels)) for key, labels in seen.items()}
-
-    def test_ops_routes_only_exact_hzz_series_to_krylov(self, monkeypatch):
+    def test_every_series_runs_the_one_routine(self, monkeypatch):
+        # a noise draw perturbs each Hessian by one symmetric matrix, so the
+        # Hzz series, the Hbar_yy series and the bilevel series all run the
+        # Krylov evaluation, on every sample
         spec = default_quadratic(3, 3, 3, rng=9)
         point = closed_form_point(spec, np.ones(3))
         cfg = AdjointConfig(engine="AD", neumann_q=6, c0=2.0, c1=3.0)
-        hzz = ["gx_w", "lam_z", "ml_w", "track"]
-        routes = self.routes(monkeypatch, make_oracle(spec), point, DETERMINISTIC, cfg)
-        assert routes == {"krylov": hzz, "recurrence": ["lam_y"]}
-        # a NoiseDraw sample keys fresh noise by each product's direction
+        seen = []
+        series = adjoint.neumann_inverse_apply
+
+        def spy(hvp, b, Q, scale, events, label):
+            seen.append(label)
+            return series(hvp, b, Q, scale, events, label)
+
+        monkeypatch.setattr(adjoint, "neumann_inverse_apply", spy)
         noisy = wrap_gaussian_noise(make_oracle(spec), 0.1, 0.1, seed=1)
-        routes = self.routes(monkeypatch, noisy, point, NoiseDraw(stream=1, counter=2), cfg)
-        assert routes == {"krylov": [], "recurrence": sorted(hzz + ["lam_y"])}
+        for oracle, sample in ((make_oracle(spec), DETERMINISTIC), (noisy, NoiseDraw(stream=1, counter=2))):
+            seen.clear()
+            ul_adjoint_gradient(oracle, point, sample, cfg)
+            assert sorted(set(seen)) == ["gx_w", "lam_y", "lam_z", "ml_w", "track"]
+            assert len(seen) == spec.m + 4
+            seen.clear()
+            bilevel_adjoint_gradient(oracle, point, sample, cfg)
+            assert seen == ["bilevel_lam"]
 
 
 class TestMlAdjoint:
@@ -301,35 +327,6 @@ class TestMlAdjoint:
         for cfg in engines_for(oracle, point):
             g = ml_adjoint_gradient(oracle, point, DETERMINISTIC, cfg)
             np.testing.assert_allclose(g, expected, atol=1e-9)
-
-
-class TestGradXFbar:
-    def test_matches_fd_of_fbar(self):
-        spec = default_quadratic(5, 5, 5, rng=3)
-        oracle = make_oracle(spec)
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0, 5, 5)
-        y = rng.uniform(0, 5, 5)
-        point = Point(x, y, closed_form_z(spec, x, y))
-
-        def fbar(xv):
-            z = closed_form_z(spec, xv, y)
-            return oracle.f2(Point(xv, y, z), DETERMINISTIC)
-
-        h = 1e-6
-        fd = np.array([(fbar(x + h * e) - fbar(x - h * e)) / (2 * h) for e in np.eye(5)])
-        for cfg in engines_for(oracle, point):
-            g = grad_x_fbar(oracle, point, DETERMINISTIC, cfg)
-            np.testing.assert_allclose(g, fd, atol=1e-5)
-
-    def test_decoupled_reduces_to_grad_x_f2(self):
-        oracle = make_oracle(decoupled_spec())
-        point = Point(np.ones(4), np.ones(4), np.ones(4))
-        expected = oracle.grad_x_f2(point, DETERMINISTIC)
-        for cfg in engines_for(oracle, point):
-            np.testing.assert_allclose(
-                grad_x_fbar(oracle, point, DETERMINISTIC, cfg), expected, atol=1e-10
-            )
 
 
 class TestUlAdjoint:
@@ -677,8 +674,8 @@ class TestContracts:
                 oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=nan, c1=1.0)),
             "c1": lambda: ul_adjoint_gradient(
                 oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=1.0, c1=nan)),
-            "scale": lambda: neumann_inverse_apply(lambda v: v, b, 5, nan),
-            "krylov-scale": lambda: neumann_krylov_apply(lambda v: v, b, 5, nan),
+            "scale": lambda: recurrence(lambda v: v, b, 5, nan),
+            "krylov-scale": lambda: neumann_inverse_apply(lambda v: v, b, 5, nan),
             "tol": lambda: linalg.cg_solve(lambda v: v, b, tol=nan),
         }
         with pytest.raises(ValueError, match=knob.split("-")[-1]):
@@ -703,8 +700,8 @@ class TestContracts:
             "cg_max_iters": lambda q: AdjointConfig(engine="NFD", cg_max_iters=q),
             "neumann_q": lambda q: AdjointConfig(engine="AD", neumann_q=q, c0=1.0, c1=1.0),
             "at-use-neumann_q": at_use,
-            "Q": lambda q: neumann_inverse_apply(lambda v: v, b, q, 0.5),
-            "krylov-Q": lambda q: neumann_krylov_apply(lambda v: v, b, q, 0.5),
+            "Q": lambda q: recurrence(lambda v: v, b, q, 0.5),
+            "krylov-Q": lambda q: neumann_inverse_apply(lambda v: v, b, q, 0.5),
             "max_iters": lambda q: linalg.cg_solve(lambda v: v, b, max_iters=q),
         }
         with pytest.raises(ValueError, match=knob.split("-")[-1]):
@@ -943,7 +940,7 @@ class TestReducedPath:
         c0, c1 = auto_scales(oracle, point)
         c1_bilevel = auto_scale_bilevel(oracle, point)
         cfg = AdjointConfig(engine="AD", neumann_q=6, c0=c0, c1=c1)
-        for fn in (ml_adjoint_gradient, grad_x_fbar, ul_adjoint_gradient):
+        for fn in (ml_adjoint_gradient, ul_adjoint_gradient):
             fn(oracle, point, DETERMINISTIC, cfg)
         bilevel_adjoint_gradient(oracle, point, DETERMINISTIC, replace(cfg, c1=c1_bilevel))
         assert set(calls) == {"exact"}
@@ -952,8 +949,8 @@ class TestReducedPath:
         assert set(calls) == {"fd", "cg"}
 
     def test_ad_on_a_zero_noise_draw_matches_deterministic(self):
-        # a NoiseDraw keeps the Hzz series on the recurrence, which gives
-        # the Krylov evaluation's sum up to rounding
+        # a silent wrapper returns the inner oracle's blocks and products, and
+        # AD takes one path on every sample, so the draw changes no bit
         quartic = default_quartic(3, 3, 2, rng=5)
         oracle = make_oracle(quartic)
         point = default_init_point(quartic, rng=6)
@@ -961,7 +958,31 @@ class TestReducedPath:
         cfg = AdjointConfig(engine="AD", fd_eps=0.1, neumann_q=6, c0=2.0, c1=3.0)
         g_draw = ul_adjoint_gradient(silent, point, NoiseDraw(stream=1, counter=2), cfg)
         g_det = ul_adjoint_gradient(oracle, point, DETERMINISTIC, cfg)
-        np.testing.assert_allclose(g_draw, g_det, rtol=1e-12)
+        np.testing.assert_array_equal(g_draw, g_det)
+
+    @pytest.mark.parametrize("family", ["quadratic", "quartic"])
+    def test_ad_matches_h_on_one_noise_draw(self, family):
+        # a noise draw perturbs each Hessian once, so AD's series invert the
+        # matrices H solves, and a long series reaches H's gradients
+        if family == "quadratic":
+            spec = default_quadratic(10, 10, 10, rng=42)
+            point = closed_form_point(spec, default_init_point(spec, rng=43).x)
+        else:  # t = 2
+            spec = default_quartic(3, 3, 2, rng=5)
+            point = default_init_point(spec, rng=6)
+        inner = make_oracle(spec)
+        noisy = wrap_gaussian_noise(inner, 0.1, 0.01, seed=1)
+        draw = NoiseDraw(stream=1, counter=2)
+        c0, c1 = auto_scales(inner, point)
+        ad = AdjointConfig(engine="AD", neumann_q=2000, c0=c0, c1=c1)
+        ad_bilevel = AdjointConfig(engine="AD", neumann_q=2000, c1=auto_scale_bilevel(inner, point))
+        for fn, cfg in ((ml_adjoint_gradient, ad), (ul_adjoint_gradient, ad),
+                        (bilevel_adjoint_gradient, ad_bilevel)):
+            events = []
+            g_ad = fn(noisy, point, draw, cfg, events)
+            g_h = fn(noisy, point, draw, AdjointConfig(engine="H"))
+            assert events == []
+            assert np.linalg.norm(g_ad - g_h) <= 1e-10 * np.linalg.norm(g_h), fn.__name__
 
     def test_advhpt_forms_no_t_by_t_array(self, monkeypatch):
         ds = ah.load_csv(ah.bundled_dataset_path())
@@ -1025,7 +1046,7 @@ class TestPinned:
             [],
         ),
         ("quadratic", "ul", "AD-stale"): (
-            ["0x1.40bb0ce91052ep+9", "0x1.d1330453ad9f2p+8", "0x1.955fc75e5d6d8p+8"],
+            ["0x1.40bb0ce91052cp+9", "0x1.d1330453ad9edp+8", "0x1.955fc75e5d6d4p+8"],
             ["neumann_truncated:lam_y@3"],
         ),
         ("quadratic", "bilevel", "NFD"): (
@@ -1037,7 +1058,7 @@ class TestPinned:
             [],
         ),
         ("quadratic", "bilevel", "AD-stale"): (
-            ["-0x1.8ec595e0f20fep+6", "-0x1.35f137090e414p+6", "-0x1.5fea99883645dp+6"],
+            ["-0x1.8ec595e0f2102p+6", "-0x1.35f137090e416p+6", "-0x1.5fea998836460p+6"],
             ["neumann_truncated:bilevel_lam@2"],
         ),
         # NFD on a noise draw: every Hessian product and CG solve is noisy
@@ -1074,11 +1095,11 @@ class TestPinned:
              "cg_curvature:lam_y", "cg_capped:track", "cg_capped:dw"],
         ),
         ("quartic", "ul", "AD"): (
-            ["-0x1.34c42486105f0p-1", "-0x1.e6d6991ed028ap-1", "-0x1.4fb0c8a9be02cp-2"],
+            ["-0x1.34c42486105eep-1", "-0x1.e6d6991ed028ap-1", "-0x1.4fb0c8a9be02cp-2"],
             [],
         ),
         ("quartic", "ul", "AD-stale"): (
-            ["0x1.33630daa5cf08p+1", "0x1.e3804f69ff744p+1", "0x1.25a68d9ad805cp+1"],
+            ["0x1.33630daa5cf04p+1", "0x1.e3804f69ff73cp+1", "0x1.25a68d9ad8058p+1"],
             ["neumann_truncated:lam_y@2"],
         ),
         ("quartic", "bilevel", "NFD"): (
@@ -1090,7 +1111,7 @@ class TestPinned:
             [],
         ),
         ("quartic", "bilevel", "AD-stale"): (
-            ["0x1.72f8d2138a534p+0", "0x1.4025c3b465630p+1", "0x1.25a68d9ad805cp+1"],
+            ["0x1.72f8d2138a532p+0", "0x1.4025c3b46562fp+1", "0x1.25a68d9ad805ap+1"],
             ["neumann_truncated:bilevel_lam@2"],
         ),
     }
@@ -1137,7 +1158,7 @@ class TestPinned:
         cfg = AdjointConfig(engine="AD", neumann_q=6, c0=0.06, c1=3e5)
         events = []
         g = ul_adjoint_gradient(oracle, point, batch, cfg, events=events)
-        np.testing.assert_array_equal(g, [float.fromhex("0x1.916bbecad6badp-19")])
+        np.testing.assert_array_equal(g, [float.fromhex("0x1.916bbecad6ba9p-19")])
         assert events == []
         g = ml_adjoint_gradient(oracle, point, batch, cfg, events=events)
         expected = ["0x1.073749c494a29p+1", "0x1.f505c735a4b5ep+5", "-0x1.d187ca38e84b4p+5",

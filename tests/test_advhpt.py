@@ -497,6 +497,9 @@ class TestHvpZzOp:
         clean = inner.hvp_zz_f3(p, draw, v)
         noisy_hv = noisy.hvp_zz_f3(p, draw, v)
         assert not np.array_equal(noisy_hv, clean)
+        # every product meets the one noise matrix the draw adds to Hzz(f3)
+        E = np.asarray(noisy.hess_zz_f3(p, draw)) - np.asarray(inner.hess_zz_f3(p, draw))
+        np.testing.assert_allclose(noisy_hv - clean, E @ v, rtol=1e-12)
         # the AD engine's Hzz series goes through the noisy per-call method:
         # its ML gradient on the draw is the one built from noisy products
         cfg = AdjointConfig(engine="AD", neumann_q=3, c0=1.0, c1=1.0)

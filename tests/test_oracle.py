@@ -9,6 +9,7 @@ import pytest
 
 from trilevel.oracle import (
     _BLOCK_TAGS,
+    _SYMMETRIC,
     DETERMINISTIC,
     GaussianNoiseOracle,
     MinibatchIndices,
@@ -21,7 +22,8 @@ from trilevel.oracle import (
     stream_gen,
     wrap_gaussian_noise,
 )
-from trilevel.synthetic import default_quadratic, default_quartic, make_oracle
+from trilevel import advhpt as ah
+from trilevel.synthetic import default_init_point, default_quadratic, default_quartic, make_oracle
 
 
 @pytest.fixture(scope="module")
@@ -199,11 +201,34 @@ class TestNoiseWrapper:
             wrapped.hvp_zz_f3(self.point, s, strided),
             wrapped.hvp_zz_f3(self.point, s, strided.copy()),
         )
-        # a different direction at the same point and sample draws other noise
-        v1, v2 = strided.copy(), strided + 1.0
-        n1 = wrapped.hvp_zz_f3(self.point, s, v1) - self.inner.hvp_zz_f3(self.point, s, v1)
-        n2 = wrapped.hvp_zz_f3(self.point, s, v2) - self.inner.hvp_zz_f3(self.point, s, v2)
-        assert not np.allclose(n1, n2)
+        # the point's digest keys the draw, whatever the direction's layout:
+        # every direction at the same point and sample meets one noise matrix
+        E = wrapped.hess_zz_f3(self.point, s) - self.inner.hess_zz_f3(self.point, s)
+        for v in (strided, strided + 1.0):
+            n = wrapped.hvp_zz_f3(self.point, s, v) - self.inner.hvp_zz_f3(self.point, s, v)
+            np.testing.assert_allclose(n, E @ v, rtol=1e-12)
+
+    def test_square_blocks_are_symmetric_and_product_noise_is_linear(self):
+        # one draw perturbs each square block by one symmetric matrix, and a
+        # product applies it: the noise of Hzz(f3) V and Hzz(f2) V is linear
+        # in V, column by column
+        wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=6)
+        s = NoiseDraw(stream=2, counter=9)
+        for block in ("hess_zz_f3", "hess_yy_f2"):
+            H = np.asarray(getattr(wrapped, block)(self.point, s))
+            assert np.array_equal(H, H.T)
+            assert not np.array_equal(H, np.asarray(getattr(self.inner, block)(self.point, s)))
+        gen = np.random.default_rng(6)
+        v1, v2 = gen.normal(0, 1, 4), gen.normal(0, 1, 4)
+        for block in ("hvp_zz_f3", "hvp_zz_f2"):
+            def noise(V, _b=block):
+                return getattr(wrapped, _b)(self.point, s, V) - getattr(self.inner, _b)(self.point, s, V)
+
+            n1, n2 = noise(v1), noise(v2)
+            assert not np.allclose(n1, 0.0)
+            np.testing.assert_allclose(noise(2.0 * v1 - 3.0 * v2), 2.0 * n1 - 3.0 * n2, rtol=1e-12)
+            np.testing.assert_allclose(noise(np.column_stack([v1, v2])), np.column_stack([n1, n2]),
+                                       rtol=1e-12)
 
     def test_draws_thread_safe(self):
         # no generator state is shared between calls, so concurrent draws
@@ -228,7 +253,9 @@ class TestNoiseWrapper:
 
     def test_draws_pinned(self):
         # recorded draws: a change to keys, counters or scales shows here.
-        # The inner oracle returns zeros, so each output is the noise alone
+        # The inner oracle returns zeros, so each output is the noise alone.
+        # The Hessian is its draw's upper triangle mirrored, and the product
+        # that matrix applied to (0, 1, 2, 3)
         class Zeros(ProblemOracle):
             def grad_z_f3(self, point, sample):
                 return np.zeros(4)
@@ -246,14 +273,14 @@ class TestNoiseWrapper:
                      "-0x1.195ae39a434e3p-2", "-0x1.547a04e1529a8p-4"],
             "hess": ["-0x1.f77443534be5ap-4", "0x1.23cfef1a41cb3p-2",
                      "-0x1.a3fd3a2acc462p-6", "-0x1.1bc8ed101473cp-2",
-                     "-0x1.d6e05fca28dc5p-3", "-0x1.041491d8983bep-6",
+                     "0x1.23cfef1a41cb3p-2", "-0x1.041491d8983bep-6",
                      "0x1.2e2d2aed986d3p-3", "0x1.186c63f04632bp-5",
-                     "0x1.83bedde0eff43p-6", "0x1.a733c5354e248p-5",
+                     "-0x1.a3fd3a2acc462p-6", "0x1.2e2d2aed986d3p-3",
                      "-0x1.9b2873c8bd51cp-3", "0x1.ca55f5f1bfea8p-3",
-                     "0x1.d0097fa5a4825p-5", "0x1.5d6666617e95cp-3",
-                     "-0x1.2ac45d7d98b26p-5", "-0x1.5b509e01ea160p-6"],
-            "hvp": ["0x1.92a092b6747cep-4", "0x1.1f2c2e71606e1p-3",
-                    "-0x1.3d316ab7ddefbp-7", "0x1.3e57623500f30p-4"],
+                     "-0x1.1bc8ed101473cp-2", "0x1.186c63f04632bp-5",
+                     "0x1.ca55f5f1bfea8p-3", "-0x1.5b509e01ea160p-6"],
+            "hvp": ["-0x1.32053fadaa8c6p-1", "0x1.8714874a293c7p-2",
+                    "0x1.ab6f1298aec4ap-2", "0x1.ac4464cf6cccbp-2"],
         }
         drawn = {
             "grad": wrapped.grad_z_f3(self.point, s),
@@ -270,14 +297,15 @@ class TestNoiseWrapper:
         # taken in any order, equal one-call draws of fresh wrappers and of a
         # Philox built from the documented key and counter as exact uint64
         # words (a plain list mixing words below and above 2**63 would go
-        # through float64)
+        # through float64). The product draws its Hessian's matrix: tag 9,
+        # the upper triangle mirrored, applied to the direction
         def digest(*arrays):
             h = hashlib.blake2b(digest_size=8)
             for arr in arrays:
                 h.update(np.ascontiguousarray(arr, dtype=float))
             return int.from_bytes(h.digest(), "little")
 
-        tags = {"grad_z_f3": 8, "hess_zz_f3": 9, "hvp_zz_f3": 18}
+        tags = {"grad_z_f3": 8, "hess_zz_f3": 9, "hvp_zz_f3": 9}
         directions = {"grad_z_f3": (), "hess_zz_f3": (), "hvp_zz_f3": (np.arange(4.0),)}
         seeds = (3, 2**40 + 11)
         points = [self.point.replace(z=self.point.z + 0.25 * k) for k in range(3)]
@@ -295,18 +323,24 @@ class TestNoiseWrapper:
             assert np.array_equal(drawn, getattr(fresh, block)(point, s, *v))
 
             key = [seed, splitmix64(s.stream, tags[block])]
-            counter = [s.counter, digest(point.x, point.y, point.z), digest(*v) if v else 0, 0]
+            counter = [s.counter, digest(point.x, point.y, point.z), 0, 0]
             large.update(w >= 2**63 for w in counter[:2])
-            std = 0.3 if block.startswith("grad_") else 0.2
             clean = getattr(self.inner, block)(point, s, *v)
             gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64),
                                                        counter=np.array(counter, dtype=np.uint64)))
-            assert np.array_equal(drawn, clean + gen.normal(0.0, std, size=np.shape(clean)))
+            if block == "grad_z_f3":
+                noise = gen.normal(0.0, 0.3, size=np.shape(clean))
+            else:
+                G = gen.normal(0.0, 0.2, size=(4, 4))
+                noise = np.triu(G) + np.triu(G, 1).T
+                noise = noise @ v[0] if v else noise
+            assert np.array_equal(drawn, clean + noise)
         assert large == {False, True}
 
     def test_hvp_zz_f2_noise_is_keyed_by_its_block(self):
-        # Hzz(f2) V on a t x k block gets std_hess noise of V's shape, drawn
-        # under tag 21 with the digest of V's bytes as the third counter word
+        # Hzz(f2) V on a t x k block gets E V, with E one symmetric t x t
+        # matrix of std_hess entries drawn under tag 21, so the noise is
+        # linear in V and independent of Hzz(f3)'s
         wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=5)
         s = NoiseDraw(stream=4, counter=6)
         V = np.arange(12.0).reshape(4, 3)
@@ -318,19 +352,22 @@ class TestNoiseWrapper:
             return int.from_bytes(h.digest(), "little")
 
         key = np.array([5, splitmix64(4, 21)], dtype=np.uint64)
-        counter = np.array([6, digest(self.point.x, self.point.y, self.point.z), digest(V), 0],
-                           dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        counter = np.array([6, digest(self.point.x, self.point.y, self.point.z), 0, 0], dtype=np.uint64)
+        G = np.random.Generator(np.random.Philox(key=key, counter=counter)).normal(0.0, 0.2, size=(4, 4))
+        E = np.triu(G) + np.triu(G, 1).T
         clean = self.inner.hvp_zz_f2(self.point, s, V)
         drawn = wrapped.hvp_zz_f2(self.point, s, V)
         assert drawn.shape == V.shape
-        assert np.array_equal(drawn, clean + gen.normal(0.0, 0.2, size=V.shape))
-        # the quadratic's Hzz(f2) is zero, so this compares the two draws
-        assert not np.array_equal(drawn, wrapped.hvp_zz_f2(self.point, s, V + 1.0))
+        assert np.array_equal(drawn, clean + E @ V)
+        # the quadratic's Hzz(f2) is zero, so these compare the noise alone
+        np.testing.assert_allclose(wrapped.hvp_zz_f2(self.point, s, V[:, 0]), drawn[:, 0], rtol=1e-13)
+        E3 = wrapped.hess_zz_f3(self.point, s) - self.inner.hess_zz_f3(self.point, s)
+        assert not np.allclose(E, E3)
 
     def test_block_tags_and_wrapper_surface_are_pinned(self):
         # a block's tag is in its Philox key, so renumbering one changes all
-        # its draws; tags 13, 14, 19 and 20 stay unused. The wrapper adds no
+        # its draws; tags 13, 14, 18, 19 and 20 stay unused. hvp_zz_f3 draws
+        # under hess_zz_f3's tag, the matrix it applies. The wrapper adds no
         # derivative method the contract lacks, nor lacks one the contract has
         assert _BLOCK_TAGS == {
             "grad_x_f1": 0, "grad_y_f1": 1, "grad_z_f1": 2,
@@ -339,9 +376,10 @@ class TestNoiseWrapper:
             "hess_zz_f3": 9, "hess_xz_f3": 10, "hess_yz_f3": 11,
             "hess_zx_f2": 12,
             "hess_yx_f2": 15, "hess_yy_f2": 16, "hess_yz_f2": 17,
-            "hvp_zz_f3": 18,
             "hvp_zz_f2": 21,
         }
+        assert _SYMMETRIC == {"hess_zz_f3": "hess_zz_f3", "hvp_zz_f3": "hess_zz_f3",
+                              "hess_yy_f2": "hess_yy_f2", "hvp_zz_f2": "hvp_zz_f2"}
 
         def derivative_methods(cls):
             return {name for name, attr in vars(cls).items()
@@ -406,6 +444,47 @@ class TestNoiseWrapper:
         )
         dev = np.abs(draws.mean(axis=0) - clean)
         assert dev.max() < 4 * 0.1 / np.sqrt(10000)
+
+
+class _AdvHptOnNoiseDraws(ah.AdvHptOracle):
+    """Evaluates a NoiseDraw on the full training split, so that a noise
+    wrapper around adv-hpt has a sample on which it adds noise."""
+
+    def _batch(self, sample):
+        return super()._batch(DETERMINISTIC if isinstance(sample, NoiseDraw) else sample)
+
+
+class TestHessianProductContract:
+    # hvp_zz_f3 is Hzz(f3) times the direction on every oracle and sample,
+    # and a noise wrapper keeps that: one draw perturbs the Hessian once
+    @staticmethod
+    def case(family):
+        draw = NoiseDraw(stream=1, counter=2)
+        if family == "quadratic":
+            spec = default_quadratic(4, 4, 4, rng=0)
+            return make_oracle(spec), default_init_point(spec, rng=1), [DETERMINISTIC, draw]
+        if family == "quartic":
+            spec = default_quartic(3, 3, 2, rng=5)
+            return make_oracle(spec), default_init_point(spec, rng=6), [DETERMINISTIC, draw]
+        ds = ah.load_csv(ah.bundled_dataset_path())
+        problem = ah.build_problem(ds, ah.split_dataset(ds, 7))
+        gen = np.random.default_rng(7)
+        _, m, t = problem.dims
+        point = Point(np.array([0.2]), gen.normal(0, 0.3, m), gen.normal(0, 0.05, t))
+        batch = MinibatchIndices(tuple(int(i) for i in gen.permutation(problem.n_train)[:20]))
+        return _AdvHptOnNoiseDraws(problem, ds), point, [DETERMINISTIC, batch, draw]
+
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "noisy"])
+    @pytest.mark.parametrize("family", ["quadratic", "quartic", "adv-hpt"])
+    def test_hvp_zz_f3_is_the_hessian_times_v(self, family, wrapped):
+        oracle, point, samples = self.case(family)
+        if wrapped:
+            oracle = wrap_gaussian_noise(oracle, 0.1, 0.1, seed=3)
+        v = np.random.default_rng(4).normal(0, 1, point.z.size)
+        for sample in samples:
+            expected = np.asarray(oracle.hess_zz_f3(point, sample), float) @ v
+            got = oracle.hvp_zz_f3(point, sample, v)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), sample
 
 
 class TestHessianFdConsistency:

@@ -140,9 +140,6 @@ class TestAgreementReport:
         )
         text = report.render_text()
         assert "H" in text and "NFD" in text
-        csv = report.to_csv()
-        assert csv.startswith("a,b,rel_error")
-        assert "H,NFD," in csv
 
     def test_needs_two_gradients(self):
         spec = default_quadratic(3, 3, 3, rng=5)
