@@ -20,15 +20,14 @@ Backends:
 * ``H`` and ``AD`` run one algebra on the oracle's Hessian blocks, products
   and third-order contractions: the reduced-Hessian algebra of the UL
   gradient (:func:`_ul_reduced`) and the bilevel gradient. They differ only
-  in their two solvers: ``solve_zz`` and ``solve_yy``, the inverse of an
-  m x m matrix, Hbar_yy or the bilevel gradient's H_yy(f2)
-  (:func:`_make_solve_yy`).
+  in the one solver they build for each square matrix they invert:
+  Hzz(f3), Hbar_yy or the bilevel gradient's H_yy(f2) (:func:`_solver`).
 * ``H`` solves directly: one (m+2)-column and one vector Hzz(f3) solve per
   UL gradient, by Hzz(f3)'s own ``solve`` when it has one (the quartic's
   Sherman-Morrison), else by LAPACK. Reference quality; only meant for
   desk-scale problems.
 * ``AD`` replaces the solves with truncated Neumann series at scales 1/c0
-  (one Hzz(f3) series per column, on the oracle's ``hvp_zz_f3``) and 1/c1
+  (one series per column, multiplying by the oracle's Hzz(f3)) and 1/c1
   (the m x m matrix): m+3 inner series per UL gradient. On every sample,
   a noise draw included, each series multiplies by one fixed symmetric
   matrix, so one routine evaluates them all on their Krylov spaces
@@ -89,8 +88,8 @@ class AdjointConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if not self.fd_eps > 0:  # NaN fails too
-            raise ValueError("fd_eps must be positive")
+        if not 0 < self.fd_eps < math.inf:  # NaN fails too
+            raise ValueError("fd_eps must be positive and finite")
         if not self.cg_tol > 0:
             raise ValueError("cg_tol must be positive")
         if self.cg_max_iters is not None and (not is_integer(self.cg_max_iters) or self.cg_max_iters < 1):
@@ -246,53 +245,51 @@ def _cross_z(block, oracle, point, sample, cfg, w) -> Array:
 
 
 def _make_solve_zz(oracle, point, sample, cfg, events):
-    """The engine's ``solve_zz(B, labels)`` at (point, sample): Hzz(f3)^{-1}
-    applied to a t-vector (one label) or, under H and AD, to the columns of
-    a t x k block (one label per column).
-
-    H uses Hzz(f3)'s own ``solve`` when it has one (the quartic's
-    :class:`~trilevel.linalg.RankOneUpdate`), the inverse that a
-    :class:`~trilevel.linalg.ConstantMatrix` carries (the quadratic's), and
-    else one-shot LAPACK solves (adv-hpt's Hzz(f3), or a noise draw's). AD
-    applies one truncated Neumann series per column at 1/c0 on the oracle's
-    ``hvp_zz_f3``, each labelled as its NFD twin. NFD solves a vector by CG
-    (:func:`_cg`) on central differences of grad_z f3 along z at ``fd_eps``.
-    """
+    """The engine's ``solve_zz`` at (point, sample): Hzz(f3)^{-1} applied to
+    a t-vector (one label) or, under H and AD, to the columns of a t x k
+    block (one label per column). H and AD take :func:`_solver` of the
+    oracle's Hzz(f3) at 1/c0; NFD solves a vector by CG (:func:`_cg`) on
+    central differences of grad_z f3 along z at ``fd_eps``."""
     if cfg.engine == ENGINE_NFD:
         return lambda b, label: _cg(lambda v: _fd_dir(oracle.grad_z_f3, point, sample, cfg.fd_eps, z=v),
                                     b, label, cfg, events)
+    return _solver(oracle.hess_zz_f3(point, sample), cfg, "c0", events)
+
+
+def _solver(A, cfg, c_name: str, events):
+    """The H or AD engine's ``solve(B, labels)``: A^{-1} applied to a vector
+    (one label) or to the columns of a block (one label per column), for a
+    square matrix-like A: Hzz(f3), Hbar_yy or the bilevel H_yy(f2).
+
+    H uses A's own ``solve`` (the quartic's
+    :class:`~trilevel.linalg.RankOneUpdate`), else the inverse that a
+    :class:`~trilevel.linalg.ConstantMatrix` carries (the quadratic's),
+    else one-shot LAPACK solves of A densified once. AD applies one
+    truncated Neumann series per column at 1/c, c the config's ``c_name``,
+    on A's ``@``; each series is labelled as its NFD twin.
+    """
     if cfg.engine == ENGINE_H:
-        Hzz = oracle.hess_zz_f3(point, sample)
-        solve = getattr(Hzz, "solve", None)
+        solve = getattr(A, "solve", None)
         if solve is not None:
             return lambda B, labels: solve(B)
-        F = lu_factor_cached(Hzz)
-        if F is None:
-            return lambda B, labels: solve_dense(Hzz, B)
-        return lambda B, labels: lu_solve(F, B)
+        F = lu_factor_cached(A)
+        if F is not None:
+            return lambda B, labels: lu_solve(F, B)
+        A = np.asarray(A, dtype=float)
+        return lambda B, labels: solve_dense(A, B)
 
-    q, scale = cfg.neumann_q, _neumann_scale(cfg, "c0")
+    q, scale = cfg.neumann_q, _neumann_scale(cfg, c_name)
 
     def hvp(v):
-        return oracle.hvp_zz_f3(point, sample, v)
+        return A @ v
 
-    def solve_zz(B, labels):
+    def solve(B, labels):
         if B.ndim == 1:
             return neumann_inverse_apply(hvp, B, q, scale, events, labels)
         return np.column_stack([neumann_inverse_apply(hvp, b, q, scale, events, label)
                                 for b, label in zip(B.T, labels)])
 
-    return solve_zz
-
-
-def _make_solve_yy(cfg, events):
-    """The H or AD engine's ``solve_yy(A, b, label)``: A^{-1} b for an m x m
-    matrix A, by LAPACK under H and by a truncated Neumann series at 1/c1
-    under AD."""
-    if cfg.engine == ENGINE_H:
-        return lambda A, b, label: solve_dense(A, b)
-    q, scale = cfg.neumann_q, _neumann_scale(cfg, "c1")
-    return lambda A, b, label: neumann_inverse_apply(lambda v: A @ v, b, q, scale, events, label)
+    return solve
 
 
 def _neumann_scale(cfg, name: str) -> float:
@@ -300,8 +297,8 @@ def _neumann_scale(cfg, name: str) -> float:
     c = getattr(cfg, name)
     if not is_integer(cfg.neumann_q) or cfg.neumann_q < 0:
         raise ValueError("AD engine requires a nonnegative integer neumann_q")
-    if c is None or not c > 0:
-        raise ValueError(f"AD engine requires a positive {name}")
+    if c is None or not 0 < c < math.inf:  # NaN fails too
+        raise ValueError(f"AD engine requires a positive {name}, and a finite one")
     return 1.0 / c
 
 
@@ -354,7 +351,7 @@ def ul_adjoint_gradient(
     o, p, s = oracle, point, sample
     solve_zz = _make_solve_zz(o, p, s, cfg, events)
     if cfg.engine != ENGINE_NFD:
-        return _ul_reduced(o, p, s, solve_zz, _make_solve_yy(cfg, events))
+        return _ul_reduced(o, p, s, solve_zz, lambda A, b, label: _solver(A, cfg, "c1", events)(b, label))
 
     def frozen(block):
         # grad_block f2 - H_{block,z}(f3) w as a function of the point, at frozen w
@@ -379,12 +376,12 @@ def ul_adjoint_gradient(
 def _ul_reduced(oracle, point, sample, solve_zz, solve_yy) -> Array:
     """The reduced-Hessian algebra of the upper-level gradient: Hbar_yy
     assembled densely from Hessian blocks, products and third-order
-    contractions, and the x side in reverse mode. The engine supplies the
-    two solvers (:func:`_make_solve_zz`, :func:`_make_solve_yy`).
-    ``solve_yy`` receives Hbar_yy itself, so a caller that passes its own
-    sees the matrix (:func:`auto_scales`). H solves both directly; AD
-    applies truncated Neumann series at 1/c0 and 1/c1, so its gradient is
-    a Q-term estimate built from the oracle's products.
+    contractions, and the x side in reverse mode. The engine supplies
+    ``solve_zz`` (:func:`_make_solve_zz`) and ``solve_yy(A, b, label)``,
+    which receives Hbar_yy itself, so a caller that passes its own sees the
+    matrix (:func:`auto_scales`). H solves both directly; AD applies
+    truncated Neumann series at 1/c0 and 1/c1 (:func:`_solver`), so its
+    gradient is a Q-term estimate built from the oracle's matrices.
 
     With T_abc = T_abc(f3) contracted with w2 = Hzz^{-1} grad_z f2, the pieces
     D = T_zzz - Hzz2 and E = Hyz2 - T_yzz, and Jx, Jy = dz/dx, dz/dy:
@@ -437,7 +434,7 @@ def bilevel_adjoint_gradient(
 
     grad = grad_x f1 - H_xy(f2) H_yy(f2)^{-1} grad_y f1.
 
-    H and AD invert the oracle's H_yy(f2) with their ``solve_yy`` (AD's
+    H and AD invert the oracle's H_yy(f2) with their :func:`_solver` (AD's
     Neumann series at 1/c1 needs no c0), and both apply the oracle's
     H_yx(f2). NFD takes the H_yy(f2) and H_xy(f2) products as central
     differences of grad_y f2 and grad_x f2 at ``fd_eps``, whose error
@@ -450,8 +447,7 @@ def bilevel_adjoint_gradient(
         lam = _cg(lambda v: _fd_dir(o.grad_y_f2, p, s, cfg.fd_eps, y=v), gy1, "bilevel_lam", cfg, events)
         cross = _fd_dir(o.grad_x_f2, p, s, cfg.fd_eps, y=lam)
     else:
-        solve_yy = _make_solve_yy(cfg, events)
-        lam = solve_yy(np.asarray(o.hess_yy_f2(p, s), float), gy1, "bilevel_lam")
+        lam = _solver(np.asarray(o.hess_yy_f2(p, s), float), cfg, "c1", events)(gy1, "bilevel_lam")
         cross = np.asarray(o.hess_yx_f2(p, s), float).T @ lam
     return np.asarray(o.grad_x_f1(p, s), float) - cross
 

@@ -220,16 +220,43 @@ def build_problem(ds: TabularDataset, splits: Splits) -> AdvHptProblem:
     return AdvHptProblem(train_idx=splits.train, val_idx=splits.val, n_features=ds.n_features)
 
 
+class _RowBlockHzz:
+    """Hzz(f3) on one sample: diag I minus the block coef theta_f theta_f'
+    on each batch row of the (N_train, d) delta coordinates. ``np.asarray``
+    forms the t x t matrix (the H engine solves it, a noise wrapper adds
+    to it); ``@`` applies it to a t-vector without forming it. It has two
+    eigenvalues, diag and diag - coef |theta_f|^2 on the batch rows'
+    theta_f direction, so an AD Neumann series makes one or two products."""
+
+    def __init__(self, diag: float, coef: float, theta_f: Array, batch: Array, n: int):
+        self.diag, self.coef, self.theta_f, self.batch, self.n = diag, coef, theta_f, batch, n
+        self.shape = (n * theta_f.size,) * 2
+
+    def __array__(self, dtype=None, copy=None):
+        theta_f, batch, n, d = self.theta_f, self.batch, self.n, self.theta_f.size
+        H = self.diag * np.eye(n * d)
+        H.reshape(n, d, n, d)[batch, :, batch, :] -= self.coef * np.outer(theta_f, theta_f)
+        return np.asarray(H, dtype=dtype)
+
+    def __matmul__(self, v) -> Array:
+        theta_f, batch = self.theta_f, self.batch
+        V = np.asarray(v, dtype=float).reshape(self.n, theta_f.size)
+        out = self.diag * V
+        s = V.take(batch, axis=0) @ theta_f
+        out[batch] = out.take(batch, axis=0) - self.coef * (s[:, None] * theta_f[None, :])
+        return out.ravel()
+
+
 class AdvHptOracle(ProblemOracle):
     """Analytic derivatives of the linear-model / MSE formulation.
 
     Deterministic samples use the full training split; MinibatchIndices
-    index rows of the training split. The Hzz(f3) and Hzz(f2) products and
-    third-order contractions exploit the per-row block structure of the
-    delta coordinates, so the AD engine forms no t x t array; only
-    ``hess_zz_f3``, which the H engine factors, is t x t. f3 has no x and
-    its Hzz does not depend on delta, so the x and zzz contractions are
-    zero.
+    index rows of the training split. Hzz(f3) (a :class:`_RowBlockHzz`),
+    the Hzz(f2) product and the third-order contractions exploit the
+    per-row block structure of the delta coordinates, so the AD engine
+    forms no t x t array; only the H engine densifies Hzz(f3) to solve
+    it. f3 has no x and its Hzz does not depend on delta, so the x and zzz
+    contractions are zero.
     """
 
     def __init__(self, problem: AdvHptProblem, ds: TabularDataset):
@@ -351,13 +378,10 @@ class AdvHptOracle(ProblemOracle):
 
     # -- Hessian blocks and the Hzz(f2) product --------------------------------
     def hess_zz_f3(self, p, sample):
-        # diag I minus the block (2/|B|) theta_f theta_f' of each batch row
         _, theta_f, _, _ = self._split(p)
         batch = self._batch(sample)
         n, d = self.problem.n_train, self.problem.n_features
-        H = (2.0 * self.problem.c / ((d + 1) * n)) * np.eye(n * d)
-        H.reshape(n, d, n, d)[batch, :, batch, :] -= (2.0 / batch.size) * np.outer(theta_f, theta_f)
-        return H
+        return _RowBlockHzz(2.0 * self.problem.c / ((d + 1) * n), 2.0 / batch.size, theta_f, batch, n)
 
     def hess_xz_f3(self, p, sample):
         return np.zeros((1, self.problem.dims[2]))
@@ -413,20 +437,6 @@ class AdvHptOracle(ProblemOracle):
         d = self.problem.n_features
         H[:d, :d] += scale * np.diag(pen_hvp(np.ones(d)))
         return H
-
-    # -- Hessian-vector product -----------------------------------------------
-    def hvp_zz_f3(self, p, sample, v):
-        # Hzz has two eigenvalues (diag, and diag - coef*|theta_f|^2 on the
-        # batch rows' theta_f direction), so the AD engine's Krylov
-        # evaluation of a series makes one or two products
-        _, theta_f, _, _ = self._split(p)
-        batch = self._batch(sample)
-        n, d = self.problem.n_train, self.problem.n_features
-        V = np.asarray(v, dtype=float).reshape(n, d)
-        out = (2.0 * self.problem.c / ((d + 1) * n)) * V
-        s = V.take(batch, axis=0) @ theta_f
-        out[batch] = out.take(batch, axis=0) - (2.0 / batch.size) * (s[:, None] * theta_f[None, :])
-        return out.ravel()
 
     # -- third-order contractions ----------------------------------------------
     # f3 has no x, and its Hzz does not depend on delta: T_yzx, T_zzx and

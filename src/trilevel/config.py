@@ -46,6 +46,7 @@ Example, with every key at its default (``;`` after a space starts a comment)::
 
 import configparser
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, get_args, get_type_hints
@@ -113,14 +114,17 @@ class ExperimentConfig:
             raise ValueError("noise_test_realizations must be at least 1")
         if min(self.n, self.m, self.t) < 1:
             raise ValueError(f"n, m and t must be at least 1, got {self.n}, {self.m}, {self.t}")
-        if not self.fd_eps > 0:
-            raise ValueError(f"fd_eps must be positive, got {self.fd_eps}")
+        if not 0 < self.fd_eps < math.inf:  # NaN fails too
+            raise ValueError(f"fd_eps must be positive and finite, got {self.fd_eps}")
+        if not (0 <= self.std_grad < math.inf and 0 <= self.std_hess < math.inf):
+            raise ValueError("noise standard deviations must be finite and nonnegative, "
+                             f"got {self.std_grad} and {self.std_hess}")
         if self.engine == ENGINE_AD and self.neumann_q < 0:
             raise ValueError(f"the AD engine needs a nonnegative neumann_q, got {self.neumann_q}")
         for name in ("c0", "c1"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive or auto, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, or auto, got {value}")
         if self.problem == "adv-hpt" and not self.csv:
             raise ValueError("adv-hpt requires a csv path")
         if self.mode == "stochastic" and self.engine == ENGINE_H and self.std_hess > 0.1:

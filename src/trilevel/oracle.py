@@ -12,13 +12,14 @@ easy as 1, 2, 3", SC 2011): a noise draw is a pure function of
 bit-reproducible regardless of evaluation order or concurrency. The Philox
 key is (seed, SplitMix64(stream, block)) and its counter is (sample
 counter, BLAKE2b-64 of the x||y||z float64 bytes, 0, 0). A noise draw
-perturbs each square Hessian block by one symmetric matrix, and a product
-with that block applies the same matrix, so on one draw every Hessian is
-a fixed symmetric linear map. Each thread holds one Philox per noise
-wrapper and re-keys it to that key and counter before every draw.
+perturbs each square Hessian block by one symmetric matrix, and the
+Hzz(f2) product applies its own, so on one draw every Hessian is a fixed
+symmetric linear map. Each thread holds one Philox per noise wrapper and
+re-keys it to that key and counter before every draw.
 """
 
 import hashlib
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -134,10 +135,9 @@ class OracleCapabilities:
 class ProblemOracle:
     """Base class for derivative oracles.
 
-    The contract has 23 derivative methods. Every engine calls the
+    The contract has 22 derivative methods. Every engine calls the
     f1/f2/f3 values and the nine gradient blocks. The H and AD engines also
-    call the seven Hessian blocks, the two products (``hvp_zz_f2``, and
-    ``hvp_zz_f3``, which only AD's Hzz series call) and the five
+    call the seven Hessian blocks, the product ``hvp_zz_f2`` and the five
     third-order contractions; the NFD engine calls none of them (an
     ``affine_ll`` lower-level cycle calls ``hess_zz_f3`` under any
     engine). A method the subclass does not define raises the base class's
@@ -148,13 +148,13 @@ class ProblemOracle:
     the reduced Hessian, Hzz(f2) and T_zzz(f3)[w], are products with a
     t-vector or a t x k block V, so no engine needs a t x t array beyond
     Hzz(f3) itself, which may be an array-like with ``shape``,
-    ``__array__`` and ``@``: a :class:`~trilevel.linalg.ConstantMatrix`
-    (an ``affine_ll`` oracle's), whose inverse the H engine uses, or one
-    with a ``solve(B)`` that it calls (the quartic's
-    :class:`~trilevel.linalg.RankOneUpdate`); a noise wrapper densifies it.
-    A product is its block times V on every sample: ``hvp_zz_f3(p, s, V)``
-    equals ``hess_zz_f3(p, s) @ V`` to rounding, so on one sample each
-    Hessian is one symmetric linear map, which AD's Neumann series assume.
+    ``__array__`` and ``@`` (AD's Neumann series multiply by it): a
+    :class:`~trilevel.linalg.ConstantMatrix` (an ``affine_ll`` oracle's),
+    whose inverse the H engine uses, one with a ``solve(B)`` that it calls
+    (the quartic's :class:`~trilevel.linalg.RankOneUpdate`), or one whose
+    ``@`` never forms it (adv-hpt's); a noise wrapper densifies it. So on
+    one sample Hzz(f3) is one symmetric matrix, which AD's Neumann series
+    assume.
     All evaluations take (point, sample) and must be deterministic
     functions of their arguments. Callers must not write to the arrays an
     oracle returns.
@@ -228,10 +228,6 @@ class ProblemOracle:
 
     def hvp_zz_f2(self, point, sample, V) -> Array:
         """Hzz(f2) V for V of shape (t,) or (t, k)."""
-        raise NotImplementedError
-
-    # Hessian-vector product (AD engine's Hzz(f3) series) -----------------
-    def hvp_zz_f3(self, point, sample, v) -> Array:
         raise NotImplementedError
 
     # third-order contractions (H and AD engines) -------------------------
@@ -328,13 +324,10 @@ _BLOCK_TAGS = {
     if name is not None
 }
 
-# the square blocks, each perturbed by one symmetric matrix per draw, and
-# the block whose tag draws it: a product applies its Hessian's matrix, and
-# Hzz(f2), which has no method of its own, is drawn under its product's tag
-_SYMMETRIC = {
-    "hess_zz_f3": "hess_zz_f3", "hvp_zz_f3": "hess_zz_f3",
-    "hess_yy_f2": "hess_yy_f2", "hvp_zz_f2": "hvp_zz_f2",
-}
+# the square blocks, each perturbed by one symmetric matrix per draw; Hzz(f2),
+# which has no Hessian method of its own, is drawn under its product's tag
+# and applied to the product's V
+_SYMMETRIC = frozenset({"hess_zz_f3", "hess_yy_f2", "hvp_zz_f2"})
 
 
 class GaussianNoiseOracle(ProblemOracle):
@@ -346,11 +339,10 @@ class GaussianNoiseOracle(ProblemOracle):
     Deterministic samples bypass noise entirely. A square block (Hzz(f3),
     H_yy(f2), Hzz(f2)) gets one symmetric matrix E: its (k, k) draw G
     mirrored as triu(G) + triu(G, 1)^T, so every entry is still
-    N(0, std_hess^2). A product ``hvp_zz_f3(p, s, V)`` returns the clean
-    product plus E V, with E the matrix ``hess_zz_f3(p, s)`` adds, and
-    ``hvp_zz_f2`` applies its own E the same way. So on one draw a Hessian
-    is one fixed symmetric matrix, whichever way an engine reaches it, and
-    its products are linear in V.
+    N(0, std_hess^2). ``hess_zz_f3`` returns the densified clean block
+    plus E, and the product ``hvp_zz_f2(p, s, V)`` the clean product plus
+    E V. So on one draw each Hessian is one fixed symmetric matrix, and the
+    Hzz(f2) product is linear in V.
 
     Each call draws from a Philox stream with key
     (seed, SplitMix64(stream, block tag)) and counter (sample counter,
@@ -367,8 +359,8 @@ class GaussianNoiseOracle(ProblemOracle):
     """
 
     def __init__(self, inner: ProblemOracle, std_grad: float, std_hess: float, seed: int):
-        if std_grad < 0 or std_hess < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        if not (0 <= std_grad < math.inf and 0 <= std_hess < math.inf):  # NaN fails too
+            raise ValueError("noise standard deviations must be finite and nonnegative")
         self.inner = inner
         self.std_grad = float(std_grad)
         self.std_hess = float(std_hess)
@@ -411,7 +403,7 @@ class GaussianNoiseOracle(ProblemOracle):
         if name not in _SYMMETRIC:
             return clean + self._draw(sample, name, point, std, np.shape(clean))
         k = np.shape(clean)[0]
-        G = self._draw(sample, _SYMMETRIC[name], point, std, (k, k))
+        G = self._draw(sample, name, point, std, (k, k))
         E = np.triu(G) + np.triu(G, 1).T
         return clean + (E @ V[0] if V else E)
 
@@ -443,7 +435,7 @@ def _install_noise_methods():
         method.__name__ = name
         return method
 
-    for block in {**_BLOCK_TAGS, **_SYMMETRIC}:
+    for block in _BLOCK_TAGS:
         setattr(GaussianNoiseOracle, block, noisy_method(block))
     for t3 in [name for name in vars(ProblemOracle) if name.startswith("t3_")]:
         setattr(GaussianNoiseOracle, t3, passthrough(t3))

@@ -338,9 +338,6 @@ class QuadraticOracle(_SyntheticOracle):
     def hess_yz_f3(self, p, sample):
         return -self.spec.Hyz
 
-    def hvp_zz_f3(self, p, sample, v):
-        return self.spec.Hzz @ v
-
     def t3_yzx_f3_contract(self, p, sample, v):
         return np.zeros((self.spec.m, self.spec.n))
 
@@ -397,10 +394,6 @@ class QuarticOracle(_SyntheticOracle):
     def hess_yz_f3(self, p, sample):
         g, u = self._parts(p)
         return -np.outer(self.spec.Hyz @ p.z, u) - g * self.spec.Hyz
-
-    def hvp_zz_f3(self, p, sample, v):
-        g, u = self._parts(p)
-        return (u @ v) * u + 2.0 * g * (self.spec.Hzz @ v)
 
     def t3_yzx_f3_contract(self, p, sample, v):
         s = self.spec

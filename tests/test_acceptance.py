@@ -454,7 +454,7 @@ def test_criterion_11_derivative_cross_checks():
 
     # adv-hpt delta-blocks are bilinear: FD is exact, floor applies
     vt = rng.standard_normal(problem.dims[2])
-    analytic = ao.hvp_zz_f3(pa, S, vt)
+    analytic = ao.hess_zz_f3(pa, S) @ vt
     ratio_check(
         "adv-hpt hess_zz_f3",
         analytic,

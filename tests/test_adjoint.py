@@ -20,6 +20,7 @@ from trilevel.driver import Decaying, IterationBudget, run_tsg
 from trilevel.oracle import (
     DETERMINISTIC,
     Deterministic,
+    GaussianNoiseOracle,
     MinibatchIndices,
     NoiseDraw,
     Point,
@@ -187,7 +188,8 @@ class TestNeumannKrylov:
     def test_matches_recurrence_on_advhpt(self, minibatch):
         oracle, point, batch = _advhpt_split7()
         sample = batch if minibatch else DETERMINISTIC
-        op = lambda v: oracle.hvp_zz_f3(point, sample, v)
+        Hzz = oracle.hess_zz_f3(point, sample)
+        op = lambda v: Hzz @ v
         gz2 = np.asarray(oracle.grad_z_f2(point, sample), float)
         rand = np.random.default_rng(3).normal(0, 1, gz2.size)
         truncated = 0
@@ -210,9 +212,10 @@ class TestNeumannKrylov:
             (make_oracle(quartic), default_init_point(quartic, rng=6)),
         ]
         for oracle, point in cases:
-            op = lambda v: oracle.hvp_zz_f3(point, DETERMINISTIC, v)
+            Hzz = oracle.hess_zz_f3(point, DETERMINISTIC)
+            op = lambda v: Hzz @ v
             b = gen.normal(0, 1, point.z.size)
-            norm = np.linalg.norm(oracle.hess_zz_f3(point, DETERMINISTIC), 2)
+            norm = np.linalg.norm(Hzz, 2)
             for Q in (1, 6, 30):
                 events, calls = self.assert_agree(op, b, Q, 1.0 / (2.0 * norm))
                 assert events == [] and calls <= min(Q, point.z.size)
@@ -507,7 +510,8 @@ class TestDenseSolves:
 
     def test_ul_gradient_solves_hzz_against_m_plus_2_columns_then_one(self, monkeypatch):
         # the quartic's Hzz(f3) is solved by Sherman-Morrison, against m+2
-        # columns and then one; the only dense solve is Hbar_yy's, m x m
+        # columns and then one; the only dense solve is Hbar_yy's, m x m,
+        # and the only inverse lookup is that matrix's
         n, m, t = 12, 3, 5
         cols, dense, lookups = [], [], []
         structured = linalg.RankOneUpdate.solve
@@ -527,7 +531,7 @@ class TestDenseSolves:
         point = Point(np.full(n, 0.1), np.full(m, -0.2), np.full(t, 0.3))
         ul_adjoint_gradient(oracle, point, DETERMINISTIC, AdjointConfig(engine="H"))
         assert cols == [m + 2, 1]
-        assert dense == [(m, m)] and lookups == []
+        assert dense == [(m, m)] and [np.shape(A) for A in lookups] == [(m, m)]
 
     def test_reruns_on_one_oracle_are_bit_equal(self):
         # the constant Hzz carries its inverse, so a gradient does not depend
@@ -677,6 +681,25 @@ class TestContracts:
             "scale": lambda: recurrence(lambda v: v, b, 5, nan),
             "krylov-scale": lambda: neumann_inverse_apply(lambda v: v, b, 5, nan),
             "tol": lambda: linalg.cg_solve(lambda v: v, b, tol=nan),
+        }
+        with pytest.raises(ValueError, match=knob.split("-")[-1]):
+            calls[knob]()
+
+    @pytest.mark.parametrize("knob", ["fd_eps", "c0", "c1", "bilevel-c1"])
+    def test_infinite_knobs_are_rejected(self, knob):
+        # an infinite scale would make the series' 1/c zero, and an infinite
+        # step every difference NaN
+        inf = math.inf
+        oracle = make_oracle(default_quadratic(3, 3, 3, rng=0))
+        p = Point(np.ones(3), np.ones(3), np.ones(3))
+        calls = {
+            "fd_eps": lambda: AdjointConfig(engine="NFD", fd_eps=inf),
+            "c0": lambda: ml_adjoint_gradient(
+                oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=inf, c1=1.0)),
+            "c1": lambda: ul_adjoint_gradient(
+                oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c0=1.0, c1=inf)),
+            "bilevel-c1": lambda: bilevel_adjoint_gradient(
+                oracle, p, DETERMINISTIC, AdjointConfig(engine="AD", neumann_q=5, c1=inf)),
         }
         with pytest.raises(ValueError, match=knob.split("-")[-1]):
             calls[knob]()
@@ -984,6 +1007,22 @@ class TestReducedPath:
             assert events == []
             assert np.linalg.norm(g_ad - g_h) <= 1e-10 * np.linalg.norm(g_h), fn.__name__
 
+    @pytest.mark.parametrize("fn", [ml_adjoint_gradient, ul_adjoint_gradient], ids=["ml", "ul"])
+    def test_ad_draws_hzz_noise_once_per_gradient(self, monkeypatch, fn):
+        # every Hzz(f3) series multiplies by the one matrix the draw gives, so
+        # a gradient draws that noise once, however many series and products
+        # it runs (the dense 10 x 10 noise takes 10 products per series)
+        spec = default_quadratic(10, 10, 10, rng=42)
+        point = closed_form_point(spec, default_init_point(spec, rng=43).x)
+        noisy = wrap_gaussian_noise(make_oracle(spec), 0.1, 0.01, seed=1)
+        blocks = []
+        draw = GaussianNoiseOracle._draw
+        monkeypatch.setattr(GaussianNoiseOracle, "_draw",
+                            lambda self, s, block, *a: blocks.append(block) or draw(self, s, block, *a))
+        cfg = AdjointConfig(engine="AD", neumann_q=30, c0=4.0, c1=8.0)
+        fn(noisy, point, NoiseDraw(stream=1, counter=2), cfg)
+        assert blocks.count("hess_zz_f3") == 1
+
     def test_advhpt_forms_no_t_by_t_array(self, monkeypatch):
         ds = ah.load_csv(ah.bundled_dataset_path())
         problem = ah.build_problem(ds, ah.split_dataset(ds, 7))
@@ -1007,14 +1046,19 @@ class TestReducedPath:
 
                 return call
 
+        def densify(self, dtype=None, copy=None):
+            raise AssertionError("the AD engine densified adv-hpt's Hzz(f3)")
+
+        # Hzz(f3) is t x t only as an operator: its series multiply by it
+        monkeypatch.setattr(ah._RowBlockHzz, "__array__", densify)
         taken = self.paths(monkeypatch)
         cfg = AdjointConfig(engine="AD", neumann_q=30, c0=1.0, c1=3e5)
         g = ul_adjoint_gradient(ShapeSpy(), point, batch, cfg)
         assert taken == ["exact"] and np.all(np.isfinite(g))
-        assert "t3_yzz_f3_contract" in shapes and "hess_zz_f3" not in shapes
+        assert "t3_yzz_f3_contract" in shapes and shapes["hess_zz_f3"] == {(t, t)}
         for name, seen in shapes.items():
             for shape in seen:
-                assert sum(d == t for d in shape) < 2, (name, shape)
+                assert name == "hess_zz_f3" or sum(d == t for d in shape) < 2, (name, shape)
 
 
 class TestPinned:
@@ -1075,6 +1119,15 @@ class TestPinned:
         ("quadratic-noisy", "bilevel", "NFD"): (
             ["0x1.89c7bdc748049p+4", "0x1.3b84ffd5e57b5p+4", "0x1.f36de4e87c616p+3"],
             ["cg_capped:bilevel_lam"],
+        ),
+        # AD on a noise draw: its series multiply by the one noisy Hzz(f3)
+        ("quadratic-noisy", "ml", "AD"): (
+            ["-0x1.a2919925273cdp+1", "-0x1.912f54426b5e7p+2", "0x1.43c07a53b51dep+2"],
+            [],
+        ),
+        ("quadratic-noisy", "ul", "AD"): (
+            ["0x1.ac567d0d16c4cp+5", "0x1.37a08f770b49ep+5", "0x1.042ca00b39570p+5"],
+            [],
         ),
         ("quartic", "ml", "NFD"): (
             ["0x1.a9c1578826b10p-7", "0x1.4df6cedcabe9dp-1", "-0x1.5353f95422848p-5"],

@@ -237,8 +237,8 @@ class TestOracleStructure:
         p = Point(np.array([0.1]), gen.normal(0, 1, 4), gen.normal(0, 0.1, t))
         v = gen.normal(0, 1, t)
         np.testing.assert_allclose(
-            oracle.hvp_zz_f3(p, DETERMINISTIC, v),
             oracle.hess_zz_f3(p, DETERMINISTIC) @ v,
+            np.asarray(oracle.hess_zz_f3(p, DETERMINISTIC)) @ v,
             atol=1e-12,
         )
 
@@ -334,7 +334,8 @@ class TestOracleStructure:
 
 
 def reference_hvp_zz_f3(oracle, p, sample, v):
-    """The reference Hzz(f3) v formula that hvp_zz_f3 must reproduce bit for bit."""
+    """The reference Hzz(f3) v formula that ``hess_zz_f3(p, sample) @ v``
+    must reproduce bit for bit."""
     n, d = oracle.problem.n_train, oracle.problem.n_features
     theta_f = p.y[:d]
     batch = (np.asarray(sample.indices) if isinstance(sample, MinibatchIndices)
@@ -409,7 +410,7 @@ class TestStructuredBlocks:
             scale = max(1.0, float(np.abs(expected).max()))
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9 * scale, err_msg=name)
 
-        hzz_w = lambda q: oracle.hvp_zz_f3(q, sample, w)
+        hzz_w = lambda q: oracle.hess_zz_f3(q, sample) @ w
         hyz_w = lambda q: oracle.hess_yz_f3(q, sample) @ w
         # T_yzz[w] is the y-Jacobian of Hzz(f3) w, transposed; T_yzy[w] the
         # y-Jacobian of Hyz(f3) w
@@ -459,7 +460,7 @@ class _AcceptsNoiseDraws(AdvHptOracle):
 
 
 class TestHvpZzOp:
-    """The adv-hpt Hzz(f3) operator, v -> hvp_zz_f3(p, sample, v)."""
+    """The adv-hpt Hzz(f3) operator, v -> hess_zz_f3(p, sample) @ v."""
 
     def _point(self, problem, seed):
         gen = np.random.default_rng(seed)
@@ -475,7 +476,7 @@ class TestHvpZzOp:
             for _ in range(5):
                 v = gen.normal(0, 1, problem.dims[2])
                 expected = reference_hvp_zz_f3(oracle, p, sample, v)
-                assert np.array_equal(oracle.hvp_zz_f3(p, sample, v), expected)
+                assert np.array_equal(oracle.hess_zz_f3(p, sample) @ v, expected)
 
     def test_out_of_range_batch_raises(self):
         ds, splits, problem, oracle = toy_setup()
@@ -483,7 +484,7 @@ class TestHvpZzOp:
         v = np.zeros(problem.dims[2])
         for rows in ((0, problem.n_train), (-1, 0)):
             with pytest.raises(IndexError):
-                oracle.hvp_zz_f3(p, MinibatchIndices(rows), v)
+                oracle.hess_zz_f3(p, MinibatchIndices(rows)) @ v
 
     def test_noise_wrapper_adds_noise_to_every_product(self):
         ds = toy_dataset(n=12, d=3, seed=0)
@@ -494,14 +495,14 @@ class TestHvpZzOp:
         p = self._point(problem, 10)
         v = np.random.default_rng(11).normal(0, 1, problem.dims[2])
         draw = NoiseDraw(stream=1, counter=2)
-        clean = inner.hvp_zz_f3(p, draw, v)
-        noisy_hv = noisy.hvp_zz_f3(p, draw, v)
-        assert not np.array_equal(noisy_hv, clean)
-        # every product meets the one noise matrix the draw adds to Hzz(f3)
-        E = np.asarray(noisy.hess_zz_f3(p, draw)) - np.asarray(inner.hess_zz_f3(p, draw))
-        np.testing.assert_allclose(noisy_hv - clean, E @ v, rtol=1e-12)
-        # the AD engine's Hzz series goes through the noisy per-call method:
-        # its ML gradient on the draw is the one built from noisy products
+        clean = inner.hess_zz_f3(p, draw)
+        noisy_hzz = noisy.hess_zz_f3(p, draw)
+        # the draw densifies Hzz(f3) and adds one symmetric matrix to it
+        E = noisy_hzz - np.asarray(clean)
+        assert isinstance(noisy_hzz, np.ndarray) and np.array_equal(E, E.T) and np.any(E)
+        np.testing.assert_allclose(noisy_hzz @ v - clean @ v, E @ v, rtol=1e-12)
+        # the AD engine's Hzz series multiply by the noisy matrix: its ML
+        # gradient on the draw is the one built from noisy products
         cfg = AdjointConfig(engine="AD", neumann_q=3, c0=1.0, c1=1.0)
 
         def ml_gradient(hvp):
@@ -509,8 +510,8 @@ class TestHvpZzOp:
             return np.asarray(noisy.grad_y_f2(p, draw), float) - noisy.hess_yz_f3(p, draw) @ w
 
         g = ml_adjoint_gradient(noisy, p, draw, cfg)
-        assert np.array_equal(g, ml_gradient(lambda u: noisy.hvp_zz_f3(p, draw, u)))
-        assert not np.array_equal(g, ml_gradient(lambda u: inner.hvp_zz_f3(p, draw, u)))
+        assert np.array_equal(g, ml_gradient(lambda u: noisy_hzz @ u))
+        assert not np.array_equal(g, ml_gradient(lambda u: clean @ u))
 
     def test_short_ad_run_identical_through_forwarding_wrapper(self):
         # tier-1 stand-in for the benchmark's traced-digest gate: a wrapper
@@ -526,7 +527,7 @@ class TestHvpZzOp:
                     IterationBudget(2, 2, 3), cfg, MinibatchSamples(problem.n_train, 64, 5))
             for oracle in (raw, wrapped)
         ]
-        assert wrapped.calls["hvp_zz_f3"] > 0
+        assert wrapped.calls["hess_zz_f3"] > 0
         assert [r.flags for r in traces[0].records] == [r.flags for r in traces[1].records]
         assert len(traces[0].iterates) == 2 and traces[0].iterates[-1].x[0] != 0.0
         for a, b in zip(traces[0].iterates, traces[1].iterates):

